@@ -192,10 +192,6 @@ impl KrattAttack {
         let mut steps: Vec<StepTiming> = Vec::new();
         let artifacts = remove_locking_unit(locked)?;
         steps.push(StepTiming::new("logic-removal", start.elapsed()));
-        let scope = ScopeAttack {
-            margin: self.config.scope_margin,
-            ..ScopeAttack::new()
-        };
 
         // Step 2: QBF.
         let qbf_start = Instant::now();
@@ -229,39 +225,14 @@ impl KrattAttack {
         }
 
         // Steps 3–5: classification, circuit modification, SCOPE.
-        let classify_start = Instant::now();
-        let unit_class = classify_unit(&artifacts)?;
-        steps.push(StepTiming::new("classification", classify_start.elapsed()));
-        let scope_start = Instant::now();
-        let (guess, path) = if unit_class.is_restore_unit() {
-            let subcircuit = extract_locked_subcircuit(&artifacts)?;
-            (
-                attack_subcircuit_with_scope(&artifacts, &subcircuit, &scope)?,
-                KrattPath::ModifiedSubcircuitScope,
-            )
-        } else {
-            (
-                attack_unit_with_scope(&artifacts, &scope)?,
-                KrattPath::ModifiedUnitScope,
-            )
-        };
-        steps.push(StepTiming::new(
-            "circuit-modification+scope",
-            scope_start.elapsed(),
-        ));
-        Ok(KrattReport {
-            outcome: ThreatOutcome::PartialGuess(guess),
-            path,
-            unit_class: Some(unit_class),
-            runtime: start.elapsed(),
-            steps,
-            qbf_iterations,
-            artifacts,
-        })
+        let unit_class = classify_step(&artifacts, &mut steps)?;
+        self.modification_and_scope(artifacts, unit_class, start, steps, qbf_iterations)
     }
 
     /// Runs KRATT under the oracle-guided threat model (steps 1–3 and 6–7 of
-    /// Fig. 4).
+    /// Fig. 4). Steps 6–7 run only on a unit classified as a DFLT restore
+    /// unit; any other unit ends in the oracle-less step-5 branch of its
+    /// class with a partial guess.
     ///
     /// # Errors
     ///
@@ -308,14 +279,26 @@ impl KrattAttack {
             });
         }
 
-        // Steps 3, 6, 7: classification, extraction, structural analysis.
-        let classify_start = Instant::now();
-        let unit_class = classify_unit(&artifacts)?;
+        // Step 3: classification. Only a DFLT restore unit guards the
+        // protected pattern steps 6–7 search for — on any other unit (e.g.
+        // SFLL-HD with h >= 1) the restore output does not flip at the
+        // secret, so the oracle check would accept almost any candidate.
+        // Such units take the step-5 branch of their class instead.
+        let unit_class = classify_step(&artifacts, &mut steps)?;
+        if !unit_class.is_restore_unit() {
+            return self.modification_and_scope(
+                artifacts,
+                unit_class,
+                start,
+                steps,
+                qbf_iterations,
+            );
+        }
+
+        // Steps 6–7: extraction, structural analysis.
+        let extraction_start = Instant::now();
         let subcircuit = extract_locked_subcircuit(&artifacts)?;
-        steps.push(StepTiming::new(
-            "classification+extraction",
-            classify_start.elapsed(),
-        ));
+        steps.push(StepTiming::new("extraction", extraction_start.elapsed()));
         let analysis_start = Instant::now();
         let outcome = match structural_analysis(
             &artifacts,
@@ -344,9 +327,63 @@ impl KrattAttack {
         })
     }
 
+    /// Steps 4–5 for a unit of class `unit_class` — circuit modification
+    /// plus SCOPE on the locked subcircuit (restore units) or on the unit
+    /// itself (anything else) — closing the report with the partial guess.
+    fn modification_and_scope(
+        &self,
+        artifacts: RemovalArtifacts,
+        unit_class: UnitClass,
+        start: Instant,
+        mut steps: Vec<StepTiming>,
+        qbf_iterations: usize,
+    ) -> Result<KrattReport, KrattError> {
+        let scope = ScopeAttack {
+            margin: self.config.scope_margin,
+            ..ScopeAttack::new()
+        };
+        let scope_start = Instant::now();
+        let (guess, path) = if unit_class.is_restore_unit() {
+            let subcircuit = extract_locked_subcircuit(&artifacts)?;
+            (
+                attack_subcircuit_with_scope(&artifacts, &subcircuit, &scope)?,
+                KrattPath::ModifiedSubcircuitScope,
+            )
+        } else {
+            (
+                attack_unit_with_scope(&artifacts, &scope)?,
+                KrattPath::ModifiedUnitScope,
+            )
+        };
+        steps.push(StepTiming::new(
+            "circuit-modification+scope",
+            scope_start.elapsed(),
+        ));
+        Ok(KrattReport {
+            outcome: ThreatOutcome::PartialGuess(guess),
+            path,
+            unit_class: Some(unit_class),
+            runtime: start.elapsed(),
+            steps,
+            qbf_iterations,
+            artifacts,
+        })
+    }
+
     fn guess_to_key(&self, locked: &Circuit, guess: &KeyGuess) -> SecretKey {
         guess.to_secret_key(&kratt_attacks::key_input_names(locked))
     }
+}
+
+/// Step 3: classifies the unit, timed as the `classification` step.
+fn classify_step(
+    artifacts: &RemovalArtifacts,
+    steps: &mut Vec<StepTiming>,
+) -> Result<UnitClass, KrattError> {
+    let classify_start = Instant::now();
+    let unit_class = classify_unit(artifacts)?;
+    steps.push(StepTiming::new("classification", classify_start.elapsed()));
+    Ok(unit_class)
 }
 
 impl Attack for KrattAttack {
@@ -429,7 +466,7 @@ mod tests {
     use kratt_benchmarks::arith::ripple_carry_adder;
     use kratt_benchmarks::small::majority;
     use kratt_locking::{
-        AntiSat, Cac, CasLock, GenAntiSat, LockingTechnique, SarLock, SecretKey, TtLock,
+        AntiSat, Cac, CasLock, GenAntiSat, LockingTechnique, SarLock, SecretKey, SfllHd, TtLock,
     };
     use kratt_netlist::sim::exhaustively_equivalent;
 
@@ -511,6 +548,32 @@ mod tests {
                 .unwrap();
             assert_eq!(report.path, KrattPath::StructuralAnalysis);
             assert_eq!(report.outcome.exact_key().unwrap().to_u64(), 0b0110);
+        }
+    }
+
+    #[test]
+    fn oracle_guided_never_claims_a_wrong_sfll_hd_key() {
+        // SFLL-HD with h = 1 restores a Hamming sphere, not one pattern: its
+        // unit classifies as `Other`, so structural analysis must not run
+        // (its oracle check would accept almost any candidate).
+        let original = ripple_carry_adder(4).unwrap();
+        for secret in 0..16 {
+            let secret = SecretKey::from_u64(secret, 4);
+            let locked = SfllHd::new(4, 1).lock(&original, &secret).unwrap();
+            let oracle = Oracle::new(original.clone()).unwrap();
+            let report = KrattAttack::new()
+                .attack_oracle_guided(&locked.circuit, &oracle)
+                .unwrap();
+            if let Some(key) = report.outcome.exact_key() {
+                let unlocked = locked.apply_key(key).unwrap();
+                assert!(
+                    exhaustively_equivalent(&original, &unlocked).unwrap(),
+                    "secret {secret:?}: claimed key {} does not unlock",
+                    key.to_u64()
+                );
+            } else {
+                assert_ne!(report.path, KrattPath::StructuralAnalysis);
+            }
         }
     }
 

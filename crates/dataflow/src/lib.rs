@@ -24,7 +24,9 @@
 //!   [`ternary::cofactors`]. Powers the `key-forced-bit` lint and the
 //!   AIG-side SCOPE signatures.
 //! * [`support`] — per-node key-input support bitsets plus data-dependence
-//!   tracking ([`support::KeySupport`]).
+//!   tracking ([`support::KeySupport`]); [`SupportDomain::for_positions`]
+//!   seeds the same domain with any input class by position (the OG
+//!   structural analysis tracks the protected primary inputs with it).
 //! * [`unateness`] — per key input, the structural polarity (positive /
 //!   negative / binate) a node depends on it with.
 //! * [`probability`] — signal-probability lanes under the independence

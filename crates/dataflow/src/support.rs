@@ -11,9 +11,10 @@ use kratt_netlist::Aig;
 /// data input reaches it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deps {
-    /// Key-bit bitset, one bit per key input in declaration order.
+    /// Key-bit bitset, one bit per key input in declaration order (or per
+    /// tracked input, see [`SupportDomain::for_positions`]).
     pub keys: Vec<u64>,
-    /// Whether any non-key primary input reaches the node.
+    /// Whether any non-key (untracked) primary input reaches the node.
     pub data: bool,
 }
 
@@ -31,6 +32,26 @@ impl SupportDomain {
         SupportDomain {
             words: map.words(),
             key_of_input: map.key_of_input,
+        }
+    }
+
+    /// A domain tracking an arbitrary set of primary inputs by position:
+    /// bit `i` of [`Deps::keys`] stands for input position `tracked[i]` and
+    /// every other input counts as data. This seeds the same one-pass
+    /// support analysis with any input class — e.g. the protected primary
+    /// inputs of a locked subcircuit — instead of the `keyinput*` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tracked position is not below `num_inputs`.
+    pub fn for_positions(num_inputs: usize, tracked: &[usize]) -> Self {
+        let mut key_of_input = vec![None; num_inputs];
+        for (bit, &position) in tracked.iter().enumerate() {
+            key_of_input[position] = Some(bit);
+        }
+        SupportDomain {
+            words: tracked.len().div_ceil(64),
+            key_of_input,
         }
     }
 
@@ -206,5 +227,33 @@ mod tests {
         assert!(!both.data);
         assert_eq!(domain.and(&k0, &k1), both);
         assert_eq!(domain.complement(&k0), k0);
+    }
+
+    #[test]
+    fn position_seeded_domain_tracks_the_chosen_inputs() {
+        use crate::CircuitAnalysis;
+        use kratt_netlist::{Circuit, GateType};
+
+        // Track inputs 2 and 0 (bits 0 and 1); input 1 is data.
+        let mut c = Circuit::new("tracked");
+        let a = c.add_input("a").unwrap();
+        let b = c.add_input("b").unwrap();
+        let p = c.add_input("p").unwrap();
+        let ap = c.add_gate(GateType::Xor, "ap", &[a, p]).unwrap();
+        let ab = c.add_gate(GateType::And, "ab", &[ap, b]).unwrap();
+        c.mark_output(ab);
+        let domain = SupportDomain::for_positions(3, &[2, 0]);
+        let plan = CircuitAnalysis::new(&c).unwrap();
+        let deps = plan.run(&c, &domain, &[]);
+        assert_eq!(
+            deps[ap.index()],
+            Deps {
+                keys: vec![0b11],
+                data: false
+            }
+        );
+        assert_eq!(deps[p.index()].keys, vec![0b01]);
+        assert!(deps[ab.index()].data);
+        assert!(deps[b.index()].data && deps[b.index()].keys == vec![0]);
     }
 }
