@@ -94,7 +94,7 @@ impl AppSatAttack {
                     iterations += 1;
                 }
                 DipSearch::Exhausted => {
-                    let outcome = match engine.extract_key(budget)? {
+                    let outcome = match engine.extract_key() {
                         KeyExtraction::Key(key) => OgOutcome::Key(key),
                         KeyExtraction::NoneConsistent => {
                             OgOutcome::Key(SecretKey::from_bits(vec![

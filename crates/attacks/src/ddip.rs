@@ -80,7 +80,7 @@ impl DoubleDipAttack {
             let exhausted = batch.end == Some(BatchEnd::Exhausted);
             let budget_hit = batch.end == Some(BatchEnd::Budget);
             if exhausted {
-                let outcome = match engine.extract_key(budget)? {
+                let outcome = match engine.extract_key() {
                     KeyExtraction::Key(key) => OgOutcome::Key(key),
                     KeyExtraction::NoneConsistent => {
                         OgOutcome::Key(SecretKey::from_bits(vec![false; engine.key_names().len()]))

@@ -14,7 +14,9 @@
 //! next job, wherever it was queued. Every job builds its own [`Oracle`]
 //! (oracles count queries through interior mutability and are deliberately
 //! not shared across threads), and rows come back in deterministic job
-//! order regardless of scheduling.
+//! order regardless of scheduling. This is the harness's only scheduler:
+//! [`Harness::run_matrix`] and [`Harness::run_matrix_lazy`] are views of
+//! [`Harness::run_matrix_scheduled`].
 //!
 //! The whole matrix runs under one optional global [`Deadline`]
 //! ([`ScheduleOptions::deadline`]): each job's budget is clamped to the
@@ -492,61 +494,6 @@ impl Harness {
             },
         }
     }
-
-    /// The pre-work-stealing static split, kept as the baseline the bench
-    /// suite's scheduler records compare makespans against: jobs are pulled
-    /// off a shared cursor in index order, with no deques, no stealing and
-    /// no cost-class ordering.
-    pub fn run_matrix_static(
-        &self,
-        attacks: &[Box<dyn Attack>],
-        source: &(impl CaseSource + ?Sized),
-        budget: &Budget,
-    ) -> Vec<MatrixRow> {
-        let total = attacks.len() * source.num_cases();
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<MatrixRow>>> = Mutex::new((0..total).map(|_| None).collect());
-        let workers = self.workers.min(total.max(1));
-        let start = Instant::now();
-        let _hook_guard = QuietPanicGuard::engage();
-
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let cursor = &cursor;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    let job = cursor.fetch_add(1, Ordering::Relaxed);
-                    if job >= total {
-                        return;
-                    }
-                    let queue_wait = start.elapsed();
-                    let case_index = job / attacks.len();
-                    let attack = &attacks[job % attacks.len()];
-                    let result = source
-                        .case(case_index)
-                        .and_then(|case| run_one_caught(attack.as_ref(), &case, budget));
-                    let row = MatrixRow {
-                        attack: attack.name().to_string(),
-                        case: source.case_name(case_index),
-                        result,
-                        telemetry: JobTelemetry {
-                            worker,
-                            queue_wait,
-                            stolen: false,
-                        },
-                    };
-                    slots.lock().expect("no worker panicked holding the lock")[job] = Some(row);
-                });
-            }
-        });
-
-        slots
-            .into_inner()
-            .expect("scope joined every worker")
-            .into_iter()
-            .map(|slot| slot.expect("every job index was claimed exactly once"))
-            .collect()
-    }
 }
 
 /// One scheduling decision: own deque front → injector front → steal from
@@ -976,12 +923,29 @@ mod tests {
             .collect();
         let budget = Budget::default();
         let stealing = Harness::with_workers(3).run_matrix_lazy(&attacks, &cases[..], &budget);
-        let fixed = Harness::with_workers(3).run_matrix_static(&attacks, &cases[..], &budget);
-        assert_eq!(stealing.len(), fixed.len());
-        for (a, b) in stealing.iter().zip(&fixed) {
-            assert_eq!(a.attack, b.attack);
-            assert_eq!(a.case, b.case);
-            assert_eq!(a.result.is_ok(), b.result.is_ok());
+        // The rows of a one-worker static split: the same jobs one after
+        // another, in job order (case-major).
+        let mut sequential = Vec::new();
+        for case in &cases {
+            for attack in &attacks {
+                let oracle = Oracle::new(original.clone()).unwrap();
+                let request =
+                    AttackRequest::oracle_guided(&case.locked, &oracle).with_budget(budget.clone());
+                sequential.push((case.name.clone(), attack.execute(&request).unwrap()));
+            }
+        }
+        assert_eq!(stealing.len(), sequential.len());
+        for (row, (case, run)) in stealing.iter().zip(&sequential) {
+            assert_eq!(&row.case, case);
+            assert_eq!(row.attack, run.attack);
+            let got = row.run().expect("every job succeeds");
+            assert_eq!(
+                got.outcome.kind(),
+                run.outcome.kind(),
+                "{case}/{}",
+                run.attack
+            );
+            assert_eq!(got.outcome.exact_key(), run.outcome.exact_key());
         }
     }
 }

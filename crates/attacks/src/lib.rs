@@ -102,5 +102,5 @@ pub use report::{
     NamedGuess, OgOutcome, OgReport, OlReport, StepTiming,
 };
 pub use sat_attack::{measure_dip_encoding, DipEncodeStats, DipEngineKind, SatAttack};
-pub use scope::{ScopeAttack, ScopeEngine};
+pub use scope::ScopeAttack;
 pub use scope_replay::ScopePlan;

@@ -34,7 +34,7 @@ impl AttackRegistry {
 
     /// A registry with every baseline attack of this crate registered under
     /// its paper name: `"sat"`, `"double-dip"`, `"appsat"`, `"fall"`,
-    /// `"removal"`, `"scope"` and the legacy `"scope-resynth"` kernel.
+    /// `"removal"` and `"scope"`.
     pub fn with_baselines() -> Self {
         let mut registry = AttackRegistry::new();
         registry.register("sat", || Box::new(SatAttack::new()));
@@ -43,7 +43,6 @@ impl AttackRegistry {
         registry.register("fall", || Box::new(FallAttack::new()));
         registry.register("removal", || Box::new(RemovalAttack::new()));
         registry.register("scope", || Box::new(ScopeAttack::new()));
-        registry.register("scope-resynth", || Box::new(ScopeAttack::resynthesis()));
         registry
     }
 
@@ -115,15 +114,7 @@ mod tests {
         let registry = AttackRegistry::with_baselines();
         assert_eq!(
             registry.names(),
-            vec![
-                "sat",
-                "double-dip",
-                "appsat",
-                "fall",
-                "removal",
-                "scope",
-                "scope-resynth"
-            ]
+            vec!["sat", "double-dip", "appsat", "fall", "removal", "scope"]
         );
         assert!(registry.contains("sat"));
         assert!(!registry.contains("kratt"));
@@ -146,7 +137,7 @@ mod tests {
     fn re_registration_replaces_in_place() {
         let mut registry = AttackRegistry::with_baselines();
         registry.register("sat", || Box::new(ScopeAttack::new()));
-        assert_eq!(registry.names().len(), 7);
+        assert_eq!(registry.names().len(), 6);
         assert_eq!(registry.build("sat").unwrap().name(), "scope");
     }
 }

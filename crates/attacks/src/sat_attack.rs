@@ -11,56 +11,18 @@ use kratt_netlist::{Aig, AigLit, Circuit};
 use kratt_sat::{Encoder, Lit, SatResult, Solver, SolverConfig, Var};
 use std::collections::HashMap;
 
-/// Whether the DIP engines keep one incremental solver across the whole
-/// CEGAR loop (assumption-gated miter, learned clauses retained into key
-/// extraction). On by default; set `KRATT_INCREMENTAL_SAT=0` to fall back to
-/// the legacy re-encoding key extraction for debugging/comparison.
-pub(crate) fn incremental_sat_enabled() -> bool {
-    std::env::var("KRATT_INCREMENTAL_SAT").map_or(true, |v| v != "0")
-}
-
-/// Which miter construction the DIP-family engines encode.
+/// The miter construction [`measure_dip_encoding`] measures.
 ///
-/// The AIG engine is the default: it lowers the locked circuit into one
-/// structurally hashed AIG whose two key copies share all data-input logic,
-/// runs [`Aig::rewrite`] as a pre-encode optimiser, and encodes with
-/// `encode_aig` — a CNF image measured 58–100% smaller in vars/clauses than
-/// the per-gate Tseitin encoding on the tracked ISCAS miters. The gate
-/// engine is kept for A/B comparison (`KRATT_DIP_ENGINE=gate`).
+/// The DIP engines have one construction: the locked circuit lowered into
+/// one structurally hashed AIG whose two key copies share all data-input
+/// logic, shrunk by [`Aig::rewrite`] and encoded with `encode_aig`. The enum
+/// survives only because [`measure_dip_encoding`] keeps its signature for
+/// the callers that pass [`DipEngineKind::Aig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DipEngineKind {
-    /// Legacy per-gate Tseitin encoding of two circuit copies.
-    Gate,
     /// Structurally hashed, rewritten AIG miter encoded with `encode_aig`.
     #[default]
     Aig,
-}
-
-impl DipEngineKind {
-    /// Parses `"gate"` / `"aig"` (the CLI and env-var spellings).
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "gate" => Some(DipEngineKind::Gate),
-            "aig" => Some(DipEngineKind::Aig),
-            _ => None,
-        }
-    }
-
-    /// The engine selected by `KRATT_DIP_ENGINE` (default: `aig`).
-    pub fn from_env() -> Self {
-        std::env::var("KRATT_DIP_ENGINE")
-            .ok()
-            .and_then(|v| DipEngineKind::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// The CLI/env spelling of this engine.
-    pub fn name(self) -> &'static str {
-        match self {
-            DipEngineKind::Gate => "gate",
-            DipEngineKind::Aig => "aig",
-        }
-    }
 }
 
 /// Name suffix of the second key copy's inputs inside the AIG miter. The
@@ -126,7 +88,6 @@ pub(crate) struct DipEngine<'a> {
     locked_sim: Simulator<'a>,
     oracle: &'a Oracle,
     solver: Solver,
-    encoder: Encoder,
     /// Activation literal of the miter clause (`act → outputs differ`).
     miter_act: Var,
     key_a: Vec<Var>,
@@ -137,10 +98,6 @@ pub(crate) struct DipEngine<'a> {
     /// Positions of the data / key inputs inside `locked.inputs()`.
     data_positions: Vec<usize>,
     key_positions: Vec<usize>,
-    constraints: Vec<(Vec<bool>, Vec<bool>)>,
-    deadline: Deadline,
-    incremental: bool,
-    engine: DipEngineKind,
     /// `(vars, clauses)` of the initial miter encoding, captured before any
     /// IO-constraint copy is added — the per-iteration baseline the bench
     /// `dip_aig` kernel tracks.
@@ -157,16 +114,6 @@ impl<'a> DipEngine<'a> {
         oracle: &'a Oracle,
         budget: &AttackBudget,
         deadline: Deadline,
-    ) -> Result<Self, AttackError> {
-        Self::with_engine(locked, oracle, budget, deadline, DipEngineKind::from_env())
-    }
-
-    pub(crate) fn with_engine(
-        locked: &'a Circuit,
-        oracle: &'a Oracle,
-        budget: &AttackBudget,
-        deadline: Deadline,
-        engine: DipEngineKind,
     ) -> Result<Self, AttackError> {
         let key_names = locked.key_input_names();
         if key_names.is_empty() {
@@ -192,75 +139,42 @@ impl<'a> DipEngine<'a> {
             cancel: Some(deadline.cancel_flag()),
             ..Default::default()
         });
-        let encoder = Encoder::new();
-        let (miter_lit, key_a, key_b, data_vars) = match engine {
-            DipEngineKind::Gate => {
-                let enc_a = encoder.encode(&mut solver, locked, &HashMap::new());
-                // Copy B shares the data inputs but uses fresh key variables.
-                let shared: HashMap<String, Var> = enc_a
-                    .inputs()
-                    .iter()
-                    .filter(|(name, _)| data_names.contains(name))
-                    .cloned()
-                    .collect();
-                let enc_b = encoder.encode(&mut solver, locked, &shared);
-                let miter = encoder.miter(&mut solver, &enc_a, &enc_b);
-                let key_a: Vec<Var> = key_names
-                    .iter()
-                    .map(|n| enc_a.input_var(n).expect("key input encoded"))
-                    .collect();
-                let key_b: Vec<Var> = key_names
-                    .iter()
-                    .map(|n| enc_b.input_var(n).expect("key input encoded"))
-                    .collect();
-                let data_vars: Vec<Var> = data_names
-                    .iter()
-                    .map(|n| enc_a.input_var(n).expect("data input encoded"))
-                    .collect();
-                (Lit::positive(miter), key_a, key_b, data_vars)
-            }
-            DipEngineKind::Aig => {
-                // Both key copies live in one structurally hashed AIG: copy A
-                // keeps the real input names, copy B binds every key input to
-                // a renamed fresh input, so the whole data-input logic hashes
-                // to shared nodes and only the key-dependent cones duplicate.
-                let mut aig = Aig::new(format!("{}_dip_miter", locked.name()));
-                let lits_a = aig.lower_circuit(locked, &HashMap::new())?;
-                let outs_a: Vec<AigLit> =
-                    locked.outputs().iter().map(|o| lits_a[o.index()]).collect();
-                let bound: HashMap<String, AigLit> = key_names
-                    .iter()
-                    .map(|n| (n.clone(), aig.add_input(format!("{n}{KEY_B_SUFFIX}"))))
-                    .collect();
-                let lits_b = aig.lower_circuit(locked, &bound)?;
-                let outs_b: Vec<AigLit> =
-                    locked.outputs().iter().map(|o| lits_b[o.index()]).collect();
-                let miter = aig.miter(&outs_a, &outs_b);
-                aig.add_output("__kratt_miter", miter);
-                // Pre-encode optimisation: cut rewriting shrinks the miter
-                // cone once, and every CEGAR iteration then solves against
-                // the smaller image.
-                let aig = aig.rewrite();
-                let enc = encoder.encode_aig(&mut solver, &aig, &HashMap::new());
-                let miter_lit = *enc.outputs().last().expect("miter output registered");
-                let key_a: Vec<Var> = key_names
-                    .iter()
-                    .map(|n| enc.input_var(n).expect("key input encoded"))
-                    .collect();
-                let key_b: Vec<Var> = key_names
-                    .iter()
-                    .map(|n| {
-                        enc.input_var(&format!("{n}{KEY_B_SUFFIX}"))
-                            .expect("key copy input encoded")
-                    })
-                    .collect();
-                let data_vars: Vec<Var> = data_names
-                    .iter()
-                    .map(|n| enc.input_var(n).expect("data input encoded"))
-                    .collect();
-                (miter_lit, key_a, key_b, data_vars)
-            }
-        };
+        // Both key copies live in one structurally hashed AIG: copy A keeps
+        // the real input names, copy B binds every key input to a renamed
+        // fresh input, so the whole data-input logic hashes to shared nodes
+        // and only the key-dependent cones duplicate.
+        let mut aig = Aig::new(format!("{}_dip_miter", locked.name()));
+        let lits_a = aig.lower_circuit(locked, &HashMap::new())?;
+        let outs_a: Vec<AigLit> = locked.outputs().iter().map(|o| lits_a[o.index()]).collect();
+        let bound: HashMap<String, AigLit> = key_names
+            .iter()
+            .map(|n| (n.clone(), aig.add_input(format!("{n}{KEY_B_SUFFIX}"))))
+            .collect();
+        let lits_b = aig.lower_circuit(locked, &bound)?;
+        let outs_b: Vec<AigLit> = locked.outputs().iter().map(|o| lits_b[o.index()]).collect();
+        let miter = aig.miter(&outs_a, &outs_b);
+        aig.add_output("__kratt_miter", miter);
+        // Pre-encode optimisation: cut rewriting shrinks the miter cone
+        // once, and every CEGAR iteration then solves against the smaller
+        // image.
+        let aig = aig.rewrite();
+        let enc = Encoder::new().encode_aig(&mut solver, &aig, &HashMap::new());
+        let miter_lit = *enc.outputs().last().expect("miter output registered");
+        let key_a: Vec<Var> = key_names
+            .iter()
+            .map(|n| enc.input_var(n).expect("key input encoded"))
+            .collect();
+        let key_b: Vec<Var> = key_names
+            .iter()
+            .map(|n| {
+                enc.input_var(&format!("{n}{KEY_B_SUFFIX}"))
+                    .expect("key copy input encoded")
+            })
+            .collect();
+        let data_vars: Vec<Var> = data_names
+            .iter()
+            .map(|n| enc.input_var(n).expect("data input encoded"))
+            .collect();
         // The miter is gated, not asserted: DIP search assumes `miter_act`,
         // key extraction assumes its negation on the same solver.
         let miter_act = solver.new_var();
@@ -278,7 +192,6 @@ impl<'a> DipEngine<'a> {
             locked_sim: Simulator::new(locked)?,
             oracle,
             solver,
-            encoder,
             miter_act,
             key_a,
             key_b,
@@ -287,10 +200,6 @@ impl<'a> DipEngine<'a> {
             key_names,
             data_positions,
             key_positions,
-            constraints: Vec::new(),
-            deadline,
-            incremental: incremental_sat_enabled(),
-            engine,
             encode_footprint,
             base_queries: oracle.queries(),
         })
@@ -300,12 +209,6 @@ impl<'a> DipEngine<'a> {
     /// CEGAR iteration re-solves, before any IO-constraint copies.
     pub(crate) fn encode_footprint(&self) -> (usize, usize) {
         self.encode_footprint
-    }
-
-    /// Overrides the incremental-solving switch (tests exercise both paths).
-    #[cfg(test)]
-    pub(crate) fn set_incremental(&mut self, incremental: bool) {
-        self.incremental = incremental;
     }
 
     /// Names of the key inputs, in `keyinput` order.
@@ -424,102 +327,36 @@ impl<'a> DipEngine<'a> {
                 .cloned()
                 .zip(keys.iter().copied())
                 .collect();
-            match self.engine {
-                DipEngineKind::Gate => {
-                    let copy = self.encoder.encode(&mut self.solver, self.locked, &shared);
-                    for (name, &value) in self.data_names.iter().zip(dip) {
-                        let var = copy.input_var(name).expect("data input encoded");
-                        self.solver.add_clause([Lit::with_polarity(var, value)]);
-                    }
-                    for (&out_var, &value) in copy.outputs().iter().zip(outputs) {
-                        self.solver.add_clause([Lit::with_polarity(out_var, value)]);
-                    }
-                }
-                DipEngineKind::Aig => encode_aig_constraint_copy(
-                    &self.encoder,
-                    &mut self.solver,
-                    self.locked,
-                    &self.data_names,
-                    dip,
-                    outputs,
-                    &shared,
-                ),
-            }
+            encode_aig_constraint_copy(
+                &mut self.solver,
+                self.locked,
+                &self.data_names,
+                dip,
+                outputs,
+                &shared,
+            );
         }
-        self.constraints.push((dip.to_vec(), outputs.to_vec()));
     }
 
     /// Extracts a key consistent with every accumulated IO constraint. Called
     /// after [`DipSearch::Exhausted`]: any such key is functionally correct.
     ///
-    /// On the incremental path this re-solves the *same* solver as the DIP
-    /// loop with the miter gate closed (`¬miter_act`), so the `K_A` copy —
-    /// already constrained by every IO pair — yields the key directly with
-    /// all learned clauses retained. The legacy path
-    /// (`KRATT_INCREMENTAL_SAT=0`) rebuilds a fresh solver and re-encodes
-    /// one circuit copy per constraint.
-    pub(crate) fn extract_key(
-        &mut self,
-        budget: &AttackBudget,
-    ) -> Result<KeyExtraction, AttackError> {
-        if self.incremental {
-            return Ok(
-                match self
-                    .solver
-                    .solve_with_assumptions(&[Lit::negative(self.miter_act)])
-                {
-                    SatResult::Sat(model) => KeyExtraction::Key(SecretKey::from_bits(
-                        self.key_a.iter().map(|&v| model.value(v)).collect(),
-                    )),
-                    SatResult::Unsat => KeyExtraction::NoneConsistent,
-                    SatResult::Unknown => KeyExtraction::Budget,
-                },
-            );
-        }
-        let mut solver = Solver::with_config(SolverConfig {
-            conflict_limit: budget.sat_conflict_limit,
-            deadline: self.deadline.instant(),
-            cancel: Some(self.deadline.cancel_flag()),
-            ..Default::default()
-        });
-        let key_vars: Vec<Var> = self.key_names.iter().map(|_| solver.new_var()).collect();
-        let shared_keys: HashMap<String, Var> = self
-            .key_names
-            .iter()
-            .cloned()
-            .zip(key_vars.iter().copied())
-            .collect();
-        for (dip, outputs) in &self.constraints {
-            match self.engine {
-                DipEngineKind::Gate => {
-                    let copy = self.encoder.encode(&mut solver, self.locked, &shared_keys);
-                    for (name, &value) in self.data_names.iter().zip(dip) {
-                        let var = copy.input_var(name).expect("data input encoded");
-                        solver.add_clause([Lit::with_polarity(var, value)]);
-                    }
-                    for (&out_var, &value) in copy.outputs().iter().zip(outputs) {
-                        solver.add_clause([Lit::with_polarity(out_var, value)]);
-                    }
-                }
-                DipEngineKind::Aig => encode_aig_constraint_copy(
-                    &self.encoder,
-                    &mut solver,
-                    self.locked,
-                    &self.data_names,
-                    dip,
-                    outputs,
-                    &shared_keys,
-                ),
-            }
-        }
-        match solver.solve() {
-            SatResult::Sat(model) => Ok(KeyExtraction::Key(SecretKey::from_bits(
-                key_vars.iter().map(|&v| model.value(v)).collect(),
-            ))),
-            SatResult::Unsat => Ok(KeyExtraction::NoneConsistent),
-            // The shared deadline or conflict budget ran out mid-extraction:
-            // this must surface as out-of-time, never as a fabricated key.
-            SatResult::Unknown => Ok(KeyExtraction::Budget),
+    /// Re-solves the *same* solver as the DIP loop with the miter gate
+    /// closed (`¬miter_act`), so the `K_A` copy — already constrained by
+    /// every IO pair — yields the key directly with all learned clauses
+    /// retained. The shared deadline or conflict budget running out
+    /// mid-extraction surfaces as [`KeyExtraction::Budget`], never as a
+    /// fabricated key.
+    pub(crate) fn extract_key(&mut self) -> KeyExtraction {
+        match self
+            .solver
+            .solve_with_assumptions(&[Lit::negative(self.miter_act)])
+        {
+            SatResult::Sat(model) => KeyExtraction::Key(SecretKey::from_bits(
+                self.key_a.iter().map(|&v| model.value(v)).collect(),
+            )),
+            SatResult::Unsat => KeyExtraction::NoneConsistent,
+            SatResult::Unknown => KeyExtraction::Budget,
         }
     }
 
@@ -566,7 +403,6 @@ impl<'a> DipEngine<'a> {
 /// the solver. Key inputs share the given solver variables; every output
 /// literal is pinned to the oracle's response with a unit clause.
 fn encode_aig_constraint_copy(
-    encoder: &Encoder,
     solver: &mut Solver,
     locked: &Circuit,
     data_names: &[String],
@@ -582,18 +418,18 @@ fn encode_aig_constraint_copy(
         .collect();
     let lits = scratch
         .lower_circuit(locked, &bound)
-        .expect("locked circuit already lowered acyclically in DipEngine::with_engine");
+        .expect("locked circuit already lowered acyclically in DipEngine::new");
     for &o in locked.outputs() {
         scratch.add_output(locked.net_name(o), lits[o.index()]);
     }
-    let enc = encoder.encode_aig(solver, &scratch, shared_keys);
+    let enc = Encoder::new().encode_aig(solver, &scratch, shared_keys);
     for (&out_lit, &value) in enc.outputs().iter().zip(outputs) {
         solver.add_clause([if value { out_lit } else { !out_lit }]);
     }
 }
 
-/// CNF footprint of the initial DIP miter under one engine, as measured by
-/// the bench `dip_aig` kernel and the A/B analysis tooling.
+/// CNF footprint of the initial DIP miter, as measured by the bench
+/// `dip_aig` kernel and perfbench's traced `sat` cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DipEncodeStats {
     /// Solver variables after the miter encode (before any constraints).
@@ -602,16 +438,19 @@ pub struct DipEncodeStats {
     pub clauses: usize,
 }
 
-/// Builds the DIP miter for `locked` under `engine` and reports its CNF
-/// footprint without running the CEGAR loop.
+/// Builds the DIP miter for `locked` and reports its CNF footprint without
+/// running the CEGAR loop.
+///
+/// The engine argument has one value, [`DipEngineKind::Aig`]; the
+/// parameter stays so that existing callers keep compiling.
 pub fn measure_dip_encoding(
     locked: &Circuit,
     oracle: &Oracle,
-    engine: DipEngineKind,
+    _engine: DipEngineKind,
 ) -> Result<DipEncodeStats, AttackError> {
     let budget = AttackBudget::default();
     let deadline = budget.start();
-    let dip = DipEngine::with_engine(locked, oracle, &budget, deadline, engine)?;
+    let dip = DipEngine::new(locked, oracle, &budget, deadline)?;
     let (vars, clauses) = dip.encode_footprint();
     Ok(DipEncodeStats { vars, clauses })
 }
@@ -619,34 +458,10 @@ pub fn measure_dip_encoding(
 /// The SAT-based attack of Subramanyan et al. (HOST'15): iteratively find
 /// DIPs, query the oracle, and constrain the key space until every remaining
 /// key is functionally correct.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SatAttack {
     /// Resource budget; an exhausted budget reports `OoT` like the paper.
     pub budget: AttackBudget,
-    /// Number of distinct DIPs collected per solver session and queried
-    /// against the oracle in one packed 64-wide sweep. `1` (the default)
-    /// is the classic one-DIP-per-round loop; the default can be raised
-    /// globally with the `KRATT_DIP_BATCH` environment variable.
-    pub dip_batch: usize,
-    /// Miter construction ([`DipEngineKind::Aig`] by default; overridable
-    /// globally with `KRATT_DIP_ENGINE=gate` or per-attack with
-    /// [`SatAttack::with_engine`]).
-    pub engine: DipEngineKind,
-}
-
-impl Default for SatAttack {
-    fn default() -> Self {
-        let dip_batch = std::env::var("KRATT_DIP_BATCH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1)
-            .clamp(1, 64);
-        SatAttack {
-            budget: AttackBudget::default(),
-            dip_batch,
-            engine: DipEngineKind::from_env(),
-        }
-    }
 }
 
 impl SatAttack {
@@ -657,22 +472,7 @@ impl SatAttack {
 
     /// SAT attack with an explicit budget.
     pub fn with_budget(budget: AttackBudget) -> Self {
-        SatAttack {
-            budget,
-            ..Default::default()
-        }
-    }
-
-    /// Replaces the DIP batch size (clamped to `1..=64`).
-    pub fn with_dip_batch(mut self, dip_batch: usize) -> Self {
-        self.dip_batch = dip_batch.clamp(1, 64);
-        self
-    }
-
-    /// Replaces the miter engine (gate-level vs AIG-side encoding).
-    pub fn with_engine(mut self, engine: DipEngineKind) -> Self {
-        self.engine = engine;
-        self
+        SatAttack { budget }
     }
 
     /// The DIP loop under an explicit deadline; also returns step timings.
@@ -684,8 +484,7 @@ impl SatAttack {
         budget: &Budget,
         deadline: Deadline,
     ) -> Result<(OgReport, Vec<StepTiming>), AttackError> {
-        let mut engine =
-            DipEngine::with_engine(locked, oracle, budget, deadline.clone(), self.engine)?;
+        let mut engine = DipEngine::new(locked, oracle, budget, deadline.clone())?;
         let encode_time = deadline.elapsed();
         let mut iterations = 0usize;
         loop {
@@ -695,28 +494,18 @@ impl SatAttack {
             {
                 return Ok(out_of_time(deadline, iterations, &engine, encode_time));
             }
-            // Clamp the batch so neither the iteration nor the oracle-query
-            // budget can be overshot mid-sweep.
-            let mut batch_cap = self
-                .dip_batch
-                .max(1)
-                .min(budget.max_iterations - iterations);
-            if let Some(cap) = budget.max_oracle_queries {
-                batch_cap = batch_cap.min((cap - engine.oracle_queries()) as usize);
-            }
-            let batch = engine.find_dips(batch_cap);
-            if !batch.dips.is_empty() {
-                engine.constrain_batch(&batch.dips)?;
-                iterations += batch.dips.len();
-            }
-            match batch.end {
-                None => {}
-                Some(BatchEnd::Budget) => {
+            match engine.find_dip() {
+                DipSearch::Found { dip, .. } => {
+                    let outputs = engine.query_oracle(&dip)?;
+                    engine.constrain(&dip, &outputs);
+                    iterations += 1;
+                }
+                DipSearch::Budget => {
                     return Ok(out_of_time(deadline, iterations, &engine, encode_time));
                 }
-                Some(BatchEnd::Exhausted) => {
+                DipSearch::Exhausted => {
                     let loop_time = deadline.elapsed() - encode_time;
-                    let outcome = match engine.extract_key(budget)? {
+                    let outcome = match engine.extract_key() {
                         KeyExtraction::Key(key) => OgOutcome::Key(key),
                         KeyExtraction::NoneConsistent => {
                             OgOutcome::Key(SecretKey::from_bits(vec![
@@ -918,11 +707,27 @@ mod tests {
         let locked = RandomXorLocking::new(6, 11)
             .lock(&original, &secret)
             .unwrap();
+        let budget = AttackBudget::default();
         for batch in [1usize, 4, 16] {
             let oracle = Oracle::new(original.clone()).unwrap();
-            let attack = SatAttack::new().with_dip_batch(batch);
-            let report = report_of(&attack, &locked.circuit, &oracle).unwrap();
-            let key = report.outcome.key().expect("RLL must fall").clone();
+            let mut engine =
+                DipEngine::new(&locked.circuit, &oracle, &budget, budget.start()).unwrap();
+            let mut dips = 0u64;
+            loop {
+                let found = engine.find_dips(batch);
+                if !found.dips.is_empty() {
+                    engine.constrain_batch(&found.dips).unwrap();
+                    dips += found.dips.len() as u64;
+                }
+                match found.end {
+                    None => {}
+                    Some(BatchEnd::Exhausted) => break,
+                    Some(BatchEnd::Budget) => panic!("batch {batch}: generous budget exhausted"),
+                }
+            }
+            let KeyExtraction::Key(key) = engine.extract_key() else {
+                panic!("batch {batch}: no key after exhaustion");
+            };
             let unlocked = locked.apply_key(&key).unwrap();
             assert!(
                 kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap(),
@@ -931,93 +736,10 @@ mod tests {
             // Batched sweeps are a transport optimisation: every DIP still
             // costs exactly one counted oracle query.
             assert_eq!(
-                report.oracle_queries, report.iterations as u64,
+                engine.oracle_queries(),
+                dips,
                 "batch {batch}: queries and DIPs must stay 1:1"
             );
-        }
-    }
-
-    #[test]
-    fn incremental_and_legacy_key_extraction_agree() {
-        let original = adder4();
-        let secret = SecretKey::from_u64(0b1101, 4);
-        let locked = RandomXorLocking::new(4, 7)
-            .lock(&original, &secret)
-            .unwrap();
-        let budget = AttackBudget::default();
-        for incremental in [true, false] {
-            let oracle = Oracle::new(original.clone()).unwrap();
-            let deadline = budget.start();
-            let mut engine = DipEngine::new(&locked.circuit, &oracle, &budget, deadline).unwrap();
-            engine.set_incremental(incremental);
-            loop {
-                match engine.find_dip() {
-                    DipSearch::Found { dip, .. } => {
-                        let outputs = engine.query_oracle(&dip).unwrap();
-                        engine.constrain(&dip, &outputs);
-                    }
-                    DipSearch::Exhausted => break,
-                    DipSearch::Budget => panic!("generous budget exhausted"),
-                }
-            }
-            let key = match engine.extract_key(&budget).unwrap() {
-                KeyExtraction::Key(key) => key,
-                other => panic!(
-                    "expected a key (incremental = {incremental}), got {}",
-                    match other {
-                        KeyExtraction::NoneConsistent => "NoneConsistent",
-                        _ => "Budget",
-                    }
-                ),
-            };
-            let unlocked = locked.apply_key(&key).unwrap();
-            assert!(
-                kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap(),
-                "incremental = {incremental}: extracted key does not unlock"
-            );
-        }
-    }
-
-    #[test]
-    fn aig_and_gate_engines_recover_functionally_equivalent_keys() {
-        let original = adder4();
-        let secret = SecretKey::from_u64(0b101101, 6);
-        let locked = RandomXorLocking::new(6, 11)
-            .lock(&original, &secret)
-            .unwrap();
-        let budget = AttackBudget::default();
-        for engine in [DipEngineKind::Gate, DipEngineKind::Aig] {
-            for incremental in [true, false] {
-                let oracle = Oracle::new(original.clone()).unwrap();
-                let deadline = budget.start();
-                let mut dip_engine =
-                    DipEngine::with_engine(&locked.circuit, &oracle, &budget, deadline, engine)
-                        .unwrap();
-                dip_engine.set_incremental(incremental);
-                loop {
-                    match dip_engine.find_dip() {
-                        DipSearch::Found { dip, .. } => {
-                            let outputs = dip_engine.query_oracle(&dip).unwrap();
-                            dip_engine.constrain(&dip, &outputs);
-                        }
-                        DipSearch::Exhausted => break,
-                        DipSearch::Budget => panic!("generous budget exhausted"),
-                    }
-                }
-                let key = match dip_engine.extract_key(&budget).unwrap() {
-                    KeyExtraction::Key(key) => key,
-                    _ => panic!(
-                        "{} engine (incremental = {incremental}): no key",
-                        engine.name()
-                    ),
-                };
-                let unlocked = locked.apply_key(&key).unwrap();
-                assert!(
-                    kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap(),
-                    "{} engine (incremental = {incremental}): key does not unlock",
-                    engine.name()
-                );
-            }
         }
     }
 
@@ -1029,30 +751,57 @@ mod tests {
             .lock(&original, &secret)
             .unwrap();
         let oracle = Oracle::new(original).unwrap();
-        let gate = measure_dip_encoding(&locked.circuit, &oracle, DipEngineKind::Gate).unwrap();
         let aig = measure_dip_encoding(&locked.circuit, &oracle, DipEngineKind::Aig).unwrap();
+        // The per-gate reference: two Tseitin copies of the locked circuit
+        // sharing their data inputs, joined by a miter.
+        let encoder = Encoder::new();
+        let mut solver = Solver::new();
+        let copy_a = encoder.encode(&mut solver, &locked.circuit, &HashMap::new());
+        let data_names = locked.circuit.data_input_names();
+        let shared: HashMap<String, Var> = copy_a
+            .inputs()
+            .iter()
+            .filter(|(name, _)| data_names.contains(name))
+            .cloned()
+            .collect();
+        let copy_b = encoder.encode(&mut solver, &locked.circuit, &shared);
+        encoder.miter(&mut solver, &copy_a, &copy_b);
+        let (gate_vars, gate_clauses) = (solver.num_vars(), solver.num_clauses());
         assert!(
-            aig.vars < gate.vars && aig.clauses < gate.clauses,
-            "aig {aig:?} should be smaller than gate {gate:?}"
+            aig.vars < gate_vars && aig.clauses < gate_clauses,
+            "aig {aig:?} should be smaller than the per-gate {gate_vars}v/{gate_clauses}c"
         );
     }
 
+    /// Double DIP is the batching user of the engine: each round collects
+    /// up to two DIPs and queries them in one packed sweep.
     #[test]
     fn batched_sweeps_work_on_the_aig_engine() {
         let original = adder4();
-        let secret = SecretKey::from_u64(0b101101, 6);
-        let locked = RandomXorLocking::new(6, 11)
-            .lock(&original, &secret)
-            .unwrap();
-        let oracle = Oracle::new(original.clone()).unwrap();
-        let attack = SatAttack::new()
-            .with_engine(DipEngineKind::Aig)
-            .with_dip_batch(8);
-        let report = report_of(&attack, &locked.circuit, &oracle).unwrap();
-        let key = report.outcome.key().expect("RLL must fall").clone();
-        let unlocked = locked.apply_key(&key).unwrap();
-        assert!(kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap());
-        assert_eq!(report.oracle_queries, report.iterations as u64);
+        let fixtures = [
+            RandomXorLocking::new(6, 11)
+                .lock(&original, &SecretKey::from_u64(0b101101, 6))
+                .unwrap(),
+            SarLock::new(4)
+                .lock(&original, &SecretKey::from_u64(0b1010, 4))
+                .unwrap(),
+        ];
+        for locked in &fixtures {
+            let oracle = Oracle::new(original.clone()).unwrap();
+            let run = crate::ddip::DoubleDipAttack::new()
+                .execute(&AttackRequest::oracle_guided(&locked.circuit, &oracle))
+                .unwrap();
+            let key = run.outcome.exact_key().expect("small instances must fall");
+            let unlocked = locked.apply_key(key).unwrap();
+            assert!(kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap());
+            // Every DIP of a round costs exactly one counted query.
+            let rounds = run.iterations as u64;
+            assert!(
+                rounds <= run.oracle_queries && run.oracle_queries <= 2 * rounds,
+                "{} queries over {rounds} rounds",
+                run.oracle_queries
+            );
+        }
     }
 
     #[test]

@@ -9,30 +9,24 @@
 //! structure (the wrong value of a hard-wired comparison collapses the
 //! corruption logic, which is exactly the asymmetry SCOPE keys on).
 //!
-//! Two engines compute the per-bit feature vectors:
-//!
-//! * [`ScopeEngine::Dataflow`] (the default, registered as `"scope"`) runs
-//!   two ternary cofactor analyses per bit over a shared
-//!   [`ScopePlan`](crate::scope_replay::ScopePlan) and replays the
-//!   resynthesis decisions virtually — no circuit is ever built. The
-//!   features are identical to the resynthesis engine's by construction
-//!   (see [`crate::scope_replay`]), at a fraction of the cost; the speedup
-//!   is tracked as the `scope_aig` kernel in the benchmark suite.
-//! * [`ScopeEngine::Resynthesis`] (registered as `"scope-resynth"`) is the
-//!   legacy path: a full [`set_inputs_constant`] rebuild and a stats pass
-//!   per cofactor.
+//! The per-bit feature vectors come from two ternary cofactor analyses per
+//! bit over a shared [`ScopePlan`](crate::scope_replay::ScopePlan), which
+//! replays the resynthesis decisions virtually — no circuit is ever built.
+//! The features equal those of a full [`set_inputs_constant`] rebuild and
+//! stats pass by construction (see [`crate::scope_replay`]).
 //!
 //! As in the paper, SCOPE alone makes weak or no guesses on most
 //! SAT-resilient techniques; its value inside KRATT comes from running it on
 //! the *modified* locking unit / locked subcircuit instead of the full
 //! netlist.
+//!
+//! [`set_inputs_constant`]: kratt_netlist::transform::set_inputs_constant
 
 use crate::engine::{Attack, AttackRequest, CostClass, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::report::{AttackOutcome, AttackRun, KeyGuess, OlReport, StepTiming};
 use crate::scope_replay::ScopePlan;
-use kratt_netlist::analysis::{stats, CircuitStats};
-use kratt_netlist::transform::set_inputs_constant;
+use kratt_netlist::analysis::CircuitStats;
 use kratt_netlist::{Circuit, NetId};
 
 /// Structural feature vector SCOPE extracts per key-bit assignment.
@@ -56,44 +50,19 @@ impl From<CircuitStats> for ScopeFeatures {
     }
 }
 
-/// Which kernel computes the per-bit feature vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScopeEngine {
-    /// Ternary cofactor analysis plus a virtual resynthesis replay over a
-    /// shared plan: same features, no circuit construction.
-    #[default]
-    Dataflow,
-    /// The legacy path: one full constant-propagation rebuild per cofactor.
-    Resynthesis,
-}
-
 /// The SCOPE attack.
 #[derive(Debug, Clone, Default)]
 pub struct ScopeAttack {
     /// Minimum gate-count difference between the two assignments for the bit
     /// to be considered deciphered. 0 means "any difference".
     pub margin: usize,
-    /// The feature kernel (dataflow replay by default).
-    pub engine: ScopeEngine,
 }
 
 impl ScopeAttack {
-    /// SCOPE with the default decision margin (any structural difference
-    /// produces a guess) and the dataflow kernel.
+    /// SCOPE with the default decision margin: any structural difference
+    /// produces a guess.
     pub fn new() -> Self {
-        ScopeAttack {
-            margin: 0,
-            engine: ScopeEngine::Dataflow,
-        }
-    }
-
-    /// SCOPE on the legacy resynthesis kernel (the `scope-resynth`
-    /// baseline) — kept for cross-validation and benchmarking.
-    pub fn resynthesis() -> Self {
-        ScopeAttack {
-            margin: 0,
-            engine: ScopeEngine::Resynthesis,
-        }
+        ScopeAttack::default()
     }
 
     /// The per-bit analysis under an explicit deadline and iteration cap
@@ -109,12 +78,9 @@ impl ScopeAttack {
         if key_inputs.is_empty() {
             return Err(AttackError::NoKeyInputs);
         }
-        // The dataflow kernel shares one plan (one topological sort) across
-        // all cofactor runs of the key sweep.
-        let plan = match self.engine {
-            ScopeEngine::Dataflow => Some(ScopePlan::new(locked)?),
-            ScopeEngine::Resynthesis => None,
-        };
+        // One plan (one topological sort) serves every cofactor run of the
+        // key sweep.
+        let plan = ScopePlan::new(locked)?;
         let mut guess = KeyGuess::new();
         let mut analysed = 0usize;
         for &key in &key_inputs {
@@ -122,14 +88,7 @@ impl ScopeAttack {
                 break;
             }
             analysed += 1;
-            let value = match &plan {
-                Some(plan) => self.decide(
-                    plan.features(&[(key, false)]),
-                    plan.features(&[(key, true)]),
-                ),
-                None => self.analyze_bit(locked, key)?,
-            };
-            if let Some(value) = value {
+            if let Some(value) = self.decide(&plan, key) {
                 guess.set(locked.net_name(key), value);
             }
         }
@@ -147,26 +106,16 @@ impl ScopeAttack {
     ///
     /// # Errors
     ///
-    /// Returns a netlist error if the circuit cannot be simplified.
+    /// Returns a netlist error if the circuit cannot be analysed.
     pub fn analyze_bit(&self, locked: &Circuit, key: NetId) -> Result<Option<bool>, AttackError> {
-        let (features0, features1) = match self.engine {
-            ScopeEngine::Dataflow => {
-                let plan = ScopePlan::new(locked)?;
-                (
-                    plan.features(&[(key, false)]),
-                    plan.features(&[(key, true)]),
-                )
-            }
-            ScopeEngine::Resynthesis => (
-                Self::resynthesis_features(locked, key, false)?,
-                Self::resynthesis_features(locked, key, true)?,
-            ),
-        };
-        Ok(self.decide(features0, features1))
+        Ok(self.decide(&ScopePlan::new(locked)?, key))
     }
 
-    /// The guess the margin-aware comparison makes from a cofactor pair.
-    fn decide(&self, features0: ScopeFeatures, features1: ScopeFeatures) -> Option<bool> {
+    /// The guess the margin-aware comparison makes from the key bit's
+    /// cofactor pair.
+    fn decide(&self, plan: &ScopePlan<'_>, key: NetId) -> Option<bool> {
+        let features0 = plan.features(&[(key, false)]);
+        let features1 = plan.features(&[(key, true)]);
         if features0 == features1 {
             return None;
         }
@@ -187,30 +136,11 @@ impl ScopeAttack {
             std::cmp::Ordering::Equal => None,
         }
     }
-
-    /// The legacy feature extraction: a full constant-propagation rebuild
-    /// and a stats pass. Public so the cross-validation suite can compare
-    /// it against [`ScopePlan::features`] directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a netlist error if the circuit cannot be simplified.
-    pub fn resynthesis_features(
-        locked: &Circuit,
-        key: NetId,
-        value: bool,
-    ) -> Result<ScopeFeatures, AttackError> {
-        let simplified = set_inputs_constant(locked, &[(key, value)])?;
-        Ok(ScopeFeatures::from(stats(&simplified)?))
-    }
 }
 
 impl Attack for ScopeAttack {
     fn name(&self) -> &'static str {
-        match self.engine {
-            ScopeEngine::Dataflow => "scope",
-            ScopeEngine::Resynthesis => "scope-resynth",
-        }
+        "scope"
     }
 
     /// SCOPE never touches the oracle, so it accepts requests under either
@@ -331,27 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_make_identical_guesses() {
-        let secret = SecretKey::from_u64(0b1011_0101, 8);
-        for locked in [
-            SarLock::new(8).lock(&host(), &secret).unwrap(),
-            TtLock::new(8).lock(&host(), &secret).unwrap(),
-        ] {
-            let fast = guess_of(&ScopeAttack::new(), &locked.circuit);
-            let legacy = guess_of(&ScopeAttack::resynthesis(), &locked.circuit);
-            assert_eq!(
-                fast,
-                legacy,
-                "engines diverged on {}",
-                locked.circuit.name()
-            );
-        }
-    }
-
-    #[test]
     fn engine_selects_the_registered_name() {
         assert_eq!(ScopeAttack::new().name(), "scope");
-        assert_eq!(ScopeAttack::resynthesis().name(), "scope-resynth");
+        let registry = crate::registry::AttackRegistry::with_baselines();
+        assert_eq!(registry.build("scope").unwrap().name(), "scope");
     }
 
     #[test]
@@ -367,10 +280,7 @@ mod tests {
     fn margin_suppresses_weak_guesses() {
         let secret = SecretKey::from_u64(0b1010, 4);
         let locked = SarLock::new(4).lock(&host(), &secret).unwrap();
-        let strict = ScopeAttack {
-            margin: usize::MAX,
-            ..ScopeAttack::new()
-        };
+        let strict = ScopeAttack { margin: usize::MAX };
         assert_eq!(guess_of(&strict, &locked.circuit).deciphered(), 0);
     }
 }

@@ -2,11 +2,12 @@
 //! signatures computed from two ternary cofactor runs per bit, without
 //! building a single circuit.
 //!
-//! The legacy SCOPE path calls [`set_inputs_constant`] twice per key bit —
-//! a full resynthesis each: topological sort, constant-folded rebuild into
-//! a fresh [`Circuit`] (string-keyed net table included), a dangling-logic
-//! prune (a second rebuild) and a stats pass. This module reproduces the
-//! *feature vector* of that pipeline exactly, by construction:
+//! SCOPE's features are defined by a rebuild: [`set_inputs_constant`] once
+//! per key-bit cofactor — topological sort, constant-folded rebuild into a
+//! fresh [`Circuit`] (string-keyed net table included), a dangling-logic
+//! prune (a second rebuild) — followed by a stats pass. This module
+//! reproduces the *feature vector* of that pipeline exactly, by
+//! construction, without building anything:
 //!
 //! 1. One ternary forward run over the shared [`CircuitAnalysis`] plan
 //!    (the topological order is computed once per circuit, not once per

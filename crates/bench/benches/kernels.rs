@@ -95,10 +95,7 @@ fn bench_resynthesis(c: &mut Criterion) {
     group.finish();
 }
 
-/// The standalone SCOPE attack on a locked multiplier (Table II baseline),
-/// dataflow replay versus the legacy resynthesis engine — the pair the
-/// `scope_aig` CI kernel tracks (the gate itself uses the
-/// `kratt_bench::emit` measurements).
+/// The standalone SCOPE attack on a locked multiplier (Table II baseline).
 fn bench_scope(c: &mut Criterion) {
     let original = array_multiplier(8).expect("valid width");
     let secret = SecretKey::from_u64(0x5A5A, 16);
@@ -111,14 +108,6 @@ fn bench_scope(c: &mut Criterion) {
             let request =
                 AttackRequest::oracle_less(&locked.circuit).with_budget(Budget::unlimited());
             let run = ScopeAttack::new().execute(&request).unwrap();
-            assert!(run.outcome.as_guess(&names).deciphered() > 0);
-        });
-    });
-    group.bench_function("scope_resynth_sarlock_mul8_16_keys", |b| {
-        b.iter(|| {
-            let request =
-                AttackRequest::oracle_less(&locked.circuit).with_budget(Budget::unlimited());
-            let run = ScopeAttack::resynthesis().execute(&request).unwrap();
             assert!(run.outcome.as_guess(&names).deciphered() > 0);
         });
     });

@@ -18,14 +18,12 @@ const USAGE: &str = "\
 matrix — every KRATT_ATTACKS attack x every Table-I circuit x the four locks
 
 USAGE:
-    matrix [--json] [--stream] [--engine <gate|aig>]
+    matrix [--json] [--stream]
 
 OPTIONS:
     --json               print the rows as JSON lines (after the run) instead of a table
     --stream             print each row as a JSON line the moment it finishes, closed by
                          one scheduler summary record
-    --engine <gate|aig>  DIP-engine of the SAT-family attacks (sets KRATT_DIP_ENGINE;
-                         default aig — the shared structurally-hashed CEGAR miter)
     --help               print this message
 
 ENVIRONMENT:
@@ -33,26 +31,15 @@ ENVIRONMENT:
     KRATT_SCALE         host scale factor
     KRATT_BUDGET_SECS   per-cell attack budget
     KRATT_WORKERS       worker threads (default: all CPUs)
-    KRATT_DIP_ENGINE    gate|aig, what --engine sets
 ";
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut stream = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
+    for flag in std::env::args().skip(1) {
         match flag.as_str() {
             "--json" => json = true,
             "--stream" => stream = true,
-            "--engine" => {
-                let Some(value) = args.next().filter(|v| v == "gate" || v == "aig") else {
-                    eprintln!("error: --engine expects gate or aig\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                // SAT-family attacks read the engine from the environment at
-                // construction time, which happens below in registry.build.
-                std::env::set_var("KRATT_DIP_ENGINE", value);
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;

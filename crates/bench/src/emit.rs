@@ -16,7 +16,7 @@
 use crate::ExperimentOptions;
 use kratt_attacks::{
     measure_dip_encoding, Attack, AttackRequest, Budget, DipEngineKind, Harness, Oracle,
-    PortfolioAttack, SatAttack, ScopeAttack,
+    PortfolioAttack, SatAttack,
 };
 use kratt_benchmarks::IscasCircuit;
 use kratt_locking::{LockingTechnique, RandomXorLocking, SchemeSpec, SecretKey};
@@ -67,102 +67,38 @@ pub struct CnfRecord {
 }
 
 /// One tracked fraig-equivalence kernel: proving an ISCAS host equivalent to
-/// its resynthesised variant through the fraig pipeline versus the legacy
-/// monolithic gate-level miter. The machine-portable metric is the speedup
-/// ratio, as with the simulation kernels.
+/// its resynthesised variant through the fraig pipeline. The SAT-call and
+/// merge counts are exact for the fixed seed, so they gate on any machine;
+/// the wall-clock is printed for trend reading only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FraigRecord {
     /// Kernel name (`"fraig_eqv_c2670"`, ...).
     pub name: String,
-    /// Wall-clock of the monolithic gate-level check, in milliseconds.
-    pub gate_level_ms: f64,
     /// Wall-clock of the fraig pipeline, in milliseconds.
     pub fraig_ms: f64,
-    /// `gate_level_ms / fraig_ms` — the tracked ratio.
-    pub speedup: f64,
     /// SAT queries the fraig pipeline spent.
     pub sat_calls: u64,
     /// Node pairs the fraig sweep proved equal and merged.
     pub proved_merges: u64,
 }
 
-/// One tracked SCOPE feature kernel: the full key sweep of the SCOPE attack
-/// on a SARLock-locked ISCAS host, dataflow cofactor replay versus the
-/// legacy per-bit resynthesis engine. Both engines must produce the same
-/// key guess for the record to count (the replay is exact by construction —
-/// a mismatch is a correctness bug, not noise), so the machine-portable
-/// tracked metrics are the speedup ratio and the agreement flag.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScopeRecord {
-    /// Kernel name (`"scope_aig_c2670"`, ...).
-    pub name: String,
-    /// Key bits of the locked instance the sweep analysed.
-    pub key_bits: u64,
-    /// Wall-clock of the legacy resynthesis sweep, in milliseconds.
-    pub resynth_ms: f64,
-    /// Wall-clock of the dataflow-replay sweep, in milliseconds.
-    pub aig_ms: f64,
-    /// `resynth_ms / aig_ms` — the tracked ratio.
-    pub speedup: f64,
-    /// Whether the two engines produced the identical key guess.
-    pub matches: bool,
-}
-
-/// The tracked scheduler kernel: the same attacks × hosts matrix dispatched
-/// once through the static per-worker split and once through the
-/// work-stealing scheduler. The machine-portable tracked metric is the
-/// makespan ratio (both runs execute in the same process on the same
-/// machine), which must never fall meaningfully below 1 — work stealing is
-/// only accepted while it is no worse than the static split.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerRecord {
-    /// Kernel name (`"scheduler_matrix"`).
-    pub name: String,
-    /// Jobs the matrix scheduled.
-    pub jobs: u64,
-    /// Worker threads used.
-    pub workers: u64,
-    /// Successful steals from another worker's deque.
-    pub steals: u64,
-    /// Makespan of the static-split dispatch, in milliseconds.
-    pub static_ms: f64,
-    /// Makespan of the work-stealing dispatch, in milliseconds.
-    pub scheduled_ms: f64,
-    /// `static_ms / scheduled_ms` — the tracked ratio.
-    pub speedup: f64,
-    /// Mean queue wait across the scheduled jobs, in milliseconds.
-    pub mean_queue_wait_ms: f64,
-}
-
 /// One tracked DIP-engine kernel: the CEGAR miter of a random-XOR-locked
-/// ISCAS host encoded once per gate (two gate-level circuit copies +
-/// `Encoder::miter`) and once through the shared structurally-hashed AIG
-/// (`DipEngineKind::Aig`). The encode footprints are exact counts taken
-/// straight from the solver after `DipEngine` construction, so the
-/// reduction gate is deterministic on any machine; the CEGAR
-/// iterations-per-second of each engine is wall-clock telemetry and gates
-/// only as a same-OS ratio.
+/// ISCAS host, encoded through the shared structurally-hashed AIG. The
+/// encode footprint is an exact count taken straight from the solver after
+/// `DipEngine` construction, so its gate is deterministic on any machine;
+/// the CEGAR iterations-per-second is wall-clock telemetry and gates only as
+/// a same-OS ratio.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DipAigRecord {
     /// Kernel name (`"dip_aig_c2670"`, ...).
     pub name: String,
     /// Key bits of the locked instance.
     pub key_bits: u64,
-    /// Solver variables after the gate-level engine encoded the miter.
-    pub gate_vars: u64,
-    /// Solver clauses after the gate-level engine encoded the miter.
-    pub gate_clauses: u64,
-    /// Solver variables after the AIG engine encoded the miter.
+    /// Solver variables after the miter encode.
     pub aig_vars: u64,
-    /// Solver clauses after the AIG engine encoded the miter.
+    /// Solver clauses after the miter encode.
     pub aig_clauses: u64,
-    /// `1 - aig_vars / gate_vars` — the tracked variable reduction.
-    pub var_reduction: f64,
-    /// `1 - aig_clauses / gate_clauses` — the tracked clause reduction.
-    pub clause_reduction: f64,
-    /// Full CEGAR loop throughput of the gate-level engine, iterations/s.
-    pub gate_iters_per_sec: f64,
-    /// Full CEGAR loop throughput of the AIG engine, iterations/s.
+    /// Full CEGAR loop throughput, iterations/s.
     pub aig_iters_per_sec: f64,
 }
 
@@ -275,11 +211,7 @@ pub struct BenchResults {
     pub cnf: Vec<CnfRecord>,
     /// The tracked fraig-equivalence kernels.
     pub fraig: Vec<FraigRecord>,
-    /// The tracked SCOPE feature kernels (dataflow replay vs resynthesis).
-    pub scope: Vec<ScopeRecord>,
-    /// The tracked scheduler kernels (work stealing vs static split).
-    pub scheduler: Vec<SchedulerRecord>,
-    /// The tracked DIP-engine kernels (AIG vs gate-level CEGAR miters).
+    /// The tracked DIP-engine kernels (CEGAR miter size and throughput).
     pub dip_aig: Vec<DipAigRecord>,
     /// The tracked rewriting kernels (`Aig::rewrite` node reductions).
     pub rewrite: Vec<RewriteRecord>,
@@ -295,25 +227,6 @@ pub struct BenchResults {
 /// least this fraction of both variables and clauses, summed over the
 /// tracked miter set.
 pub const CNF_REDUCTION_FLOOR: f64 = 0.25;
-
-/// Acceptance floor of the SCOPE kernels: the dataflow replay must beat the
-/// legacy resynthesis sweep by at least this factor on every tracked host,
-/// on any machine (the ratio is a property of the code, not of the clock).
-pub const SCOPE_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Acceptance floor of the scheduler kernel: the work-stealing dispatch may
-/// be at most ~25% slower than the static split (ratio ≥ 0.8) — the margin
-/// absorbs scheduler noise on shared CI runners while still catching a
-/// scheduler that loses to the static split outright. The gate is skipped
-/// (with a logged reason) when the record ran on a single worker: without
-/// parallelism, work stealing cannot be exercised and the ratio is vacuous.
-pub const SCHEDULER_SPEEDUP_FLOOR: f64 = 0.8;
-
-/// Acceptance floor of the DIP-engine kernels: the AIG-side CEGAR miter
-/// must cut at least this fraction of both variables and clauses against
-/// the gate-level encode on every tracked host (the paper-motivated
-/// property — the shared-strash miter is 58–100% smaller).
-pub const DIP_ENCODE_REDUCTION_FLOOR: f64 = 0.25;
 
 /// Acceptance floor of the rewriting kernels: `Aig::rewrite` must remove at
 /// least this fraction of live AND nodes on every tracked host. Exact node
@@ -463,22 +376,14 @@ pub fn measure_cnf_kernels() -> Vec<CnfRecord> {
         .collect()
 }
 
-/// Gate scale of the fraig timing kernels. Both paths must *complete* for
-/// the speedup ratio to be machine-portable (a time-capped baseline would
-/// make the ratio depend on the host's absolute speed), and at full scale
-/// the monolithic baseline needs minutes per miter — ~100 s on c2670 where
-/// the fraig pipeline takes ~0.1 s. A quarter-scale host keeps the baseline
-/// in CI territory while preserving the asymmetry being tracked.
+/// Gate scale of the fraig kernels. The baseline's SAT-call and merge
+/// counts were recorded at this scale; changing it needs a new baseline.
 const FRAIG_KERNEL_SCALE: f64 = 0.25;
 
 /// Measures the tracked fraig-equivalence kernels: proving each ISCAS host
 /// (at [`FRAIG_KERNEL_SCALE`]) equivalent to its resynthesised variant,
-/// fraig pipeline versus the monolithic gate-level baseline. One timed call
-/// per path (these are whole-proof timings, not micro-kernels); both paths
-/// must return `Equivalent` for the record to count. c6288 is excluded: it
-/// is always the exact 16×16 multiplier regardless of scale, and a
-/// restructured multiplier miter is intractable for the monolithic baseline
-/// — which is the headline, not a kernel CI can time.
+/// best-of-3 on the wall-clock. The check must return `Equivalent` for the
+/// record to count.
 pub fn measure_fraig_kernels() -> Vec<FraigRecord> {
     [IscasCircuit::C2670, IscasCircuit::C5315]
         .iter()
@@ -497,8 +402,8 @@ fn measure_fraig_kernel(host: IscasCircuit) -> Result<FraigRecord, String> {
     let a = host.generate_scaled(FRAIG_KERNEL_SCALE);
     let b = resynthesize(&a, &ResynthesisOptions::with_seed(1))
         .map_err(|e| format!("resynthesis failed: {e}"))?;
-    // Best-of-3 per path: the solver work is deterministic, so the
-    // minimum discards scheduler noise (as with the sim kernels).
+    // Best-of-3: the solver work is deterministic, so the minimum discards
+    // scheduler noise (as with the sim kernels).
     let mut fraig_ms = f64::INFINITY;
     let mut stats = kratt_synth::FraigStats::default();
     let mut result = kratt_synth::EquivalenceResult::Unknown;
@@ -510,114 +415,35 @@ fn measure_fraig_kernel(host: IscasCircuit) -> Result<FraigRecord, String> {
         result = r;
         stats = s;
     }
-    let mut gate_level_ms = f64::INFINITY;
-    let mut gate_result = kratt_synth::EquivalenceResult::Unknown;
-    for _ in 0..3 {
-        let start = Instant::now();
-        gate_result = kratt_synth::check_equivalence_gate_level(&a, &b, None, None)
-            .map_err(|e| format!("gate-level check failed: {e}"))?;
-        gate_level_ms = gate_level_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    if !result.is_equivalent() || !gate_result.is_equivalent() {
-        return Err(format!(
-            "paths disagree or did not prove equivalence (fraig {result:?}, gate-level {gate_result:?})"
-        ));
+    if !result.is_equivalent() {
+        return Err(format!("did not prove equivalence ({result:?})"));
     }
     Ok(FraigRecord {
         name: format!("fraig_eqv_{}", host.name()),
-        gate_level_ms,
         fraig_ms,
-        speedup: gate_level_ms / fraig_ms.max(f64::MIN_POSITIVE),
         sat_calls: stats.sat_calls as u64,
         proved_merges: stats.proved_merges as u64,
     })
 }
 
-/// Gate scale of the SCOPE feature kernels. The legacy engine rebuilds the
-/// whole netlist twice per key bit, so a full-scale host would spend CI
-/// minutes measuring the baseline being replaced; a quarter-scale host
-/// keeps the sweep in seconds while preserving the asymmetry being tracked.
-const SCOPE_KERNEL_SCALE: f64 = 0.25;
-
-/// Key bits of the SARLock instance the SCOPE kernels sweep.
-const SCOPE_KERNEL_KEY_BITS: u64 = 16;
-
-/// Measures the tracked SCOPE feature kernels: the full key sweep on a
-/// SARLock-locked ISCAS host (at [`SCOPE_KERNEL_SCALE`]), dataflow cofactor
-/// replay versus the legacy per-bit resynthesis engine, best-of-3 per path.
-pub fn measure_scope_kernels() -> Vec<ScopeRecord> {
-    [IscasCircuit::C2670, IscasCircuit::C5315]
-        .iter()
-        .filter_map(|&host| {
-            // As with the fraig kernels: a dropped record fails the CI gate
-            // as "missing", so the root cause must reach the job log.
-            measure_scope_kernel(host)
-                .map_err(|why| eprintln!("scope kernel {} dropped: {why}", host.name()))
-                .ok()
-        })
-        .collect()
-}
-
-fn measure_scope_kernel(host: IscasCircuit) -> Result<ScopeRecord, String> {
-    let original = host.generate_scaled(SCOPE_KERNEL_SCALE);
-    let spec = SchemeSpec::new("sarlock")
-        .map_err(|e| format!("sarlock is not registered: {e}"))?
-        .with_param("k", SCOPE_KERNEL_KEY_BITS)
-        .with_param("seed", 0x5c0e);
-    let locked = kratt_locking::scheme_registry()
-        .lock(&spec, &original)
-        .map_err(|e| format!("locking failed: {e}"))?;
-    let names = locked.circuit.key_input_names();
-    let request = AttackRequest::oracle_less(&locked.circuit).with_budget(Budget::unlimited());
-    let mut aig_ms = f64::INFINITY;
-    let mut aig_guess = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let run = ScopeAttack::new()
-            .execute(&request)
-            .map_err(|e| format!("dataflow sweep failed: {e}"))?;
-        aig_ms = aig_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        aig_guess = Some(run.outcome.as_guess(&names));
-    }
-    let mut resynth_ms = f64::INFINITY;
-    let mut resynth_guess = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let run = ScopeAttack::resynthesis()
-            .execute(&request)
-            .map_err(|e| format!("resynthesis sweep failed: {e}"))?;
-        resynth_ms = resynth_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        resynth_guess = Some(run.outcome.as_guess(&names));
-    }
-    Ok(ScopeRecord {
-        name: format!("scope_aig_{}", host.name()),
-        key_bits: SCOPE_KERNEL_KEY_BITS,
-        resynth_ms,
-        aig_ms,
-        speedup: resynth_ms / aig_ms.max(f64::MIN_POSITIVE),
-        matches: aig_guess == resynth_guess,
-    })
-}
-
-/// Gate scale of the DIP-engine kernels, matching the SCOPE kernels: a
-/// quarter-scale host keeps three full CEGAR runs per engine in CI
-/// territory while preserving the encode-size asymmetry being tracked.
+/// Gate scale of the DIP-engine kernels, matching the fraig kernels: a
+/// quarter-scale host keeps three full CEGAR runs in CI territory.
 const DIP_KERNEL_SCALE: f64 = 0.25;
 
 /// Key bits of the random-XOR-locked instance the DIP kernels attack.
 const DIP_KERNEL_KEY_BITS: usize = 16;
 
 /// Measures the tracked DIP-engine kernels: the CEGAR miter of a
-/// random-XOR-locked ISCAS host (at [`DIP_KERNEL_SCALE`]) encoded by the
-/// gate-level and the AIG engine (exact solver footprints straight from
-/// `DipEngine` construction), plus the full key-recovery loop of each
-/// engine timed best-of-3 for the iterations-per-second telemetry.
+/// random-XOR-locked ISCAS host (at [`DIP_KERNEL_SCALE`]) with its exact
+/// solver footprint straight from `DipEngine` construction, plus the full
+/// key-recovery loop timed best-of-3 for the iterations-per-second
+/// telemetry.
 pub fn measure_dip_kernels() -> Vec<DipAigRecord> {
     [IscasCircuit::C2670, IscasCircuit::C5315]
         .iter()
         .filter_map(|&host| {
-            // As with the fraig/scope kernels: a dropped record fails the
-            // CI gate as "missing", so the root cause must reach the log.
+            // As with the fraig kernels: a dropped record fails the CI gate
+            // as "missing", so the root cause must reach the log.
             measure_dip_kernel(host)
                 .map_err(|why| eprintln!("dip_aig kernel {} dropped: {why}", host.name()))
                 .ok()
@@ -632,44 +458,27 @@ fn measure_dip_kernel(host: IscasCircuit) -> Result<DipAigRecord, String> {
         .lock(&original, &secret)
         .map_err(|e| format!("locking failed: {e}"))?;
     let oracle = Oracle::new(original.clone()).map_err(|e| format!("oracle failed: {e}"))?;
-    let gate = measure_dip_encoding(&locked.circuit, &oracle, DipEngineKind::Gate)
-        .map_err(|e| format!("gate-level encode failed: {e}"))?;
     let aig = measure_dip_encoding(&locked.circuit, &oracle, DipEngineKind::Aig)
-        .map_err(|e| format!("AIG encode failed: {e}"))?;
-    let iters_per_sec = |engine: DipEngineKind| -> Result<f64, String> {
-        // Best-of-3 like the other timing kernels: the CEGAR loop is
-        // deterministic, the maximum discards scheduler noise.
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let request = AttackRequest::oracle_guided(&locked.circuit, &oracle);
-            let run = SatAttack::new()
-                .with_engine(engine)
-                .execute(&request)
-                .map_err(|e| format!("{} CEGAR run failed: {e}", engine.name()))?;
-            if run.outcome.exact_key().is_none() {
-                return Err(format!(
-                    "{} engine did not recover a key ({})",
-                    engine.name(),
-                    run.outcome.kind()
-                ));
-            }
-            let secs = run.runtime.as_secs_f64().max(f64::MIN_POSITIVE);
-            best = best.max(run.iterations as f64 / secs);
+        .map_err(|e| format!("encode failed: {e}"))?;
+    // Best-of-3 like the other timing kernels: the CEGAR loop is
+    // deterministic, the maximum discards scheduler noise.
+    let mut aig_iters_per_sec = 0.0f64;
+    for _ in 0..3 {
+        let request = AttackRequest::oracle_guided(&locked.circuit, &oracle);
+        let run = SatAttack::new()
+            .execute(&request)
+            .map_err(|e| format!("CEGAR run failed: {e}"))?;
+        if run.outcome.exact_key().is_none() {
+            return Err(format!("no key recovered ({})", run.outcome.kind()));
         }
-        Ok(best)
-    };
-    let gate_iters_per_sec = iters_per_sec(DipEngineKind::Gate)?;
-    let aig_iters_per_sec = iters_per_sec(DipEngineKind::Aig)?;
+        let secs = run.runtime.as_secs_f64().max(f64::MIN_POSITIVE);
+        aig_iters_per_sec = aig_iters_per_sec.max(run.iterations as f64 / secs);
+    }
     Ok(DipAigRecord {
         name: format!("dip_aig_{}", host.name()),
         key_bits: DIP_KERNEL_KEY_BITS as u64,
-        gate_vars: gate.vars as u64,
-        gate_clauses: gate.clauses as u64,
         aig_vars: aig.vars as u64,
         aig_clauses: aig.clauses as u64,
-        var_reduction: 1.0 - aig.vars as f64 / gate.vars.max(1) as f64,
-        clause_reduction: 1.0 - aig.clauses as f64 / gate.clauses.max(1) as f64,
-        gate_iters_per_sec,
         aig_iters_per_sec,
     })
 }
@@ -696,7 +505,7 @@ pub fn measure_rewrite_kernels() -> Vec<RewriteRecord> {
         .collect()
 }
 
-/// Gate scale of the portfolio kernels, matching the SCOPE/DIP kernels: a
+/// Gate scale of the portfolio kernels, matching the fraig/DIP kernels: a
 /// quarter-scale host keeps several full attack runs per cell in CI
 /// territory while preserving the engine asymmetry being raced.
 const PORTFOLIO_KERNEL_SCALE: f64 = 0.25;
@@ -718,8 +527,8 @@ pub fn measure_portfolio_kernels() -> Vec<PortfolioRecord> {
     ]
     .iter()
     .filter_map(|&(host, scheme, key_bits)| {
-        // As with the fraig/scope kernels: a dropped record fails the CI
-        // gate as "missing", so the root cause must reach the job log.
+        // As with the fraig kernels: a dropped record fails the CI gate as
+        // "missing", so the root cause must reach the job log.
         measure_portfolio_kernel(host, scheme, key_bits)
             .map_err(|why| eprintln!("portfolio kernel {}_{scheme} dropped: {why}", host.name()))
             .ok()
@@ -847,8 +656,7 @@ pub fn measure_fraig_par_kernels() -> Vec<FraigParRecord> {
 }
 
 fn measure_fraig_par_kernel(host: IscasCircuit, workers: usize) -> Result<FraigParRecord, String> {
-    // Full scale, unlike the fraig speedup kernels: there is no monolithic
-    // gate-level baseline to wait for here, and the sweep needs enough
+    // Full scale, unlike the fraig kernels: the sweep needs enough
     // candidate classes for the partition to mean anything.
     let (a, b) = miter_pair(host);
     let sweep = |width: usize| -> Result<(f64, bool, u64), String> {
@@ -879,72 +687,6 @@ fn measure_fraig_par_kernel(host: IscasCircuit, workers: usize) -> Result<FraigP
         verdicts_match: seq_equivalent == par_equivalent,
         merges_match: seq_merges == par_merges,
     })
-}
-
-/// Measures the tracked scheduler kernel: the full attack matrix dispatched
-/// once through the static per-worker split and once through the
-/// work-stealing scheduler, on identical pre-built cases. Locking and
-/// synthesis happen before the clock starts, so the makespans compare pure
-/// dispatch + attack time.
-///
-/// # Errors
-///
-/// Returns an error naming the offending entry if an attack name is not
-/// registered.
-pub fn measure_scheduler_kernels(
-    attack_names: &[String],
-    options: &ExperimentOptions,
-) -> Result<Vec<SchedulerRecord>, String> {
-    let attacks = build_attacks(attack_names)?;
-    // Pin the worker count: an unbounded `Harness::new()` made the record's
-    // speedup depend on the runner's core count, and on wide machines the
-    // static split already saturates. Four workers exercise stealing
-    // without oversubscribing CI runners; on a single-CPU host the ratio
-    // is vacuous and `compare` skips the gate (log why here).
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
-    if workers <= 1 {
-        eprintln!(
-            "scheduler kernel: only 1 CPU available — work stealing cannot be exercised, \
-             the >= {SCHEDULER_SPEEDUP_FLOOR} static-split gate will be skipped"
-        );
-    }
-    let harness = Harness::with_workers(workers);
-    let (cases, budget) = crate::experiments::matrix_cases(options);
-    let start = Instant::now();
-    let static_rows = harness.run_matrix(&attacks, &cases, &budget);
-    let static_ms = start.elapsed().as_secs_f64() * 1e3;
-    let report = harness.run_matrix_scheduled(
-        &attacks,
-        &cases[..],
-        &budget,
-        &kratt_attacks::ScheduleOptions::default(),
-    );
-    let stats = report.stats;
-    let scheduled_ms = stats.makespan.as_secs_f64() * 1e3;
-    let waits: Vec<f64> = report
-        .rows
-        .iter()
-        .flatten()
-        .map(|row| row.telemetry.queue_wait.as_secs_f64() * 1e3)
-        .collect();
-    let mean_queue_wait_ms = if waits.is_empty() {
-        0.0
-    } else {
-        waits.iter().sum::<f64>() / waits.len() as f64
-    };
-    Ok(vec![SchedulerRecord {
-        name: "scheduler_matrix".to_string(),
-        jobs: static_rows.len() as u64,
-        workers: stats.workers as u64,
-        steals: stats.steals as u64,
-        static_ms,
-        scheduled_ms,
-        speedup: static_ms / scheduled_ms.max(f64::MIN_POSITIVE),
-        mean_queue_wait_ms,
-    }])
 }
 
 /// Builds the named attacks from the registry, or reports the first
@@ -1014,7 +756,7 @@ pub fn run_bench_suite(
 ) -> Result<BenchResults, String> {
     build_attacks(attack_names)?;
     Ok(BenchResults {
-        schema: 6,
+        schema: 7,
         os: std::env::consts::OS.to_string(),
         cpus: std::thread::available_parallelism()
             .map(|n| n.get() as u64)
@@ -1024,8 +766,6 @@ pub fn run_bench_suite(
         kernels: measure_sim_kernels(),
         cnf: measure_cnf_kernels(),
         fraig: measure_fraig_kernels(),
-        scope: measure_scope_kernels(),
-        scheduler: measure_scheduler_kernels(attack_names, options)?,
         dip_aig: measure_dip_kernels(),
         rewrite: measure_rewrite_kernels(),
         portfolio: measure_portfolio_kernels(),
@@ -1103,12 +843,9 @@ impl BenchResults {
         for (i, k) in self.fraig.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": {}, \"gate_level_ms\": {}, \"fraig_ms\": {}, \"speedup\": {}, \
-                 \"sat_calls\": {}, \"proved_merges\": {}}}",
+                "    {{\"name\": {}, \"fraig_ms\": {}, \"sat_calls\": {}, \"proved_merges\": {}}}",
                 json_string(&k.name),
-                json_number(k.gate_level_ms),
                 json_number(k.fraig_ms),
-                json_number(k.speedup),
                 k.sat_calls,
                 k.proved_merges
             );
@@ -1118,64 +855,16 @@ impl BenchResults {
                 "\n"
             });
         }
-        out.push_str("  ],\n  \"scope\": [\n");
-        for (i, k) in self.scope.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"key_bits\": {}, \"resynth_ms\": {}, \"aig_ms\": {}, \
-                 \"speedup\": {}, \"matches\": {}}}",
-                json_string(&k.name),
-                k.key_bits,
-                json_number(k.resynth_ms),
-                json_number(k.aig_ms),
-                json_number(k.speedup),
-                k.matches
-            );
-            out.push_str(if i + 1 < self.scope.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"scheduler\": [\n");
-        for (i, k) in self.scheduler.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"jobs\": {}, \"workers\": {}, \"steals\": {}, \
-                 \"static_ms\": {}, \"scheduled_ms\": {}, \"speedup\": {}, \
-                 \"mean_queue_wait_ms\": {}}}",
-                json_string(&k.name),
-                k.jobs,
-                k.workers,
-                k.steals,
-                json_number(k.static_ms),
-                json_number(k.scheduled_ms),
-                json_number(k.speedup),
-                json_number(k.mean_queue_wait_ms)
-            );
-            out.push_str(if i + 1 < self.scheduler.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
         out.push_str("  ],\n  \"dip_aig\": [\n");
         for (i, k) in self.dip_aig.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": {}, \"key_bits\": {}, \"gate_vars\": {}, \"gate_clauses\": {}, \
-                 \"aig_vars\": {}, \"aig_clauses\": {}, \"var_reduction\": {}, \
-                 \"clause_reduction\": {}, \"gate_iters_per_sec\": {}, \
+                "    {{\"name\": {}, \"key_bits\": {}, \"aig_vars\": {}, \"aig_clauses\": {}, \
                  \"aig_iters_per_sec\": {}}}",
                 json_string(&k.name),
                 k.key_bits,
-                k.gate_vars,
-                k.gate_clauses,
                 k.aig_vars,
                 k.aig_clauses,
-                json_number(k.var_reduction),
-                json_number(k.clause_reduction),
-                json_number(k.gate_iters_per_sec),
                 json_number(k.aig_iters_per_sec)
             );
             out.push_str(if i + 1 < self.dip_aig.len() {
@@ -1351,61 +1040,9 @@ impl BenchResults {
                     };
                     Ok(FraigRecord {
                         name: k.get("name").ok_or("missing fraig `name`")?.as_str()?,
-                        gate_level_ms: number("gate_level_ms")?,
                         fraig_ms: number("fraig_ms")?,
-                        speedup: number("speedup")?,
                         sat_calls: number("sat_calls")? as u64,
                         proved_merges: number("proved_merges")? as u64,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let scope = match top.get("scope") {
-            // Absent in schema-2 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(ScopeRecord {
-                        name: k.get("name").ok_or("missing scope `name`")?.as_str()?,
-                        key_bits: number("key_bits")? as u64,
-                        resynth_ms: number("resynth_ms")?,
-                        aig_ms: number("aig_ms")?,
-                        speedup: number("speedup")?,
-                        matches: k.get("matches").ok_or("missing `matches`")?.as_bool()?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let scheduler = match top.get("scheduler") {
-            // Absent in schema-3 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(SchedulerRecord {
-                        name: k.get("name").ok_or("missing scheduler `name`")?.as_str()?,
-                        jobs: number("jobs")? as u64,
-                        workers: number("workers")? as u64,
-                        steals: number("steals")? as u64,
-                        static_ms: number("static_ms")?,
-                        scheduled_ms: number("scheduled_ms")?,
-                        speedup: number("speedup")?,
-                        mean_queue_wait_ms: number("mean_queue_wait_ms")?,
                     })
                 })
                 .collect::<Result<_, String>>()?,
@@ -1426,13 +1063,8 @@ impl BenchResults {
                     Ok(DipAigRecord {
                         name: k.get("name").ok_or("missing dip_aig `name`")?.as_str()?,
                         key_bits: number("key_bits")? as u64,
-                        gate_vars: number("gate_vars")? as u64,
-                        gate_clauses: number("gate_clauses")? as u64,
                         aig_vars: number("aig_vars")? as u64,
                         aig_clauses: number("aig_clauses")? as u64,
-                        var_reduction: number("var_reduction")?,
-                        clause_reduction: number("clause_reduction")?,
-                        gate_iters_per_sec: number("gate_iters_per_sec")?,
                         aig_iters_per_sec: number("aig_iters_per_sec")?,
                     })
                 })
@@ -1560,8 +1192,6 @@ impl BenchResults {
             kernels,
             cnf,
             fraig,
-            scope,
-            scheduler,
             dip_aig,
             rewrite,
             portfolio,
@@ -1718,220 +1348,77 @@ pub fn compare(
             }
         }
     }
-    // Fraig-equivalence kernels: gate on the speedup ratio like the
-    // simulation kernels (fatal on a same-OS host, drift otherwise).
+    // Fraig-equivalence kernels: the SAT-call and merge counts are exact for
+    // the fixed seed, so both gate fatally on any machine. The wall-clock is
+    // printed, not gated.
     for base in &baseline.fraig {
         let subject = format!("fraig {}", base.name);
-        match current.fraig.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
+        let Some(cur) = current.fraig.iter().find(|k| k.name == base.name) else {
+            regressions.push(Regression {
                 subject,
                 detail: "tracked fraig kernel missing from current results".to_string(),
                 fatal: true,
+            });
+            continue;
+        };
+        regressions.extend(
+            [
+                ("SAT calls", base.sat_calls, cur.sat_calls, Better::Lower),
+                (
+                    "proved merges",
+                    base.proved_merges,
+                    cur.proved_merges,
+                    Better::Higher,
+                ),
+            ]
+            .into_iter()
+            .filter_map(|(metric, base_n, cur_n, better)| {
+                counter_gate(&subject, metric, base_n, cur_n, tolerance, better)
             }),
-            Some(cur) => {
-                let floor = base.speedup / (1.0 + tolerance);
-                if cur.speedup < floor {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "fraig speedup fell {:.2}x -> {:.2}x (floor {:.2}x at {:.0}% tolerance{})",
-                            base.speedup,
-                            cur.speedup,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-            }
-        }
+        );
     }
-    // SCOPE feature kernels: the speedup ratio gates like the fraig kernels
-    // (fatal on a same-OS host, drift otherwise) on top of an absolute
-    // acceptance floor, and the engines agreeing is a correctness property —
-    // a baseline `matches` flipping to false is always fatal.
-    for base in &baseline.scope {
-        let subject = format!("scope {}", base.name);
-        match current.scope.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked SCOPE kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                if base.matches && !cur.matches {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: "dataflow and resynthesis engines no longer produce the same \
-                                 key guess"
-                            .to_string(),
-                        fatal: true,
-                    });
-                }
-                let floor = base.speedup / (1.0 + tolerance);
-                if cur.speedup < floor {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: format!(
-                            "scope speedup fell {:.1}x -> {:.1}x (floor {:.1}x at {:.0}% tolerance{})",
-                            base.speedup,
-                            cur.speedup,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-                if cur.speedup < SCOPE_SPEEDUP_FLOOR {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "scope speedup {:.1}x is below the {SCOPE_SPEEDUP_FLOOR:.0}x \
-                             acceptance floor",
-                            cur.speedup
-                        ),
-                        fatal: true,
-                    });
-                }
-            }
-        }
-    }
-    // Scheduler kernel: both makespans come from the same process on the
-    // same machine, so the work-stealing-over-static ratio is
-    // machine-portable. The absolute acceptance floor (work stealing must
-    // not lose to the static split beyond the noise margin) is fatal
-    // everywhere; the baseline-relative ratio gates like the other timing
-    // kernels (fatal on a same-OS host, drift otherwise).
-    for base in &baseline.scheduler {
-        let subject = format!("scheduler {}", base.name);
-        match current.scheduler.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked scheduler kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) if cur.workers <= 1 => {
-                // A single worker cannot steal: the ratio measures nothing
-                // but dispatch overhead, so gating it would only reward or
-                // punish noise. Record the skip so the job log says why.
-                regressions.push(Regression {
-                    subject,
-                    detail: format!(
-                        "ran on a single worker (1 CPU) — the {SCHEDULER_SPEEDUP_FLOOR:.2} \
-                         static-split gate is skipped: work stealing cannot be exercised \
-                         without parallelism"
-                    ),
-                    fatal: false,
-                });
-            }
-            Some(cur) => {
-                if cur.speedup < SCHEDULER_SPEEDUP_FLOOR {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: format!(
-                            "work-stealing makespan {:.0} ms lost to the static split \
-                             {:.0} ms (ratio {:.2} is below the {SCHEDULER_SPEEDUP_FLOOR:.2} \
-                             acceptance floor)",
-                            cur.scheduled_ms, cur.static_ms, cur.speedup
-                        ),
-                        fatal: true,
-                    });
-                }
-                // A single-worker *baseline* recorded a vacuous ~1.0 ratio
-                // (no stealing happened); only the absolute floor above is
-                // meaningful against it.
-                let floor = base.speedup / (1.0 + tolerance);
-                if base.workers > 1 && cur.speedup < floor && cur.speedup >= SCHEDULER_SPEEDUP_FLOOR
-                {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "scheduler ratio fell {:.2} -> {:.2} (floor {:.2} at {:.0}% tolerance{})",
-                            base.speedup,
-                            cur.speedup,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-            }
-        }
-    }
-    // DIP-engine kernels: the encode reductions are exact counts (gate
-    // deterministically, like the CNF kernels) on top of the absolute
-    // acceptance floor; the CEGAR throughput of the AIG engine gates as a
-    // same-OS ratio like the other timing kernels.
+    // DIP-engine kernels: the miter's encode footprint is an exact count and
+    // gates fatally on any machine; the CEGAR throughput gates as a same-OS
+    // ratio like the other timing kernels.
     for base in &baseline.dip_aig {
         let subject = format!("dip_aig {}", base.name);
-        match current.dip_aig.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
+        let Some(cur) = current.dip_aig.iter().find(|k| k.name == base.name) else {
+            regressions.push(Regression {
                 subject,
                 detail: "tracked DIP-engine kernel missing from current results".to_string(),
                 fatal: true,
+            });
+            continue;
+        };
+        regressions.extend(
+            [
+                ("DIP miter variables", base.aig_vars, cur.aig_vars),
+                ("DIP miter clauses", base.aig_clauses, cur.aig_clauses),
+            ]
+            .into_iter()
+            .filter_map(|(metric, base_n, cur_n)| {
+                counter_gate(&subject, metric, base_n, cur_n, tolerance, Better::Lower)
             }),
-            Some(cur) => {
-                for (metric, base_r, cur_r) in [
-                    ("variable", base.var_reduction, cur.var_reduction),
-                    ("clause", base.clause_reduction, cur.clause_reduction),
-                ] {
-                    // As with the CNF kernels, a near-total baseline
-                    // reduction means the miter folded structurally; such
-                    // records gate only on the absolute floor.
-                    let floor = if base_r > 0.95 {
-                        DIP_ENCODE_REDUCTION_FLOOR
+        );
+        let floor = base.aig_iters_per_sec / (1.0 + tolerance);
+        if cur.aig_iters_per_sec < floor {
+            regressions.push(Regression {
+                subject,
+                detail: format!(
+                    "AIG-engine CEGAR throughput fell {:.1} -> {:.1} iters/s \
+                     (floor {:.1} at {:.0}% tolerance{})",
+                    base.aig_iters_per_sec,
+                    cur.aig_iters_per_sec,
+                    floor,
+                    tolerance * 100.0,
+                    if comparable_host {
+                        ""
                     } else {
-                        (base_r * (1.0 - tolerance)).max(DIP_ENCODE_REDUCTION_FLOOR)
-                    };
-                    if cur_r < floor {
-                        regressions.push(Regression {
-                            subject: subject.clone(),
-                            detail: format!(
-                                "DIP miter {metric} reduction fell {:.1}% -> {:.1}% (floor {:.1}%)",
-                                base_r * 100.0,
-                                cur_r * 100.0,
-                                floor * 100.0
-                            ),
-                            fatal: true,
-                        });
+                        "; host differs from baseline"
                     }
-                }
-                let floor = base.aig_iters_per_sec / (1.0 + tolerance);
-                if cur.aig_iters_per_sec < floor {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "AIG-engine CEGAR throughput fell {:.1} -> {:.1} iters/s \
-                             (floor {:.1} at {:.0}% tolerance{})",
-                            base.aig_iters_per_sec,
-                            cur.aig_iters_per_sec,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-            }
+                ),
+                fatal: comparable_host,
+            });
         }
     }
     // Rewriting kernels: exact node counts, so both the baseline-relative
@@ -2137,6 +1624,44 @@ pub fn compare(
         }
     }
     regressions
+}
+
+/// Which direction of an exact work counter is an improvement.
+#[derive(Clone, Copy)]
+enum Better {
+    Lower,
+    Higher,
+}
+
+/// The fatal gate of one exact work counter: a lower-is-better counter may
+/// exceed its baseline by at most `tolerance`, a higher-is-better one may
+/// fall short of it by at most `tolerance`.
+fn counter_gate(
+    subject: &str,
+    metric: &str,
+    base: u64,
+    cur: u64,
+    tolerance: f64,
+    better: Better,
+) -> Option<Regression> {
+    let (bound, regressed, kind) = match better {
+        Better::Lower => {
+            let ceiling = (base as f64 * (1.0 + tolerance)).floor() as u64;
+            (ceiling, cur > ceiling, "ceiling")
+        }
+        Better::Higher => {
+            let floor = (base as f64 * (1.0 - tolerance)).ceil() as u64;
+            (floor, cur < floor, "floor")
+        }
+    };
+    regressed.then(|| Regression {
+        subject: subject.to_string(),
+        detail: format!(
+            "{metric} moved {base} -> {cur} ({kind} {bound} at {:.0}% tolerance)",
+            tolerance * 100.0
+        ),
+        fatal: true,
+    })
 }
 
 fn json_string(value: &str) -> String {
@@ -2387,7 +1912,7 @@ mod tests {
 
     fn sample_results() -> BenchResults {
         BenchResults {
-            schema: 6,
+            schema: 7,
             os: "linux".to_string(),
             cpus: 8,
             scale: 0.05,
@@ -2409,40 +1934,15 @@ mod tests {
             }],
             fraig: vec![FraigRecord {
                 name: "fraig_eqv_c6288".to_string(),
-                gate_level_ms: 900.0,
                 fraig_ms: 300.0,
-                speedup: 3.0,
                 sat_calls: 120,
                 proved_merges: 80,
-            }],
-            scope: vec![ScopeRecord {
-                name: "scope_aig_c2670".to_string(),
-                key_bits: 16,
-                resynth_ms: 800.0,
-                aig_ms: 40.0,
-                speedup: 20.0,
-                matches: true,
-            }],
-            scheduler: vec![SchedulerRecord {
-                name: "scheduler_matrix".to_string(),
-                jobs: 24,
-                workers: 8,
-                steals: 5,
-                static_ms: 1200.0,
-                scheduled_ms: 1000.0,
-                speedup: 1.2,
-                mean_queue_wait_ms: 35.0,
             }],
             dip_aig: vec![DipAigRecord {
                 name: "dip_aig_c2670".to_string(),
                 key_bits: 16,
-                gate_vars: 4_000,
-                gate_clauses: 12_000,
                 aig_vars: 1_500,
                 aig_clauses: 6_000,
-                var_reduction: 0.625,
-                clause_reduction: 0.5,
-                gate_iters_per_sec: 60.0,
                 aig_iters_per_sec: 100.0,
             }],
             rewrite: vec![RewriteRecord {
@@ -2487,13 +1987,11 @@ mod tests {
     fn json_round_trips() {
         let results = sample_results();
         let parsed = BenchResults::from_json(&results.to_json()).unwrap();
-        assert_eq!(parsed.schema, 6);
+        assert_eq!(parsed.schema, 7);
         assert_eq!(parsed.cpus, 8);
         assert_eq!(parsed.kernels, results.kernels);
         assert_eq!(parsed.cnf, results.cnf);
         assert_eq!(parsed.fraig, results.fraig);
-        assert_eq!(parsed.scope, results.scope);
-        assert_eq!(parsed.scheduler, results.scheduler);
         assert_eq!(parsed.dip_aig, results.dip_aig);
         assert_eq!(parsed.rewrite, results.rewrite);
         assert_eq!(parsed.portfolio, results.portfolio);
@@ -2515,38 +2013,10 @@ mod tests {
         let parsed = BenchResults::from_json(legacy).unwrap();
         assert!(parsed.cnf.is_empty());
         assert!(parsed.fraig.is_empty());
-        assert!(parsed.scope.is_empty());
-        assert!(parsed.scheduler.is_empty());
         assert!(parsed.dip_aig.is_empty());
         assert!(parsed.rewrite.is_empty());
         assert!(parsed.portfolio.is_empty());
         assert!(parsed.fraig_par.is_empty());
-    }
-
-    #[test]
-    fn compare_skips_the_scheduler_gate_on_a_single_worker() {
-        let baseline = sample_results();
-        // A 1-CPU runner cannot steal: even a ratio below the floor is a
-        // non-fatal note explaining the skip, not a failure.
-        let mut current = sample_results();
-        current.scheduler[0].workers = 1;
-        current.scheduler[0].speedup = 0.6;
-        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert_eq!(regressions.len(), 1);
-        assert!(!regressions[0].fatal);
-        assert!(regressions[0].detail.contains("single worker"));
-        // A single-worker *baseline* record (vacuous ~1.0 ratio) disarms
-        // the baseline-relative gate but not the absolute floor.
-        let mut baseline = sample_results();
-        baseline.scheduler[0].workers = 1;
-        baseline.scheduler[0].speedup = 1.0;
-        let mut current = sample_results();
-        current.scheduler[0].speedup = 0.85; // below 1.0/1.25 but above 0.8
-        assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
-        current.scheduler[0].speedup = 0.7;
-        assert!(compare(&baseline, &current, 0.25, 8.0, false)
-            .iter()
-            .any(|r| r.fatal && r.detail.contains("lost to the static split")));
     }
 
     #[test]
@@ -2635,15 +2105,19 @@ mod tests {
     #[test]
     fn compare_gates_dip_encode_reductions_and_throughput() {
         let baseline = sample_results();
-        // An encode-reduction collapse is fatal regardless of host (the
-        // counts are exact).
+        // The encode footprint growing beyond tolerance is fatal regardless
+        // of host (the counts are exact).
         let mut current = sample_results();
-        current.dip_aig[0].var_reduction = 0.2;
+        current.dip_aig[0].aig_vars = 1_900; // > 25% above 1500
         current.os = "macos".to_string();
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert!(regressions
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].fatal && regressions[0].detail.contains("variables"));
+        let mut current = sample_results();
+        current.dip_aig[0].aig_clauses = 7_600; // > 25% above 6000
+        assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
-            .any(|r| r.fatal && r.subject.contains("dip_aig") && r.detail.contains("variable")));
+            .any(|r| r.fatal && r.subject.contains("dip_aig") && r.detail.contains("clauses")));
 
         // CEGAR throughput gates as a same-OS ratio like the other timing
         // kernels: fatal at home, drift across OSes.
@@ -2657,7 +2131,7 @@ mod tests {
             .iter()
             .all(|r| !r.fatal));
 
-        // A missing record is fatal; within tolerance is clean.
+        // A missing record is fatal; within tolerance (or smaller) is clean.
         let mut current = sample_results();
         current.dip_aig.clear();
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
@@ -2665,7 +2139,8 @@ mod tests {
             .any(|r| r.fatal && r.detail.contains("DIP-engine kernel missing")));
         let mut current = sample_results();
         current.dip_aig[0].aig_iters_per_sec = 90.0;
-        current.dip_aig[0].var_reduction = 0.55;
+        current.dip_aig[0].aig_vars = 1_875;
+        current.dip_aig[0].aig_clauses = 3_000;
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
     }
 
@@ -2712,78 +2187,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_gates_the_scheduler_against_the_static_split() {
-        let baseline = sample_results();
-        // Losing to the static split beyond the noise margin is fatal on
-        // any machine.
-        let mut current = sample_results();
-        current.scheduler[0].speedup = 0.7;
-        current.os = "macos".to_string();
-        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert!(regressions
-            .iter()
-            .any(|r| r.fatal && r.detail.contains("lost to the static split")));
-        // A same-OS ratio regression above the floor gates like the other
-        // timing kernels.
-        let mut current = sample_results();
-        current.scheduler[0].speedup = 0.9; // > 25% below 1.2, above 0.8
-        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].fatal && regressions[0].subject.contains("scheduler"));
-        // Cross-OS: drift, not failure.
-        current.os = "macos".to_string();
-        assert!(compare(&baseline, &current, 0.25, 8.0, false)
-            .iter()
-            .all(|r| !r.fatal));
-        // Missing kernel is fatal; within tolerance is clean.
-        let mut current = sample_results();
-        current.scheduler.clear();
-        assert!(compare(&baseline, &current, 0.25, 8.0, false)
-            .iter()
-            .any(|r| r.fatal && r.detail.contains("scheduler kernel missing")));
-        let mut current = sample_results();
-        current.scheduler[0].speedup = 1.1;
-        assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
-    }
-
-    #[test]
-    fn compare_gates_scope_speedups_and_engine_agreement() {
-        let baseline = sample_results();
-        // A ratio regression beyond tolerance is fatal on the same OS.
-        let mut current = sample_results();
-        current.scope[0].speedup = 12.0; // > 25% below 20x, above the 5x floor
-        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].fatal && regressions[0].subject.contains("scope"));
-        // Cross-OS: the ratio miss downgrades to drift...
-        current.os = "macos".to_string();
-        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert!(regressions.iter().all(|r| !r.fatal));
-        // ...but the absolute acceptance floor stays fatal everywhere.
-        current.scope[0].speedup = 4.0;
-        assert!(compare(&baseline, &current, 0.25, 8.0, false)
-            .iter()
-            .any(|r| r.fatal && r.detail.contains("acceptance floor")));
-
-        // The engines disagreeing is a correctness regression, not noise.
-        let mut current = sample_results();
-        current.scope[0].matches = false;
-        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].fatal && regressions[0].detail.contains("same key guess"));
-
-        // A missing record is fatal; within tolerance is clean.
-        let mut current = sample_results();
-        current.scope.clear();
-        assert!(compare(&baseline, &current, 0.25, 8.0, false)
-            .iter()
-            .any(|r| r.fatal && r.detail.contains("SCOPE kernel missing")));
-        let mut current = sample_results();
-        current.scope[0].speedup = 18.0;
-        assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
-    }
-
-    #[test]
     fn compare_gates_cnf_reductions() {
         let baseline = sample_results();
         let mut current = sample_results();
@@ -2825,24 +2228,37 @@ mod tests {
     }
 
     #[test]
-    fn compare_gates_fraig_speedups_like_kernels() {
+    fn compare_gates_fraig_counters() {
         let baseline = sample_results();
+        // More SAT calls beyond tolerance is fatal on any host: the counts
+        // are exact for the fixed seed.
         let mut current = sample_results();
-        current.fraig[0].speedup = 2.0; // > 25% below 3.0x
-        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert!(regressions
-            .iter()
-            .any(|r| r.fatal && r.subject.contains("fraig")));
-        // Cross-OS: drift, not failure.
+        current.fraig[0].sat_calls = 151; // ceiling 150 at 25% over 120
         current.os = "macos".to_string();
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
-        assert!(regressions
-            .iter()
-            .any(|r| !r.fatal && r.subject.contains("fraig")));
-        // Within tolerance: clean.
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].fatal && regressions[0].detail.contains("SAT calls"));
+        // So is losing proved merges beyond tolerance.
         let mut current = sample_results();
-        current.fraig[0].speedup = 2.7;
+        current.fraig[0].proved_merges = 59; // floor 60 at 25% under 80
+        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].fatal && regressions[0].detail.contains("proved merges"));
+        // The wall-clock is not gated; counters at the bounds, or better,
+        // are clean.
+        let mut current = sample_results();
+        current.fraig[0].fraig_ms = 10_000.0;
+        current.fraig[0].sat_calls = 150;
+        current.fraig[0].proved_merges = 60;
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
+        current.fraig[0].sat_calls = 10;
+        current.fraig[0].proved_merges = 500;
+        assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
+        // A missing record is fatal.
+        current.fraig.clear();
+        assert!(compare(&baseline, &current, 0.25, 8.0, false)
+            .iter()
+            .any(|r| r.fatal && r.detail.contains("fraig kernel missing")));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub use campaign::{
 };
 pub use emit::{
     AttackRecord, BenchResults, DipAigRecord, FraigParRecord, KernelRecord, PortfolioRecord,
-    Regression, RewriteRecord, SchedulerRecord, ScopeRecord,
+    Regression, RewriteRecord,
 };
 pub use experiments::{
     run_attack_matrix, run_attack_matrix_observed, run_corruption_study, run_fig6, run_table1,

@@ -340,7 +340,6 @@ impl KrattAttack {
     ) -> Result<KrattReport, KrattError> {
         let scope = ScopeAttack {
             margin: self.config.scope_margin,
-            ..ScopeAttack::new()
         };
         let scope_start = Instant::now();
         let (guess, path) = if unit_class.is_restore_unit() {

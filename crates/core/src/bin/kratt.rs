@@ -24,7 +24,7 @@ use kratt::og::{recover_protected_patterns, StructuralAnalysisConfig};
 use kratt::reconstruct::reconstruct_original_from_patterns;
 use kratt::removal::remove_locking_unit;
 use kratt_attacks::campaign::equivalent_to;
-use kratt_attacks::{AttackOutcome, AttackRequest, Budget, CampaignHost, DipEngineKind, Oracle};
+use kratt_attacks::{AttackOutcome, AttackRequest, Budget, CampaignHost, Oracle};
 use kratt_dataflow::ternary::cofactors;
 use kratt_dataflow::{
     lit_value, propagate, KeySupport, ObservabilityAnalysis, ProbabilityAnalysis, Ternary,
@@ -43,7 +43,6 @@ struct CliOptions {
     locked: Option<PathBuf>,
     oracle: Option<PathBuf>,
     attack: String,
-    engine: Option<String>,
     portfolio_members: Option<String>,
     scheme: Option<String>,
     campaign: Option<String>,
@@ -66,7 +65,6 @@ impl Default for CliOptions {
             locked: None,
             oracle: None,
             attack: "kratt".to_string(),
-            engine: None,
             portfolio_members: None,
             scheme: None,
             campaign: None,
@@ -111,10 +109,6 @@ OPTIONS:
     --attack <NAME>        attack to run, resolved through the registry: kratt (default),
                            sat, double-dip, appsat, fall, removal, scope, portfolio
                            (race several engines, first SAT-verified exact key wins)
-    --engine <gate|aig>    DIP-engine of the SAT-family attacks (sat, double-dip, appsat):
-                           aig (default) encodes the CEGAR miter through the shared
-                           structurally-hashed AIG, gate keeps the legacy dual gate-level
-                           encode for A/B comparison (sets KRATT_DIP_ENGINE)
     --portfolio-members <LIST>
                            comma-separated member engines of --attack portfolio
                            (default kratt,sat,appsat; sets KRATT_PORTFOLIO_MEMBERS)
@@ -165,15 +159,6 @@ where
                 options.attack = iter
                     .next()
                     .ok_or("--attack expects a registry name".to_string())?;
-            }
-            "--engine" => {
-                let value = iter
-                    .next()
-                    .ok_or("--engine expects gate or aig".to_string())?;
-                if DipEngineKind::parse(&value).is_none() {
-                    return Err(format!("--engine expects gate or aig, got `{value}`"));
-                }
-                options.engine = Some(value);
             }
             "--portfolio-members" => {
                 let value = iter
@@ -861,14 +846,11 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    // SAT-family attacks pick the DIP engine up from the environment at
+    // The portfolio picks its member list up from the environment at
     // construction time, so one flag covers direct runs and campaigns alike.
-    if let Some(engine) = &options.engine {
-        std::env::set_var("KRATT_DIP_ENGINE", engine);
-    }
-    // Same pattern for the portfolio member list — but validated here,
-    // because the registry constructs the portfolio eagerly and an unknown
-    // member would otherwise surface as a panic instead of a usage error.
+    // It is validated here, because the registry constructs the portfolio
+    // eagerly and an unknown member would otherwise surface as a panic
+    // instead of a usage error.
     if let Some(members) = &options.portfolio_members {
         let registry = kratt::attack_registry();
         for name in kratt_attacks::portfolio::parse_member_spec(members) {
@@ -942,21 +924,7 @@ mod tests {
     fn attack_defaults_to_kratt() {
         let options = parse_args(["--locked", "l.bench"]).unwrap();
         assert_eq!(options.attack, "kratt");
-        assert_eq!(options.engine, None);
         assert!(!options.json);
-    }
-
-    #[test]
-    fn engine_flag_parses_and_validates() {
-        for engine in ["gate", "aig"] {
-            let options = parse_args(["--locked", "l.bench", "--engine", engine]).unwrap();
-            assert_eq!(options.engine.as_deref(), Some(engine));
-            assert!(DipEngineKind::parse(engine).is_some());
-        }
-        let message = parse_args(["--locked", "l.bench", "--engine", "cnf"]).unwrap_err();
-        assert!(message.contains("gate or aig"), "{message}");
-        assert!(parse_args(["--locked", "l.bench", "--engine"]).is_err());
-        assert!(USAGE.contains("--engine"), "usage must document --engine");
     }
 
     #[test]
@@ -974,6 +942,7 @@ mod tests {
     #[test]
     fn unknown_flags_and_bad_numbers_are_rejected() {
         assert!(parse_args(["--locked", "l.bench", "--frobnicate"]).is_err());
+        assert!(parse_args(["--locked", "l.bench", "--engine", "aig"]).is_err());
         assert!(parse_args(["--locked", "l.bench", "--time-limit", "soon"]).is_err());
         assert!(parse_args(["--locked", "l.bench", "--attack"]).is_err());
         assert!(parse_args(["--locked"]).is_err());

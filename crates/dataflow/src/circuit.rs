@@ -4,8 +4,8 @@
 //! structural hashing. The results therefore carry exactly *gate-level*
 //! precision: what a per-gate constant propagation sees, nothing more.
 //! That is a feature where the consumer models a gate-level tool — the
-//! AIG-side SCOPE rewrite replays the legacy resynthesis engine's
-//! decisions off these values.
+//! SCOPE kernel replays `set_inputs_constant`'s rebuild decisions off these
+//! values.
 
 use crate::domain::ForwardDomain;
 use kratt_netlist::analysis::topological_order;

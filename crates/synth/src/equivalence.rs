@@ -19,17 +19,17 @@
 //!    over the now heavily-merged instance; only queries the budget leaves
 //!    undecided fall back to one monolithic full-miter solve.
 //!
-//! The legacy per-gate encoding path is kept as
-//! [`check_equivalence_gate_level`]: it is the baseline the bench suite's
-//! `cnf_miter`/`fraig_eqv` kernels compare against.
+//! Every entry point runs this pipeline; there is no second checker. The
+//! sweep's worker count comes from [`FRAIG_WORKERS_ENV`] unless the caller
+//! passes one to [`check_equivalence_with_stats_workers`].
 
 use crate::SynthError;
 use kratt_netlist::aig::{Aig, AigLit};
 use kratt_netlist::Circuit;
-use kratt_sat::{AigEncoding, Encoder, Lit, SatResult, Solver, SolverConfig, Var};
+use kratt_sat::{AigEncoding, Encoder, Lit, SatResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -106,8 +106,13 @@ pub const FRAIG_WORKERS_ENV: &str = "KRATT_FRAIG_WORKERS";
 
 /// The sweep worker count selected by [`FRAIG_WORKERS_ENV`], default 1.
 pub fn fraig_workers_from_env() -> usize {
-    std::env::var(FRAIG_WORKERS_ENV)
-        .ok()
+    parse_fraig_workers(std::env::var(FRAIG_WORKERS_ENV).ok().as_deref())
+}
+
+/// The worker count a [`FRAIG_WORKERS_ENV`] value selects: a positive
+/// integer, anything else (unset, zero, garbage) meaning 1.
+fn parse_fraig_workers(value: Option<&str>) -> usize {
+    value
         .and_then(|v| v.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
@@ -137,8 +142,7 @@ pub fn check_equivalence(a: &Circuit, b: &Circuit) -> Result<EquivalenceResult, 
 /// every SAT query). `conflict_limit` is a **per-query** cap, not a total:
 /// the fraig pipeline issues one query per candidate merge and per output
 /// pair, so total conflicts can reach `conflict_limit × queries` — pass a
-/// `time_limit` when the overall budget matters. (The legacy single-solve
-/// semantics live on in [`check_equivalence_gate_level`].)
+/// `time_limit` when the overall budget matters.
 ///
 /// # Errors
 ///
@@ -405,59 +409,6 @@ pub fn check_equivalence_with_stats_workers(
     }
 }
 
-/// The legacy monolithic check over the per-gate Tseitin encoding: both
-/// circuits encoded gate by gate, one miter, one solve. Kept as the baseline
-/// that the fraig pipeline and the bench-regression CNF kernels are measured
-/// against.
-///
-/// # Errors
-///
-/// Returns [`SynthError::InterfaceMismatch`] if the output counts differ.
-pub fn check_equivalence_gate_level(
-    a: &Circuit,
-    b: &Circuit,
-    conflict_limit: Option<u64>,
-    time_limit: Option<Duration>,
-) -> Result<EquivalenceResult, SynthError> {
-    check_interfaces(a, b)?;
-    let mut solver = Solver::with_config(SolverConfig {
-        conflict_limit,
-        time_limit,
-        ..Default::default()
-    });
-    let encoder = Encoder::new();
-    let enc_a = encoder.encode(&mut solver, a, &HashMap::new());
-    let shared: HashMap<String, Var> = enc_a.inputs().iter().cloned().collect();
-    let enc_b = encoder.encode(&mut solver, b, &shared);
-    let miter = encoder.miter(&mut solver, &enc_a, &enc_b);
-    solver.add_clause([Lit::positive(miter)]);
-    match solver.solve() {
-        SatResult::Unsat => Ok(EquivalenceResult::Equivalent),
-        SatResult::Unknown => Ok(EquivalenceResult::Unknown),
-        SatResult::Sat(model) => {
-            // Collect a counterexample over the union of both input sets.
-            let mut names: BTreeSet<String> = BTreeSet::new();
-            let value_of = |name: &str| -> Option<bool> {
-                enc_a
-                    .input_var(name)
-                    .or_else(|| enc_b.input_var(name))
-                    .map(|var| model.value(var))
-            };
-            for &pi in a.inputs() {
-                names.insert(a.net_name(pi).to_string());
-            }
-            for &pi in b.inputs() {
-                names.insert(b.net_name(pi).to_string());
-            }
-            let counterexample = names
-                .into_iter()
-                .filter_map(|name| value_of(&name).map(|v| (name, v)))
-                .collect();
-            Ok(EquivalenceResult::NotEquivalent(counterexample))
-        }
-    }
-}
-
 fn check_interfaces(a: &Circuit, b: &Circuit) -> Result<(), SynthError> {
     if a.num_outputs() != b.num_outputs() {
         return Err(SynthError::InterfaceMismatch(format!(
@@ -715,10 +666,6 @@ mod tests {
             check_equivalence(&xor_direct(), &two_outputs),
             Err(SynthError::InterfaceMismatch(_))
         ));
-        assert!(matches!(
-            check_equivalence_gate_level(&xor_direct(), &two_outputs, None, None),
-            Err(SynthError::InterfaceMismatch(_))
-        ));
     }
 
     #[test]
@@ -741,17 +688,22 @@ mod tests {
 
     #[test]
     fn gate_level_baseline_agrees_with_the_fraig_pipeline() {
-        let result = check_equivalence_gate_level(&xor_direct(), &xor_nand_only(), None, None);
-        assert!(result.unwrap().is_equivalent());
-        let mut c = Circuit::new("and2");
-        let a = c.add_input("a").unwrap();
-        let b = c.add_input("b").unwrap();
-        let o = c.add_gate(GateType::And, "o", &[a, b]).unwrap();
-        c.mark_output(o);
-        assert!(matches!(
-            check_equivalence_gate_level(&xor_direct(), &c, None, None).unwrap(),
-            EquivalenceResult::NotEquivalent(_)
-        ));
+        // The baseline is exhaustive gate-level simulation of both circuits.
+        let mut and2 = Circuit::new("and2");
+        let a = and2.add_input("a").unwrap();
+        let b = and2.add_input("b").unwrap();
+        let o = and2.add_gate(GateType::And, "o", &[a, b]).unwrap();
+        and2.mark_output(o);
+        for other in [xor_nand_only(), and2] {
+            let simulated =
+                kratt_netlist::sim::exhaustively_equivalent(&xor_direct(), &other).unwrap();
+            let proved = check_equivalence(&xor_direct(), &other).unwrap();
+            assert_eq!(proved.is_equivalent(), simulated, "{}", other.name());
+            assert_eq!(
+                matches!(proved, EquivalenceResult::NotEquivalent(_)),
+                !simulated
+            );
+        }
     }
 
     #[test]
@@ -815,15 +767,16 @@ mod tests {
 
     #[test]
     fn worker_env_knob_selects_the_sweep_width() {
-        // Untouched environment: the sequential sweep.
-        assert_eq!(fraig_workers_from_env(), 1);
-        std::env::set_var(FRAIG_WORKERS_ENV, "4");
-        assert_eq!(fraig_workers_from_env(), 4);
-        std::env::set_var(FRAIG_WORKERS_ENV, "0");
-        assert_eq!(fraig_workers_from_env(), 1, "zero workers is nonsense");
-        std::env::set_var(FRAIG_WORKERS_ENV, "many");
-        assert_eq!(fraig_workers_from_env(), 1);
-        std::env::remove_var(FRAIG_WORKERS_ENV);
+        // Unset: the sequential sweep.
+        assert_eq!(parse_fraig_workers(None), 1);
+        assert_eq!(parse_fraig_workers(Some("4")), 4);
+        assert_eq!(
+            parse_fraig_workers(Some("0")),
+            1,
+            "zero workers is nonsense"
+        );
+        assert_eq!(parse_fraig_workers(Some("many")), 1);
+        assert_eq!(parse_fraig_workers(Some("")), 1);
     }
 
     #[test]

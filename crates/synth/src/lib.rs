@@ -45,9 +45,9 @@ pub mod resynth;
 
 pub use aig::{Aig, AigLit};
 pub use equivalence::{
-    check_equivalence, check_equivalence_gate_level, check_equivalence_with_budget,
-    check_equivalence_with_stats, check_equivalence_with_stats_workers, fraig_workers_from_env,
-    EquivalenceResult, FraigStats, FRAIG_WORKERS_ENV,
+    check_equivalence, check_equivalence_with_budget, check_equivalence_with_stats,
+    check_equivalence_with_stats_workers, fraig_workers_from_env, EquivalenceResult, FraigStats,
+    FRAIG_WORKERS_ENV,
 };
 pub use error::SynthError;
 pub use passes::{map_to_cell_library, sat_sweep, CellLibrary, SatSweepOptions};

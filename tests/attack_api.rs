@@ -67,7 +67,7 @@ fn assert_success(
                 "{attack}: recovered circuit differs from the original"
             );
         }
-        "scope" | "scope-resynth" => {
+        "scope" => {
             let guess = run
                 .outcome
                 .as_guess(&kratt_attacks::key_input_names(&locked.circuit));
