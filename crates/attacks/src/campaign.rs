@@ -18,7 +18,7 @@
 //!
 //! The campaign is a *resumable service*, not a one-shot batch function:
 //!
-//! * An optional [`CampaignJournal`](crate::journal::CampaignJournal)
+//! * An optional [`CampaignJournal`]
 //!   (installed via [`CampaignBuilder::journal`]) persists every committed
 //!   verdict as a fingerprint-keyed JSON line. Re-running against the same
 //!   journal replays recorded cells and schedules only the unrecorded ones,
@@ -1202,7 +1202,7 @@ const SAT_VERIFY_LIMIT: Duration = Duration::from_secs(60);
 /// The campaign's equivalence kernel, and it must be *complete*: the preset
 /// schemes are point functions whose wrong keys corrupt as little as one
 /// pattern in 2^157, which no random sample would ever hit. Small
-/// interfaces (≤ [`EXHAUSTIVE_INPUT_LIMIT`] inputs) are compared
+/// interfaces (≤ 20 inputs) are compared
 /// exhaustively with packed 64-lane sweeps; larger hosts run a seeded
 /// random-sweep prefilter (cheap refutation of grossly wrong claims) and
 /// then `kratt-synth`'s fraig pipeline for the proof: both circuits share

@@ -14,7 +14,7 @@
 //!   same wall-clock limit cooperatively instead of restarting its own
 //!   timer per solver call.
 //! * [`AttackRequest`] bundles the three inputs; the unified
-//!   [`AttackRun`](crate::report::AttackRun) result covers the outcomes of
+//!   [`AttackRun`] result covers the outcomes of
 //!   all attacks (exact key, partial guess, recovered circuit, out of
 //!   budget) plus shared telemetry.
 

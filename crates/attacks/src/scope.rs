@@ -10,7 +10,7 @@
 //! corruption logic, which is exactly the asymmetry SCOPE keys on).
 //!
 //! The per-bit feature vectors come from two ternary cofactor analyses per
-//! bit over a shared [`ScopePlan`](crate::scope_replay::ScopePlan), which
+//! bit over a shared [`ScopePlan`], which
 //! replays the resynthesis decisions virtually — no circuit is ever built.
 //! The features equal those of a full [`set_inputs_constant`] rebuild and
 //! stats pass by construction (see [`crate::scope_replay`]).

@@ -381,7 +381,7 @@ pub fn measure_cnf_kernels() -> Vec<CnfRecord> {
 const FRAIG_KERNEL_SCALE: f64 = 0.25;
 
 /// Measures the tracked fraig-equivalence kernels: proving each ISCAS host
-/// (at [`FRAIG_KERNEL_SCALE`]) equivalent to its resynthesised variant,
+/// (gate budget scaled to 0.25) equivalent to its resynthesised variant,
 /// best-of-3 on the wall-clock. The check must return `Equivalent` for the
 /// record to count.
 pub fn measure_fraig_kernels() -> Vec<FraigRecord> {
@@ -434,7 +434,7 @@ const DIP_KERNEL_SCALE: f64 = 0.25;
 const DIP_KERNEL_KEY_BITS: usize = 16;
 
 /// Measures the tracked DIP-engine kernels: the CEGAR miter of a
-/// random-XOR-locked ISCAS host (at [`DIP_KERNEL_SCALE`]) with its exact
+/// random-XOR-locked ISCAS host (gate budget scaled to 0.25) with its exact
 /// solver footprint straight from `DipEngine` construction, plus the full
 /// key-recovery loop timed best-of-3 for the iterations-per-second
 /// telemetry.

@@ -12,8 +12,10 @@
 //!    associate every protected primary input with its key input(s).
 //! 2. [`qbf_attack`] — *QBF*: solve `∃K ∀PPI unit(PPI, K) = const` with the
 //!    CEGAR 2QBF engine; a witness is the secret key of an SFLT.
-//! 3. [`classify`] — check with SAT whether the unit is a (complemented)
-//!    PPI↔key comparator, i.e. the restore unit of a DFLT.
+//! 3. [`classify`] — decide whether the unit is a (complemented) PPI↔key
+//!    comparator, i.e. the restore unit of a DFLT: packed simulation
+//!    refutes, a BDD comparison decides, and SAT runs only past the BDD's
+//!    node budget.
 //! 4. [`extraction`] — *logic extraction*: the locked subcircuit spanned by
 //!    the primary outputs the critical signal reaches.
 //! 5. [`ol`] — OL path: *circuit modification* plus the SCOPE attack on the

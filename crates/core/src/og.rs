@@ -480,11 +480,11 @@ fn justify_cones(
 }
 
 /// SplitMix64 (Steele, Lea & Flood): the word stream of the justification
-/// sweep.
-struct SplitMix64(u64);
+/// sweep and of the classification's simulation stage.
+pub(crate) struct SplitMix64(pub(crate) u64);
 
 impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

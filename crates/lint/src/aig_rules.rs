@@ -1,5 +1,6 @@
-//! AIG invariant rules: the structural contract of the shared [`Aig`] core
-//! IR, surfaced as diagnostics instead of debug assertions.
+//! AIG invariant rules: the structural contract of the shared
+//! [`Aig`](kratt_netlist::Aig) core IR, surfaced as diagnostics instead of
+//! debug assertions.
 
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rule::{LintContext, Rule};

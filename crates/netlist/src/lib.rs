@@ -6,8 +6,8 @@
 //!   inputs/outputs and a key-input naming convention (`keyinput*`), mirroring
 //!   how locked ISCAS'85 / ITC'99 benchmarks are distributed.
 //! * [`GateType`] — the Boolean gate library used by the ISCAS `.bench` format.
-//! * `.bench` parsing and writing ([`bench`]) and structural gate-level
-//!   Verilog parsing and writing ([`verilog`]).
+//! * `.bench` parsing and writing ([`bench`](mod@bench)) and structural
+//!   gate-level Verilog parsing and writing ([`verilog`]).
 //! * Single-pattern and 64-way bit-parallel simulation ([`sim`]).
 //! * The structurally-hashed And-Inverter-Graph core IR ([`aig`]):
 //!   complemented edges, constant folding, `Circuit ↔ Aig` lowering/raising

@@ -4,7 +4,7 @@
 //! 4-feasible cuts, computes each cut's 16-bit truth table, canonises it
 //! under NPN equivalence (input permutation, input complementation, output
 //! complementation) and looks the canonical class up in a precomputed
-//! library of minimum-cost subgraphs ([`crate::rewrite_table`]). A
+//! library of minimum-cost subgraphs (the private `rewrite_table`). A
 //! replacement is accepted greedily when the library subgraph is smaller
 //! than the node's maximum fanout-free cone over the cut — the nodes that
 //! would actually be freed — so a pass never grows the network. The result

@@ -244,6 +244,9 @@ impl BddManager {
     /// Builds the BDD of one circuit output given a mapping from primary
     /// inputs to BDD variable indices.
     ///
+    /// A net without a variable that no gate drives reads as constant 0, so
+    /// every primary input the output depends on must be in `var_of_input`.
+    ///
     /// # Errors
     ///
     /// Returns [`NodeLimitExceeded`] if the intermediate BDDs outgrow the

@@ -1,14 +1,17 @@
 //! End-to-end integration tests: lock → resynthesise → attack, across crates.
 
+use kratt::classify::{classify_unit, UnitClass};
 use kratt::extraction::extract_locked_subcircuit;
 use kratt::og::{structural_analysis, StructuralAnalysisConfig, StructuralOutcome};
 use kratt::removal::remove_locking_unit;
-use kratt::{KrattAttack, ThreatOutcome};
+use kratt::{KrattAttack, RemovalArtifacts, ThreatOutcome};
 use kratt_attacks::{score_guess, Oracle};
 use kratt_benchmarks::arith::{array_multiplier, ripple_carry_adder};
+use kratt_benchmarks::{IscasCircuit, ItcCircuit};
 use kratt_locking::{
     AntiSat, Cac, CasLock, GenAntiSat, LockingTechnique, SarLock, SecretKey, SfllHd, TtLock,
 };
+use kratt_netlist::{Circuit, GateType};
 use kratt_synth::{check_equivalence, resynthesize, Effort, ResynthesisOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -180,16 +183,7 @@ fn structural_analysis_recovers_resynthesised_c6288_dflt_secrets() {
         vec![Box::new(TtLock::new(32)), Box::new(Cac::new(32))];
     for technique in techniques {
         let secret = SecretKey::random(&mut rng, 32);
-        let locked = technique.lock(&host, &secret).unwrap();
-        let seed = secret
-            .bits()
-            .iter()
-            .fold(0x5eedu64, |acc, &bit| acc << 1 ^ acc >> 61 ^ u64::from(bit));
-        let variant = resynthesize(
-            &locked.circuit,
-            &ResynthesisOptions::with_seed(seed).effort(Effort::Medium),
-        )
-        .unwrap();
+        let variant = preset_resynthesis(&technique.lock(&host, &secret).unwrap().circuit, &secret);
         let artifacts = remove_locking_unit(&variant).unwrap();
         let subcircuit = extract_locked_subcircuit(&artifacts).unwrap();
         let outcome = structural_analysis(
@@ -210,4 +204,99 @@ fn structural_analysis_recovers_resynthesised_c6288_dflt_secrets() {
             technique.kind()
         );
     }
+}
+
+/// Resynthesises a locked netlist at medium effort, seeded from the planted
+/// secret as the campaign presets do.
+fn preset_resynthesis(locked: &Circuit, secret: &SecretKey) -> Circuit {
+    let seed = secret
+        .bits()
+        .iter()
+        .fold(0x5eedu64, |acc, &bit| acc << 1 ^ acc >> 61 ^ u64::from(bit));
+    resynthesize(
+        locked,
+        &ResynthesisOptions::with_seed(seed).effort(Effort::Medium),
+    )
+    .unwrap()
+}
+
+/// The comparator `AND_i (p_i XNOR k_i)` over the unit's association (one
+/// key per protected input), or its complement, built here rather than by
+/// the classifier.
+fn reference_comparator(artifacts: &RemovalArtifacts, complemented: bool) -> Circuit {
+    let mut reference = Circuit::new("reference");
+    let mut terms = Vec::new();
+    for (ppi, keys) in &artifacts.associations {
+        let p = reference.add_input(ppi.clone()).unwrap();
+        let k = reference.add_input(keys[0].clone()).unwrap();
+        terms.push(
+            reference
+                .add_gate_auto(GateType::Xnor, "eq", &[p, k])
+                .unwrap(),
+        );
+    }
+    let gate = if complemented {
+        GateType::Nand
+    } else {
+        GateType::And
+    };
+    let output = reference.add_gate_auto(gate, "match", &terms).unwrap();
+    reference.mark_output(output);
+    reference
+}
+
+/// Unit classification against the campaign's verification kernel: lock
+/// scaled Table-I hosts at each key width (c6288 at 32, c2670 at 64, b14_C
+/// at 128) with TTLock and CAC, plus SFLL-HD at k = 32 and h = 1, resynthesise
+/// as the presets do, and require `classify_unit` to return `Comparator` or
+/// `ComplementComparator` exactly when `check_equivalence` proves the unit
+/// equal to the comparator or to its complement.
+#[test]
+fn unit_classification_matches_check_equivalence_on_resynthesised_hosts() {
+    let hosts = [
+        (IscasCircuit::C6288.generate_scaled(0.05), 32),
+        (IscasCircuit::C2670.generate_scaled(0.05), 64),
+        (ItcCircuit::B14C.generate_scaled(0.05), 128),
+    ];
+    let mut rng = StdRng::seed_from_u64(2311);
+    let mut restore_units = 0;
+    for (host, key_bits) in &hosts {
+        let techniques: Vec<Box<dyn LockingTechnique>> = vec![
+            Box::new(TtLock::new(*key_bits)),
+            Box::new(Cac::new(*key_bits)),
+            Box::new(SfllHd::new(32, 1)),
+        ];
+        for technique in techniques {
+            let secret = SecretKey::random(&mut rng, technique.key_bits());
+            let variant =
+                preset_resynthesis(&technique.lock(host, &secret).unwrap().circuit, &secret);
+            let artifacts = remove_locking_unit(&variant).unwrap();
+            let proves = |complemented: bool| {
+                check_equivalence(
+                    &artifacts.unit,
+                    &reference_comparator(&artifacts, complemented),
+                )
+                .unwrap()
+                .is_equivalent()
+            };
+            let expected = if proves(false) {
+                UnitClass::Comparator
+            } else if proves(true) {
+                UnitClass::ComplementComparator
+            } else {
+                UnitClass::Other
+            };
+            assert_eq!(
+                classify_unit(&artifacts).unwrap(),
+                expected,
+                "{} on {}",
+                technique.kind(),
+                host.name()
+            );
+            restore_units += usize::from(expected.is_restore_unit());
+        }
+    }
+    // The kernel finds the six TTLock/CAC restore units and rejects the
+    // SFLL-HD ones, so the parity above covers both outcomes.
+    assert_eq!(restore_units, 6);
 }
