@@ -211,62 +211,6 @@ impl MatrixRow {
     pub fn run(&self) -> Option<&AttackRun> {
         self.result.as_ref().ok()
     }
-
-    /// Renders the row as one flat JSON-lines record (the matrix `--stream`
-    /// row format, mirroring the campaign's cell records).
-    pub fn to_json_line(&self) -> String {
-        use crate::report::{json_key, json_str};
-        let mut out = String::with_capacity(192);
-        out.push('{');
-        json_str(&mut out, "type", "row");
-        out.push(',');
-        json_str(&mut out, "case", &self.case);
-        out.push(',');
-        json_str(&mut out, "attack", &self.attack);
-        out.push(',');
-        match &self.result {
-            Ok(run) => {
-                json_str(&mut out, "outcome", run.outcome.kind());
-                out.push_str(&format!(
-                    ",\"runtime_secs\":{:.6},\"iterations\":{},\"oracle_queries\":{}",
-                    run.runtime.as_secs_f64(),
-                    run.iterations,
-                    run.oracle_queries
-                ));
-            }
-            Err(error) => {
-                json_key(&mut out, "outcome");
-                out.push_str("null,");
-                json_str(&mut out, "error", &error.to_string());
-            }
-        }
-        out.push_str(&format!(
-            ",\"worker\":{},\"queue_wait_secs\":{:.6},\"stolen\":{}",
-            self.telemetry.worker,
-            self.telemetry.queue_wait.as_secs_f64(),
-            self.telemetry.stolen
-        ));
-        out.push('}');
-        out
-    }
-}
-
-impl SchedulerStats {
-    /// Renders the aggregate stats as the final `--stream` summary record.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push('{');
-        crate::report::json_str(&mut out, "type", "summary");
-        out.push_str(&format!(
-            ",\"jobs\":{},\"workers\":{},\"steals\":{},\"interrupted\":{},\"makespan_secs\":{:.6}}}",
-            self.jobs,
-            self.workers,
-            self.steals,
-            self.interrupted,
-            self.makespan.as_secs_f64()
-        ));
-        out
-    }
 }
 
 /// The per-row streaming/journaling hook of [`ScheduleOptions`].

@@ -2,8 +2,12 @@
 //! the SAT and 2QBF engines, locking insertion, resynthesis, the SCOPE
 //! analysis and the two KRATT paths. These are the per-operation timings
 //! underlying the tables regenerated by the `table*`/`fig6` binaries.
+//! Each body asserts its result (KRATT recovers the planted TTLock key,
+//! the SAT attack breaks random XOR locking, ...), so
+//! `CRITERION_SMOKE=1 cargo bench -p kratt-bench --bench kernels`, which
+//! runs every body once, doubles as a smoke test.
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use kratt::KrattAttack;
 use kratt_attacks::{Attack, AttackBudget, AttackRequest, Budget, Oracle, SatAttack, ScopeAttack};
 use kratt_benchmarks::arith::array_multiplier;
@@ -184,9 +188,9 @@ fn bench_sat_attack_on_rll(c: &mut Criterion) {
 }
 
 /// The packed 64-lane simulation sweep against 64 scalar evaluations on an
-/// ISCAS host — the kernel the `bench-regression` CI gate tracks (the gate
-/// itself uses the `kratt_bench::emit` measurements; this group exposes the
-/// same two paths to `cargo bench` eyeballs).
+/// ISCAS host: the speedup the packed simulator buys, for `cargo bench`
+/// eyeballs. Its correctness is `prop_packed_evaluation_matches_scalar`'s
+/// business; its end-to-end effect shows in perfbench's `cells_per_s`.
 fn bench_packed_simulation(c: &mut Criterion) {
     let host = IscasCircuit::C5315.generate();
     let sim = Simulator::new(&host).expect("ISCAS hosts are acyclic");
@@ -221,41 +225,4 @@ criterion_group!(
     bench_kratt_oracle_guided,
     bench_sat_attack_on_rll
 );
-
-/// `criterion_main!` replacement: after the criterion benches, honour the
-/// `KRATT_BENCH_OUT=path.json` emitter contract shared with CI — run the
-/// tracked kernel + attack-matrix suite and write `BENCH_results.json`
-/// (scale/budget read from `KRATT_SCALE` / `KRATT_BUDGET_SECS`, attack set
-/// from `KRATT_ATTACKS`, default `kratt,sat`).
-fn main() {
-    // Fail a KRATT_ATTACKS typo in milliseconds, before the criterion run.
-    if std::env::var("KRATT_BENCH_OUT").is_ok() {
-        if let Err(e) =
-            kratt_bench::emit::validate_attacks(&kratt_bench::emit::tracked_attacks_from_env())
-        {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-    kernels();
-    if let Ok(path) = std::env::var("KRATT_BENCH_OUT") {
-        let options = kratt_bench::options_from_env();
-        let attacks = kratt_bench::emit::tracked_attacks_from_env();
-        eprintln!(
-            "emitting bench results for attacks {:?} (scale {:.2}, budget {:?}) ...",
-            attacks, options.scale, options.baseline_budget
-        );
-        match kratt_bench::emit::run_bench_suite(&attacks, &options) {
-            Ok(results) => {
-                results
-                    .write_to(std::path::Path::new(&path))
-                    .expect("writable KRATT_BENCH_OUT path");
-                eprintln!("wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
+criterion_main!(kernels);

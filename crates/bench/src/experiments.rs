@@ -4,8 +4,8 @@ use crate::campaign::run_campaign_preset;
 use crate::Table;
 use kratt::{KrattAttack, KrattConfig, ThreatOutcome};
 use kratt_attacks::{
-    key_input_names, score_guess, Attack, AttackBudget, AttackRequest, AttackRun, Budget, Harness,
-    KeyGuess, MatrixCase, Oracle, SatAttack, ScopeAttack, Verdict,
+    key_input_names, score_guess, Attack, AttackBudget, AttackRequest, AttackRun, Budget, KeyGuess,
+    Oracle, SatAttack, ScopeAttack, Verdict,
 };
 use kratt_benchmarks::hello_ctf::HelloCtfCircuit;
 use kratt_benchmarks::{table1_circuits, ItcCircuit};
@@ -220,72 +220,6 @@ pub fn run_table3(options: &ExperimentOptions) -> Table {
         ]);
     }
     table
-}
-
-/// The generic attacks × benchmarks sweep behind the `matrix` binary: every
-/// Table 1 circuit locked by the four table techniques, attacked by the
-/// given engines through the harness under the shared baseline budget.
-/// Returns the number of cases and the matrix rows (case-major).
-pub fn run_attack_matrix(
-    harness: &Harness,
-    attacks: &[Box<dyn kratt_attacks::Attack>],
-    options: &ExperimentOptions,
-) -> (usize, Vec<kratt_attacks::MatrixRow>) {
-    let (cases, budget) = matrix_cases(options);
-    let rows = harness.run_matrix(attacks, &cases, &budget);
-    (cases.len(), rows)
-}
-
-/// Like [`run_attack_matrix`], but through the work-stealing scheduler:
-/// `on_row` fires from the worker threads the moment each row finishes (the
-/// `--stream` hook), and the scheduler's aggregate telemetry comes back
-/// alongside the rows.
-pub fn run_attack_matrix_observed(
-    harness: &Harness,
-    attacks: &[Box<dyn kratt_attacks::Attack>],
-    options: &ExperimentOptions,
-    on_row: kratt_attacks::RowHook<'_>,
-) -> (
-    usize,
-    Vec<kratt_attacks::MatrixRow>,
-    kratt_attacks::SchedulerStats,
-) {
-    let (cases, budget) = matrix_cases(options);
-    let report = harness.run_matrix_scheduled(
-        attacks,
-        &cases[..],
-        &budget,
-        &kratt_attacks::ScheduleOptions {
-            on_row: Some(on_row),
-            ..Default::default()
-        },
-    );
-    // Without an include filter or global deadline every job executes, so
-    // every row slot is populated.
-    let rows = report.rows.into_iter().flatten().collect();
-    (cases.len(), rows, report.stats)
-}
-
-/// The shared attacks × benchmarks grid: every Table-I circuit locked by
-/// the four table techniques, oracle-guided, plus the per-cell budget.
-pub(crate) fn matrix_cases(options: &ExperimentOptions) -> (Vec<MatrixCase>, Budget) {
-    let budget = Budget {
-        time_limit: Some(options.baseline_budget),
-        max_iterations: 10_000,
-        ..Budget::default()
-    };
-    let mut cases: Vec<MatrixCase> = Vec::new();
-    for row in table1_circuits(options.scale) {
-        for (name, spec) in table_scheme_list(row.key_bits, 0x7ab1e4) {
-            let locked = lock_and_synthesise(&row.circuit, &spec);
-            cases.push(MatrixCase::oracle_guided(
-                format!("{}/{}", row.name, name),
-                locked.circuit,
-                row.circuit.clone(),
-            ));
-        }
-    }
-    (cases, budget)
 }
 
 /// Table IV: oracle-less attacks on ITC'99 circuits locked by Gen-Anti-SAT

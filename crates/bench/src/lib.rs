@@ -13,20 +13,15 @@
 //! exponential in the key length).
 
 pub mod campaign;
-pub mod emit;
 pub mod experiments;
 pub mod table;
 
 pub use campaign::{
     build_campaign, campaign_hosts, resynthesis_prepare, run_campaign_preset, CAMPAIGN_PRESETS,
 };
-pub use emit::{
-    AttackRecord, BenchResults, DipAigRecord, FraigParRecord, KernelRecord, PortfolioRecord,
-    Regression, RewriteRecord,
-};
 pub use experiments::{
-    run_attack_matrix, run_attack_matrix_observed, run_corruption_study, run_fig6, run_table1,
-    run_table2, run_table3, run_table4, run_table5, run_valkyrie_sweep, ExperimentOptions,
+    run_corruption_study, run_fig6, run_table1, run_table2, run_table3, run_table4, run_table5,
+    run_valkyrie_sweep, ExperimentOptions,
 };
 pub use table::Table;
 

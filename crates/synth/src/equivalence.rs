@@ -19,9 +19,7 @@
 //!    over the now heavily-merged instance; only queries the budget leaves
 //!    undecided fall back to one monolithic full-miter solve.
 //!
-//! Every entry point runs this pipeline; there is no second checker. The
-//! sweep's worker count comes from [`FRAIG_WORKERS_ENV`] unless the caller
-//! passes one to [`check_equivalence_with_stats_workers`].
+//! Every entry point runs this pipeline; there is no second checker.
 
 use crate::SynthError;
 use kratt_netlist::aig::{Aig, AigLit};
@@ -30,7 +28,6 @@ use kratt_sat::{AigEncoding, Encoder, Lit, SatResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Outcome of an equivalence check between two circuits.
@@ -69,9 +66,7 @@ pub struct FraigStats {
     /// Whether the monolithic full-miter fallback ran.
     pub fell_back_to_miter: bool,
     /// Wall-clock time of the fraig sweep stage alone (class partitioning
-    /// through the last merge/refutation, excluding the output miters) —
-    /// what the bench suite's `fraig_par` kernel compares across worker
-    /// counts.
+    /// through the last merge/refutation, excluding the output miters).
     pub sweep_time: Duration,
 }
 
@@ -98,24 +93,6 @@ fn merge_query_cap(conflict_limit: Option<u64>) -> u64 {
 /// complete (unbounded) solve even though its merge queries were capped.
 fn output_query_budget(conflict_limit: Option<u64>) -> Option<u64> {
     conflict_limit
-}
-
-/// Environment variable selecting the fraig sweep's worker-thread count
-/// (default 1: the sequential sweep).
-pub const FRAIG_WORKERS_ENV: &str = "KRATT_FRAIG_WORKERS";
-
-/// The sweep worker count selected by [`FRAIG_WORKERS_ENV`], default 1.
-pub fn fraig_workers_from_env() -> usize {
-    parse_fraig_workers(std::env::var(FRAIG_WORKERS_ENV).ok().as_deref())
-}
-
-/// The worker count a [`FRAIG_WORKERS_ENV`] value selects: a positive
-/// integer, anything else (unset, zero, garbage) meaning 1.
-fn parse_fraig_workers(value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// Random 64-lane sweeps used to build the candidate signatures.
@@ -157,8 +134,7 @@ pub fn check_equivalence_with_budget(
 }
 
 /// [`check_equivalence_with_budget`], additionally reporting how the fraig
-/// pipeline earned its verdict. The sweep runs on the worker count selected
-/// by [`FRAIG_WORKERS_ENV`] (default 1, the sequential sweep).
+/// pipeline earned its verdict.
 ///
 /// # Errors
 ///
@@ -168,38 +144,6 @@ pub fn check_equivalence_with_stats(
     b: &Circuit,
     conflict_limit: Option<u64>,
     time_limit: Option<Duration>,
-) -> Result<(EquivalenceResult, FraigStats), SynthError> {
-    check_equivalence_with_stats_workers(a, b, conflict_limit, time_limit, fraig_workers_from_env())
-}
-
-/// [`check_equivalence_with_stats`] with an explicit sweep worker count.
-///
-/// With `workers > 1` the candidate equivalence classes are dealt
-/// round-robin across `min(workers, classes)` threads. Every worker owns an
-/// incremental [`Solver`] holding the same CNF image of the shared AIG
-/// (`encode_aig` numbers variables deterministically, so literals are
-/// interchangeable across workers), proves or refutes its share of the
-/// candidates, and broadcasts every counterexample pattern it finds over a
-/// channel — each pattern re-simulates in every worker and refutes later
-/// candidates there before any SAT effort is spent on them. Proven
-/// equalities are asserted into the owning worker's solver as it sweeps and
-/// reconciled onto one solver afterwards, so the output-miter stage runs on
-/// a single, heavily-merged instance exactly as in the sequential sweep.
-///
-/// The verdict and the number of proved merges are independent of the
-/// worker count (merges are implied equalities — asserting one can never
-/// flip another query's answer); only the split between SAT refutations
-/// and simulation refutations varies with broadcast timing.
-///
-/// # Errors
-///
-/// Returns [`SynthError::InterfaceMismatch`] if the output counts differ.
-pub fn check_equivalence_with_stats_workers(
-    a: &Circuit,
-    b: &Circuit,
-    conflict_limit: Option<u64>,
-    time_limit: Option<Duration>,
-    workers: usize,
 ) -> Result<(EquivalenceResult, FraigStats), SynthError> {
     check_interfaces(a, b)?;
     let mut stats = FraigStats::default();
@@ -273,86 +217,9 @@ pub fn check_equivalence_with_stats_workers(
 
     // --- Fraig sweep: prove or refute each candidate against its rep. ------
     // Counterexample patterns accumulate and refute later candidates by
-    // simulation before any SAT effort is spent on them. With more than one
-    // worker, the classes are dealt round-robin across threads and every
-    // counterexample is broadcast so each worker's refutation signatures
-    // profit from all the others' SAT answers.
+    // simulation before any SAT effort is spent on them.
     let sweep_start = Instant::now();
-    let worker_count = workers.clamp(1, ordered.len().max(1));
-    let budget_hit = if worker_count <= 1 {
-        let shares: Vec<&Vec<(u32, bool)>> = ordered.iter().collect();
-        let outcome = sweep_classes(&aig, &mut solver, &encoding, &shares, deadline, &[], None);
-        stats.proved_merges = outcome.proved_merges;
-        stats.simulation_refutations = outcome.simulation_refutations;
-        stats.sat_calls += outcome.sat_calls;
-        outcome.budget_hit
-    } else {
-        let mut shares: Vec<Vec<&Vec<(u32, bool)>>> = vec![Vec::new(); worker_count];
-        for (index, members) in ordered.iter().enumerate() {
-            shares[index % worker_count].push(members);
-        }
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..worker_count)
-            .map(|_| mpsc::channel::<Vec<bool>>())
-            .unzip();
-        let aig_ref = &aig;
-        let outcomes: Vec<SweepOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shares
-                .iter()
-                .zip(rxs)
-                .enumerate()
-                .map(|(index, (share, inbox))| {
-                    let peers: Vec<mpsc::Sender<Vec<bool>>> = txs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(peer, _)| peer != index)
-                        .map(|(_, tx)| tx.clone())
-                        .collect();
-                    scope.spawn(move || {
-                        // Every worker encodes the same AIG into a fresh
-                        // solver: `encode_aig` numbers variables
-                        // deterministically, so literals (and proven
-                        // equalities) are interchangeable across workers.
-                        let mut worker_solver = Solver::with_config(SolverConfig {
-                            conflict_limit: Some(merge_query_cap(conflict_limit)),
-                            deadline,
-                            ..Default::default()
-                        });
-                        let worker_encoding =
-                            Encoder::new().encode_aig(&mut worker_solver, aig_ref, &HashMap::new());
-                        sweep_classes(
-                            aig_ref,
-                            &mut worker_solver,
-                            &worker_encoding,
-                            share,
-                            deadline,
-                            &peers,
-                            Some(&inbox),
-                        )
-                    })
-                })
-                .collect();
-            drop(txs);
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("fraig sweep worker panicked"))
-                .collect()
-        });
-        let mut hit = false;
-        for outcome in &outcomes {
-            stats.proved_merges += outcome.proved_merges;
-            stats.simulation_refutations += outcome.simulation_refutations;
-            stats.sat_calls += outcome.sat_calls;
-            hit |= outcome.budget_hit;
-            // Reconcile: every worker's equalities are asserted onto the one
-            // solver the output-miter stage runs on, so it is as heavily
-            // merged as a sequential sweep would have left it.
-            for &(lit_r, lit_n) in &outcome.equalities {
-                solver.add_clause([!lit_r, lit_n]);
-                solver.add_clause([lit_r, !lit_n]);
-            }
-        }
-        hit
-    };
+    let budget_hit = sweep_classes(&aig, &mut solver, &encoding, &ordered, deadline, &mut stats);
     stats.sweep_time = sweep_start.elapsed();
 
     // --- Output miters over the merged instance. ---------------------------
@@ -422,55 +289,25 @@ fn check_interfaces(a: &Circuit, b: &Circuit) -> Result<(), SynthError> {
     Ok(())
 }
 
-/// Result of one worker's share of the fraig sweep.
-struct SweepOutcome {
-    /// Literal pairs proven equal, already asserted into the worker's own
-    /// solver; the caller re-asserts them onto the reconciliation solver
-    /// the output-miter stage runs on.
-    equalities: Vec<(Lit, Lit)>,
-    /// Node pairs proved equal and merged.
-    proved_merges: usize,
-    /// Candidate pairs refuted by a counterexample pattern (the worker's
-    /// own or a broadcast one) before any SAT call was spent on them.
-    simulation_refutations: usize,
-    /// SAT merge queries issued.
-    sat_calls: usize,
-    /// Whether the wall-clock deadline ended the sweep early.
-    budget_hit: bool,
-}
-
-/// Sweeps one share of the candidate classes on one solver: each candidate
-/// is refuted by simulation where a counterexample pattern already
-/// distinguishes it from its class representative, and otherwise settled by
-/// a conflict-capped SAT merge query. Counterexamples found here are pushed
-/// to every `peers` channel; patterns arriving on `inbox` are folded into
-/// this worker's refutation signatures before each candidate.
+/// Sweeps the candidate classes on one solver: each candidate is refuted by
+/// simulation where a counterexample pattern already distinguishes it from
+/// its class representative, and otherwise settled by a conflict-capped SAT
+/// merge query whose proven equality is asserted into the solver. Counts
+/// its merges, refutations and SAT calls into `stats`, and returns whether
+/// the wall-clock deadline ended the sweep early.
 fn sweep_classes(
     aig: &Aig,
     solver: &mut Solver,
     encoding: &AigEncoding,
-    classes: &[&Vec<(u32, bool)>],
+    classes: &[Vec<(u32, bool)>],
     deadline: Option<Instant>,
-    peers: &[mpsc::Sender<Vec<bool>>],
-    inbox: Option<&mpsc::Receiver<Vec<bool>>>,
-) -> SweepOutcome {
-    let mut outcome = SweepOutcome {
-        equalities: Vec::new(),
-        proved_merges: 0,
-        simulation_refutations: 0,
-        sat_calls: 0,
-        budget_hit: false,
-    };
+    stats: &mut FraigStats,
+) -> bool {
     let mut extra_signatures: Vec<Vec<u64>> = vec![Vec::new(); aig.num_nodes()];
     let mut pending_cex: Vec<Vec<bool>> = Vec::new();
-    'sweep: for members in classes {
+    for members in classes {
         let (rep, rep_phase) = members[0];
         for &(node, phase) in &members[1..] {
-            if let Some(inbox) = inbox {
-                while let Ok(pattern) = inbox.try_recv() {
-                    pending_cex.push(pattern);
-                }
-            }
             flush_counterexamples(aig, &mut pending_cex, &mut extra_signatures);
             let same = rep_phase == phase;
             let refuted = extra_signatures[rep as usize]
@@ -478,7 +315,7 @@ fn sweep_classes(
                 .zip(&extra_signatures[node as usize])
                 .any(|(&wr, &wn)| if same { wr != wn } else { wr != !wn });
             if refuted {
-                outcome.simulation_refutations += 1;
+                stats.simulation_refutations += 1;
                 continue;
             }
             let lit_r = encoding
@@ -487,14 +324,13 @@ fn sweep_classes(
             let lit_n = encoding
                 .lit_of(AigLit::new(node, !same))
                 .expect("class members are materialised");
-            outcome.sat_calls += 1;
+            stats.sat_calls += 1;
             let diff = assume_difference(solver, lit_r, lit_n);
             match solver.solve_with_assumptions(&[diff]) {
                 SatResult::Unsat => {
                     solver.add_clause([!lit_r, lit_n]);
                     solver.add_clause([lit_r, !lit_n]);
-                    outcome.equalities.push((lit_r, lit_n));
-                    outcome.proved_merges += 1;
+                    stats.proved_merges += 1;
                 }
                 SatResult::Sat(model) => {
                     let pattern: Vec<bool> = encoding
@@ -502,23 +338,18 @@ fn sweep_classes(
                         .iter()
                         .map(|&(_, var)| model.value(var))
                         .collect();
-                    for peer in peers {
-                        // A finished peer has dropped its inbox; its loss.
-                        let _ = peer.send(pattern.clone());
-                    }
                     pending_cex.push(pattern);
                 }
                 SatResult::Unknown => {
                     if deadline.map(|d| Instant::now() >= d).unwrap_or(false) {
-                        outcome.budget_hit = true;
-                        break 'sweep;
+                        return true;
                     }
                     // Conflict-capped merge query: skip this pair, keep going.
                 }
             }
         }
     }
-    outcome
+    false
 }
 
 /// Fresh variable constrained to `lit_a ⊕ lit_b`, returned as a positive
@@ -765,67 +596,24 @@ mod tests {
         assert!(result.is_equivalent());
     }
 
-    #[test]
-    fn worker_env_knob_selects_the_sweep_width() {
-        // Unset: the sequential sweep.
-        assert_eq!(parse_fraig_workers(None), 1);
-        assert_eq!(parse_fraig_workers(Some("4")), 4);
-        assert_eq!(
-            parse_fraig_workers(Some("0")),
-            1,
-            "zero workers is nonsense"
-        );
-        assert_eq!(parse_fraig_workers(Some("many")), 1);
-        assert_eq!(parse_fraig_workers(Some("")), 1);
-    }
-
-    #[test]
-    fn parallel_sweep_agrees_with_sequential_on_a_resynthesised_host() {
-        let mut c = Circuit::new("host");
-        let ins: Vec<_> = (0..6)
-            .map(|i| c.add_input(format!("i{i}")).unwrap())
-            .collect();
-        let g1 = c
-            .add_gate(GateType::And, "g1", &[ins[0], ins[1], ins[2]])
-            .unwrap();
-        let g2 = c
-            .add_gate(GateType::Nor, "g2", &[ins[2], ins[3], ins[4]])
-            .unwrap();
-        let g3 = c.add_gate(GateType::Xor, "g3", &[g1, g2]).unwrap();
-        let g4 = c.add_gate(GateType::Nand, "g4", &[g3, ins[5]]).unwrap();
-        c.mark_output(g3);
-        c.mark_output(g4);
-        let variant = crate::resynthesize(
-            &c,
-            &crate::ResynthesisOptions::with_seed(7).effort(crate::Effort::High),
-        )
-        .unwrap();
-        let (seq, seq_stats) =
-            check_equivalence_with_stats_workers(&c, &variant, None, None, 1).unwrap();
-        let (par, par_stats) =
-            check_equivalence_with_stats_workers(&c, &variant, None, None, 4).unwrap();
-        assert!(seq.is_equivalent());
-        assert!(par.is_equivalent());
-        assert_eq!(seq_stats.proved_merges, par_stats.proved_merges);
-        assert_eq!(seq_stats.candidate_classes, par_stats.candidate_classes);
-    }
-
     proptest::proptest! {
-        /// The parallel sweep's verdict and merge count match the
-        /// sequential sweep on random gate soups, both for equivalent pairs
-        /// (resynthesised variants) and inequivalent ones (a soup against a
-        /// mutated copy). Merges are implied equalities, so the worker
-        /// count may only shift which refutations come from simulation
-        /// versus SAT — never the verdict or the merge count.
+        /// The fraig verdict agrees with exhaustive simulation on random
+        /// gate soups of 5–12 inputs, each checked against three partners:
+        /// its high-effort resynthesis (equivalent); a copy whose first
+        /// output flips on the one pattern `p` (not equivalent, and `p` is
+        /// the only counterexample there is); and a copy with its second
+        /// output wired to another net (whatever exhaustive simulation
+        /// says).
         #[test]
-        fn prop_parallel_sweep_matches_sequential(seed in 0u64..16) {
+        fn prop_fraig_verdicts_match_exhaustive_simulation(seed in 0u64..64) {
+            use kratt_netlist::sim::exhaustively_equivalent;
             use kratt_netlist::NetId;
-            use rand::rngs::StdRng;
-            use rand::{Rng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(131) + 7);
-            let mut c = Circuit::new(format!("soup{seed}"));
-            let mut nets: Vec<NetId> =
-                (0..5).map(|i| c.add_input(format!("i{i}")).unwrap()).collect();
+            let n = rng.gen_range(5..13usize);
+            let mut soup = Circuit::new(format!("soup{seed}"));
+            let inputs: Vec<NetId> =
+                (0..n).map(|i| soup.add_input(format!("i{i}")).unwrap()).collect();
+            let mut nets = inputs.clone();
             let kinds = [
                 GateType::And, GateType::Nand, GateType::Or, GateType::Nor,
                 GateType::Xor, GateType::Xnor, GateType::Not, GateType::Buf,
@@ -838,50 +626,55 @@ mod tests {
                 };
                 let ins: Vec<NetId> =
                     (0..arity).map(|_| nets[rng.gen_range(0..nets.len())]).collect();
-                nets.push(c.add_gate(ty, format!("g{g}"), &ins).unwrap());
+                nets.push(soup.add_gate(ty, format!("g{g}"), &ins).unwrap());
             }
-            let soup = c.clone();
-            c.mark_output(*nets.last().unwrap());
-            c.mark_output(nets[8]);
-            let other = if seed % 3 == 0 {
-                // The same soup with its second output wired to a different
-                // net — usually (not always) an inequivalent pair; either
-                // way the two sweep modes must agree on the verdict.
-                let mut rewired = soup;
-                rewired.mark_output(*nets.last().unwrap());
-                rewired.mark_output(nets[6]);
-                rewired
-            } else {
-                crate::resynthesize(
-                    &c,
-                    &crate::ResynthesisOptions::with_seed(seed).effort(crate::Effort::High),
-                )
-                .unwrap()
+            let gates = nets[n..].to_vec();
+            let with_outputs = |mut circuit: Circuit, first: NetId, second: NetId| {
+                circuit.mark_output(first);
+                circuit.mark_output(second);
+                circuit
             };
-            let seq = check_equivalence_with_stats_workers(&c, &other, None, None, 1);
-            let par = check_equivalence_with_stats_workers(&c, &other, None, None, 4);
-            match (seq, par) {
-                (Ok((seq_res, seq_stats)), Ok((par_res, par_stats))) => {
-                    proptest::prop_assert_eq!(
-                        seq_res.is_equivalent(),
-                        par_res.is_equivalent()
-                    );
-                    proptest::prop_assert_eq!(
-                        seq_stats.proved_merges,
-                        par_stats.proved_merges
-                    );
-                    proptest::prop_assert_eq!(
-                        seq_stats.candidate_classes,
-                        par_stats.candidate_classes
-                    );
-                }
-                (Err(e), _) | (_, Err(e)) => {
-                    // Interface errors must at least agree between modes.
-                    proptest::prop_assert!(
-                        matches!(e, SynthError::InterfaceMismatch(_))
-                    );
-                }
-            }
+            let c = with_outputs(soup.clone(), gates[15], gates[3]);
+
+            let variant = crate::resynthesize(
+                &c,
+                &crate::ResynthesisOptions::with_seed(seed).effort(crate::Effort::High),
+            )
+            .unwrap();
+            let verdict = check_equivalence(&c, &variant).unwrap();
+            proptest::prop_assert!(verdict.is_equivalent(), "resynthesis: {:?}", verdict);
+
+            let p: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            let mut flipped = soup.clone();
+            let literals: Vec<NetId> = inputs
+                .iter()
+                .zip(&p)
+                .enumerate()
+                .map(|(i, (&input, &bit))| {
+                    if bit {
+                        input
+                    } else {
+                        flipped.add_gate(GateType::Not, format!("p{i}"), &[input]).unwrap()
+                    }
+                })
+                .collect();
+            let minterm = flipped.add_gate(GateType::And, "minterm", &literals).unwrap();
+            let first = flipped.add_gate(GateType::Xor, "flip", &[gates[15], minterm]).unwrap();
+            let flipped = with_outputs(flipped, first, gates[3]);
+            let mut expected: Vec<(String, bool)> =
+                (0..n).map(|i| (format!("i{i}"), p[i])).collect();
+            expected.sort();
+            let verdict = check_equivalence(&c, &flipped).unwrap();
+            proptest::prop_assert_eq!(verdict, EquivalenceResult::NotEquivalent(expected));
+
+            let rewired = with_outputs(soup, gates[15], gates[1]);
+            let simulated = exhaustively_equivalent(&c, &rewired).unwrap();
+            let verdict = check_equivalence(&c, &rewired).unwrap();
+            proptest::prop_assert_eq!(verdict.is_equivalent(), simulated);
+            proptest::prop_assert_eq!(
+                matches!(verdict, EquivalenceResult::NotEquivalent(_)),
+                !simulated
+            );
         }
     }
 }

@@ -46,8 +46,7 @@ pub mod resynth;
 pub use aig::{Aig, AigLit};
 pub use equivalence::{
     check_equivalence, check_equivalence_with_budget, check_equivalence_with_stats,
-    check_equivalence_with_stats_workers, fraig_workers_from_env, EquivalenceResult, FraigStats,
-    FRAIG_WORKERS_ENV,
+    EquivalenceResult, FraigStats,
 };
 pub use error::SynthError;
 pub use passes::{map_to_cell_library, sat_sweep, CellLibrary, SatSweepOptions};
