@@ -42,10 +42,8 @@ use crate::registry::AttackRegistry;
 use crate::report::{key_input_names, score_guess, AttackOutcome, JsonScalar};
 use kratt_lint::{lint_locked, LintReport};
 use kratt_locking::{LockedCircuit, SchemeRegistry, SchemeSpec};
-use kratt_netlist::sim::{exhaustively_equivalent, Simulator};
+use kratt_netlist::sim::exhaustively_equivalent;
 use kratt_netlist::{Circuit, NetlistError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -1190,33 +1188,30 @@ fn score_cell(
 }
 
 /// Inputs at or below this width are verified exhaustively; larger hosts
-/// take the sampled-prefilter + complete SAT check path.
+/// take `kratt-synth`'s FRAIG.
 const EXHAUSTIVE_INPUT_LIMIT: usize = 20;
 
-/// Random 64-lane sweeps of the cheap refutation prefilter (4096 patterns).
-const SAMPLED_SWEEPS: usize = 64;
-
-/// Wall-clock ceiling of the SAT equivalence backstop.
+/// Wall-clock ceiling of the FRAIG proof.
 const SAT_VERIFY_LIMIT: Duration = Duration::from_secs(60);
 
 /// The campaign's equivalence kernel, and it must be *complete*: the preset
 /// schemes are point functions whose wrong keys corrupt as little as one
 /// pattern in 2^157, which no random sample would ever hit. Small
-/// interfaces (≤ 20 inputs) are compared
-/// exhaustively with packed 64-lane sweeps; larger hosts run a seeded
-/// random-sweep prefilter (cheap refutation of grossly wrong claims) and
-/// then `kratt-synth`'s fraig pipeline for the proof: both circuits share
+/// interfaces (≤ 20 inputs) are compared exhaustively with packed 64-lane
+/// sweeps. Larger hosts go to `kratt-synth`'s FRAIG: both circuits share
 /// one structurally-hashed AIG (a correctly unlocked candidate hashes most
-/// of the host logic onto the original's nodes), candidate-equivalent nodes
-/// are merged by incremental SAT, and only surviving output pairs reach a
-/// full miter solve.
+/// of the host logic onto the original's nodes); its seeded signature
+/// sweeps, anchored by the all-zeros and all-ones patterns, refute a grossly
+/// wrong claim at once; and the sweep rebuilds the AIG with each proven
+/// node substituted by its representative, so most output pairs end as one
+/// edge and only the rest reach a SAT query.
 ///
 /// # Errors
 ///
-/// Returns an error when the interfaces differ, a circuit cannot be
-/// simulated, or the SAT backstop exhausts its budget without a verdict —
-/// an error is never a confirmation, so the campaign stamps such cells
-/// [`Verdict::Unverified`], not `Verified`.
+/// Returns an error when the interfaces differ, a circuit is cyclic, or the
+/// FRAIG exhausts its budget without a verdict — an error is never a
+/// confirmation, so the campaign stamps such cells [`Verdict::Unverified`],
+/// not `Verified`.
 pub fn equivalent_to(original: &Circuit, candidate: &Circuit) -> Result<bool, NetlistError> {
     if original.num_inputs() != candidate.num_inputs()
         || original.num_outputs() != candidate.num_outputs()
@@ -1228,22 +1223,6 @@ pub fn equivalent_to(original: &Circuit, candidate: &Circuit) -> Result<bool, Ne
     if original.num_inputs() <= EXHAUSTIVE_INPUT_LIMIT {
         return exhaustively_equivalent(original, candidate);
     }
-    let sim_a = Simulator::new(original)?;
-    let sim_b = Simulator::new(candidate)?;
-    let width = original.num_inputs();
-    let mut rng = StdRng::seed_from_u64(0x000C_A411);
-    for sweep in 0..SAMPLED_SWEEPS {
-        let words: Vec<u64> = match sweep {
-            // Anchor the sample with the all-zero and all-one patterns.
-            0 => vec![0u64; width],
-            1 => vec![!0u64; width],
-            _ => (0..width).map(|_| rng.gen::<u64>()).collect(),
-        };
-        if sim_a.run_words(&words)? != sim_b.run_words(&words)? {
-            return Ok(false);
-        }
-    }
-    // The sample found nothing — now prove it.
     match kratt_synth::check_equivalence_with_budget(
         original,
         candidate,
@@ -1434,8 +1413,7 @@ mod tests {
 
     #[test]
     fn equivalence_kernel_is_complete_on_wide_hosts() {
-        // 25 inputs: above the exhaustive limit, so the prefilter + SAT
-        // backstop path runs.
+        // 25 inputs: above the exhaustive limit, so the FRAIG runs.
         let host = adder(12, "wide");
         assert_eq!(host.num_inputs(), 25);
         assert!(equivalent_to(&host, &host.clone()).unwrap());
@@ -1444,15 +1422,15 @@ mod tests {
         let good = locked.apply_key(&secret).unwrap();
         assert!(equivalent_to(&host, &good).unwrap());
         // The adversarial case for sampling: a SARLock wrong key corrupts
-        // exactly ONE pattern out of 2^25 — random sweeps never hit it, the
-        // SAT backstop must.
+        // exactly ONE pattern out of 2^25 — the FRAIG's signature sweeps
+        // never hit it, its SAT queries must.
         let wrong = SecretKey::from_u64(0xAB ^ 0x01, 8);
         let bad = locked.apply_key(&wrong).unwrap();
         assert!(
             !equivalent_to(&host, &bad).unwrap(),
             "a one-pattern corruption must be refuted, not sampled past"
         );
-        // Gross corruption is still caught by the cheap prefilter.
+        // Gross corruption is refuted by the FRAIG's signature sweeps.
         let mut corrupted = host.clone();
         let out = corrupted.outputs()[0];
         let renamed = corrupted.fresh_net_name("sum0$bad");

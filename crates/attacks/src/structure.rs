@@ -87,14 +87,17 @@ fn keys_reach_outputs_avoiding(
 /// inverters), as in the paper's Section III-A. Anti-SAT style units
 /// associate two key inputs per protected input.
 ///
-/// The returned pairs are `(protected input name, key input names)`.
+/// The returned pairs are `(protected input name, key input names)`, in
+/// data-input order; each input's keys come in gate order, then in the
+/// gate's input order, without repeats. One pass over the gates serves
+/// every protected input.
 pub fn associate_keys_with_inputs(unit: &Circuit) -> Vec<(String, Vec<String>)> {
     let key_inputs: HashSet<NetId> = unit.key_inputs().into_iter().collect();
     let data_inputs: Vec<NetId> = unit.data_inputs();
 
     // Map each net to the primary input it transitively buffers/inverts, if
     // it is just a chain of NOT/BUF gates from that input.
-    let mut alias: std::collections::HashMap<NetId, NetId> = std::collections::HashMap::new();
+    let mut alias: HashMap<NetId, NetId> = HashMap::new();
     for &pi in unit.inputs() {
         alias.insert(pi, pi);
     }
@@ -109,29 +112,39 @@ pub fn associate_keys_with_inputs(unit: &Circuit) -> Vec<(String, Vec<String>)> 
         }
     }
 
-    let mut result = Vec::new();
-    for &ppi in &data_inputs {
-        let mut keys: Vec<String> = Vec::new();
-        for (_, gate) in unit.gates() {
-            let roots: Vec<NetId> = gate
-                .inputs
-                .iter()
-                .filter_map(|n| alias.get(n).copied())
-                .collect();
-            if roots.contains(&ppi) {
-                for &root in &roots {
-                    if key_inputs.contains(&root) {
-                        let name = unit.net_name(root).to_string();
-                        if !keys.contains(&name) {
-                            keys.push(name);
-                        }
-                    }
+    let slot: HashMap<NetId, usize> = data_inputs
+        .iter()
+        .enumerate()
+        .map(|(index, &ppi)| (ppi, index))
+        .collect();
+    let mut keys: Vec<Vec<NetId>> = vec![Vec::new(); data_inputs.len()];
+    let mut roots: Vec<NetId> = Vec::new();
+    for (_, gate) in unit.gates() {
+        roots.clear();
+        roots.extend(gate.inputs.iter().filter_map(|n| alias.get(n).copied()));
+        for &ppi in &roots {
+            let Some(&index) = slot.get(&ppi) else {
+                continue;
+            };
+            for &root in &roots {
+                if key_inputs.contains(&root) && !keys[index].contains(&root) {
+                    keys[index].push(root);
                 }
             }
         }
-        result.push((unit.net_name(ppi).to_string(), keys));
     }
-    result
+    data_inputs
+        .iter()
+        .zip(keys)
+        .map(|(&ppi, keys)| {
+            (
+                unit.net_name(ppi).to_string(),
+                keys.into_iter()
+                    .map(|key| unit.net_name(key).to_string())
+                    .collect(),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -134,6 +134,85 @@ mod tests {
         }
     }
 
+    /// The association as the paper states it, one walk over the unit's
+    /// gates per protected input: the reference of the one-pass
+    /// [`associate_keys_with_inputs`].
+    fn associate_keys_reference(unit: &Circuit) -> Vec<(String, Vec<String>)> {
+        use kratt_netlist::analysis::topological_order;
+        use kratt_netlist::NetId;
+        use std::collections::{HashMap, HashSet};
+        let key_inputs: HashSet<NetId> = unit.key_inputs().into_iter().collect();
+        let mut alias: HashMap<NetId, NetId> = HashMap::new();
+        for &pi in unit.inputs() {
+            alias.insert(pi, pi);
+        }
+        if let Ok(order) = topological_order(unit) {
+            for gid in order {
+                let gate = unit.gate(gid);
+                if gate.inputs.len() == 1 {
+                    if let Some(&root) = alias.get(&gate.inputs[0]) {
+                        alias.insert(gate.output, root);
+                    }
+                }
+            }
+        }
+        let mut result = Vec::new();
+        for ppi in unit.data_inputs() {
+            let mut keys: Vec<String> = Vec::new();
+            for (_, gate) in unit.gates() {
+                let roots: Vec<NetId> = gate
+                    .inputs
+                    .iter()
+                    .filter_map(|n| alias.get(n).copied())
+                    .collect();
+                if roots.contains(&ppi) {
+                    for &root in &roots {
+                        if key_inputs.contains(&root) {
+                            let name = unit.net_name(root).to_string();
+                            if !keys.contains(&name) {
+                                keys.push(name);
+                            }
+                        }
+                    }
+                }
+            }
+            result.push((unit.net_name(ppi).to_string(), keys));
+        }
+        result
+    }
+
+    #[test]
+    fn one_pass_association_matches_the_reference_on_every_scheme_and_host() {
+        // Every registry scheme on every Table-I host at scale 0.05: the
+        // unit KRATT removes where there is one, the whole locked netlist
+        // (RLL) where there is none.
+        let registry = kratt_locking::scheme_registry();
+        let mut units = 0;
+        for row in kratt_benchmarks::table1_circuits(0.05) {
+            for name in registry.names() {
+                let spec = kratt_locking::SchemeSpec::new(name)
+                    .unwrap()
+                    .with_param("k", row.key_bits as u64)
+                    .with_param("seed", 0xa55c);
+                let locked = registry.lock(&spec, &row.circuit).unwrap();
+                let unit = match remove_locking_unit(&locked.circuit) {
+                    Ok(artifacts) => {
+                        units += 1;
+                        artifacts.unit
+                    }
+                    Err(_) => locked.circuit,
+                };
+                assert_eq!(
+                    associate_keys_with_inputs(&unit),
+                    associate_keys_reference(&unit),
+                    "{}/{spec}",
+                    row.name
+                );
+            }
+        }
+        assert!(units > 0);
+    }
+
     #[test]
     fn unlocked_circuit_is_rejected() {
         assert!(matches!(

@@ -9,10 +9,11 @@
 //! core IR ([`aig`], re-exporting [`kratt_netlist::aig`] plus the seeded
 //! rewrite passes): a seeded, effort-controlled pipeline — lower,
 //! shuffle-balance, styled raising — that preserves the circuit function
-//! while scrambling its structure, plus a fraig-style equivalence pipeline
+//! while scrambling its structure, plus a FRAIG equivalence checker
 //! ([`equivalence`]: shared-AIG hashing, packed-simulation candidate
-//! classes, incremental SAT sweeping, per-output miters) used to validate
-//! every transformation. The [`passes`] module adds the two
+//! classes, a substitution sweep that rebuilds the AIG onto proven
+//! representatives with SAT on a lazily loaded CNF, per-output queries)
+//! used to validate every transformation. The [`passes`] module adds the two
 //! remaining things a commercial flow does to a netlist — SAT sweeping
 //! (merging provably equivalent logic) and technology mapping onto a small
 //! standard-cell library.

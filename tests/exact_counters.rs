@@ -40,8 +40,8 @@ const CNF: &[(&str, usize, usize, usize, usize)] = &[
 
 /// `fraig`: `check_equivalence_with_stats` on quarter-scale hosts against
 /// their seed-1 resynthesis; every check must prove equivalence.
-const FRAIG_COLUMNS: [&str; 3] = ["host", "SAT calls", "proved merges"];
-const FRAIG: &[(&str, usize, usize)] = &[("c2670", 148, 93), ("c5315", 418, 300)];
+const FRAIG_COLUMNS: [&str; 4] = ["host", "SAT calls", "proved merges", "hashed merges"];
+const FRAIG: &[(&str, usize, usize, usize)] = &[("c2670", 56, 45, 115), ("c5315", 118, 107, 432)];
 
 /// `dip_aig`: the SAT attack's CEGAR miter on quarter-scale hosts locked
 /// with 16-bit random XOR locking, sized by `measure_dip_encoding`.
@@ -189,7 +189,12 @@ fn fraig_sat_calls_and_merges() {
             let (a, b) = miter_pair(host.generate_scaled(0.25));
             let (result, stats) = check_equivalence_with_stats(&a, &b, None, None).unwrap();
             assert!(result.is_equivalent(), "{}: {result:?}", host.name());
-            (host.name(), stats.sat_calls, stats.proved_merges)
+            (
+                host.name(),
+                stats.sat_calls,
+                stats.proved_merges,
+                stats.hashed_merges,
+            )
         })
         .collect();
     assert_golden("fraig", &FRAIG_COLUMNS, FRAIG, &current);
