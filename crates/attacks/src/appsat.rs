@@ -12,18 +12,17 @@
 use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::report::{AttackBudget, AttackRun, OgOutcome, OgReport, StepTiming};
+use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
 use crate::sat_attack::{og_run, DipEngine, DipSearch, KeyExtraction};
 use kratt_locking::SecretKey;
 use kratt_netlist::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The AppSAT attack.
+/// The AppSAT attack. It runs under the request's [`Budget`]; an exhausted
+/// budget reports `OoT` like the paper.
 #[derive(Debug, Clone)]
 pub struct AppSatAttack {
-    /// Resource budget; an exhausted budget reports `OoT` like the paper.
-    pub budget: AttackBudget,
     /// A sampling round runs after every `settle_every` DIP iterations.
     pub settle_every: usize,
     /// Number of random patterns simulated per sampling round.
@@ -38,7 +37,6 @@ pub struct AppSatAttack {
 impl Default for AppSatAttack {
     fn default() -> Self {
         AppSatAttack {
-            budget: AttackBudget::default(),
             settle_every: 4,
             sample_patterns: 64,
             error_threshold: 0.0,
@@ -51,14 +49,6 @@ impl AppSatAttack {
     /// AppSAT with the default parameters.
     pub fn new() -> Self {
         AppSatAttack::default()
-    }
-
-    /// AppSAT with an explicit budget and otherwise default parameters.
-    pub fn with_budget(budget: AttackBudget) -> Self {
-        AppSatAttack {
-            budget,
-            ..Default::default()
-        }
     }
 
     /// The DIP/sampling loop under an explicit deadline.
@@ -194,14 +184,14 @@ mod tests {
     use kratt_netlist::{Circuit, GateType, NetId};
     use std::time::Duration;
 
-    /// Runs the DIP/sampling loop directly to keep the [`OgReport`]
-    /// assertions; external callers go through [`Attack::execute`].
-    fn report_of(
+    /// Runs `attack` through [`Attack::execute`] under `budget`.
+    fn run(
         attack: &AppSatAttack,
         locked: &Circuit,
         oracle: &Oracle,
-    ) -> Result<OgReport, AttackError> {
-        attack.run_with_deadline(locked, oracle, &attack.budget, attack.budget.start())
+        budget: Budget,
+    ) -> Result<AttackRun, AttackError> {
+        attack.execute(&AttackRequest::oracle_guided(locked, oracle).with_budget(budget))
     }
 
     fn adder4() -> Circuit {
@@ -243,8 +233,14 @@ mod tests {
             .lock(&original, &secret)
             .unwrap();
         let oracle = Oracle::new(original.clone()).unwrap();
-        let report = report_of(&AppSatAttack::new(), &locked.circuit, &oracle).unwrap();
-        let key = report.outcome.key().expect("RLL must be broken").clone();
+        let run = run(
+            &AppSatAttack::new(),
+            &locked.circuit,
+            &oracle,
+            Budget::default(),
+        )
+        .unwrap();
+        let key = run.outcome.exact_key().expect("RLL must be broken").clone();
         let unlocked = locked.apply_key(&key).unwrap();
         assert!(kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap());
     }
@@ -257,10 +253,16 @@ mod tests {
         let secret = SecretKey::from_u64(0b101011, 6);
         let locked = SarLock::new(6).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original.clone()).unwrap();
-        let report = report_of(&AppSatAttack::new(), &locked.circuit, &oracle).unwrap();
-        let key = report
+        let run = run(
+            &AppSatAttack::new(),
+            &locked.circuit,
+            &oracle,
+            Budget::default(),
+        )
+        .unwrap();
+        let key = run
             .outcome
-            .key()
+            .exact_key()
             .expect("AppSAT should settle on a key")
             .clone();
         let unlocked = locked.apply_key(&key).unwrap();
@@ -288,15 +290,15 @@ mod tests {
         let locked = SarLock::new(9).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
         let attack = AppSatAttack {
-            budget: AttackBudget {
-                time_limit: Some(Duration::from_millis(1)),
-                max_iterations: 1,
-                ..AttackBudget::default()
-            },
             settle_every: 1000,
             ..Default::default()
         };
-        let report = report_of(&attack, &locked.circuit, &oracle).unwrap();
-        assert_eq!(report.outcome, OgOutcome::OutOfTime);
+        let budget = Budget {
+            time_limit: Some(Duration::from_millis(1)),
+            max_iterations: 1,
+            ..Budget::default()
+        };
+        let run = run(&attack, &locked.circuit, &oracle, budget).unwrap();
+        assert!(run.outcome.is_out_of_budget());
     }
 }

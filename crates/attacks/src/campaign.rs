@@ -42,7 +42,6 @@ use crate::registry::AttackRegistry;
 use crate::report::{key_input_names, score_guess, AttackOutcome, JsonScalar};
 use kratt_lint::{lint_locked, LintReport};
 use kratt_locking::{LockedCircuit, SchemeRegistry, SchemeSpec};
-use kratt_netlist::sim::exhaustively_equivalent;
 use kratt_netlist::{Circuit, NetlistError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -671,12 +670,6 @@ impl Campaign {
         self
     }
 
-    /// Caps the whole matrix's wall clock (builder-style, for presets).
-    pub fn with_global_time_limit(mut self, limit: Duration) -> Self {
-        self.global_time_limit = Some(limit);
-        self
-    }
-
     /// Halts after N executed cells (builder-style, for presets).
     pub fn with_halt_after_cells(mut self, cells: usize) -> Self {
         self.halt_after_cells = Some(cells);
@@ -1187,24 +1180,20 @@ fn score_cell(
     cell
 }
 
-/// Inputs at or below this width are verified exhaustively; larger hosts
-/// take `kratt-synth`'s FRAIG.
-const EXHAUSTIVE_INPUT_LIMIT: usize = 20;
-
 /// Wall-clock ceiling of the FRAIG proof.
 const SAT_VERIFY_LIMIT: Duration = Duration::from_secs(60);
 
 /// The campaign's equivalence kernel, and it must be *complete*: the preset
 /// schemes are point functions whose wrong keys corrupt as little as one
-/// pattern in 2^157, which no random sample would ever hit. Small
-/// interfaces (≤ 20 inputs) are compared exhaustively with packed 64-lane
-/// sweeps. Larger hosts go to `kratt-synth`'s FRAIG: both circuits share
-/// one structurally-hashed AIG (a correctly unlocked candidate hashes most
-/// of the host logic onto the original's nodes); its seeded signature
-/// sweeps, anchored by the all-zeros and all-ones patterns, refute a grossly
-/// wrong claim at once; and the sweep rebuilds the AIG with each proven
-/// node substituted by its representative, so most output pairs end as one
-/// edge and only the rest reach a SAT query.
+/// pattern in 2^157, which no random sample would ever hit. Every host,
+/// whatever its width, goes to `kratt-synth`'s FRAIG, which matches inputs
+/// by name and outputs by position: both circuits share one
+/// structurally-hashed AIG (a correctly unlocked candidate hashes most of
+/// the host logic onto the original's nodes); its seeded signature sweeps,
+/// anchored by the all-zeros and all-ones patterns, refute a grossly wrong
+/// claim at once; and the sweep rebuilds the AIG with each proven node
+/// substituted by its representative, so most output pairs end as one edge
+/// and only the rest reach a SAT query.
 ///
 /// # Errors
 ///
@@ -1219,9 +1208,6 @@ pub fn equivalent_to(original: &Circuit, candidate: &Circuit) -> Result<bool, Ne
         return Err(NetlistError::Transform(
             "interface widths differ between compared circuits".into(),
         ));
-    }
-    if original.num_inputs() <= EXHAUSTIVE_INPUT_LIMIT {
-        return exhaustively_equivalent(original, candidate);
     }
     match kratt_synth::check_equivalence_with_budget(
         original,
@@ -1411,9 +1397,50 @@ mod tests {
         assert!(report.to_json().contains("\"verdict\":\"REFUTED\""));
     }
 
+    /// `((x0 AND x1) OR x2) AND x3 …` over `width` named inputs — a function
+    /// in which every input plays a different role — with the inputs
+    /// declared in reverse order when `reversed`.
+    fn and_or_chain(width: usize, reversed: bool) -> Circuit {
+        let mut c = Circuit::new("chain");
+        let mut order: Vec<usize> = (0..width).collect();
+        if reversed {
+            order.reverse();
+        }
+        for i in order {
+            c.add_input(format!("x{i}")).unwrap();
+        }
+        let xs: Vec<_> = (0..width)
+            .map(|i| c.find_net(&format!("x{i}")).unwrap())
+            .collect();
+        let mut acc = xs[0];
+        for (i, &x) in xs.iter().enumerate().skip(1) {
+            let ty = if i % 2 == 1 {
+                GateType::And
+            } else {
+                GateType::Or
+            };
+            acc = c.add_gate(ty, format!("g{i}"), &[acc, x]).unwrap();
+        }
+        c.mark_output(acc);
+        c
+    }
+
+    #[test]
+    fn equivalence_kernel_matches_inputs_by_name_at_every_width() {
+        // The same function with its inputs declared in opposite orders: a
+        // positional comparison would refute it, a by-name one proves it.
+        for width in [4, 21] {
+            let (forward, backward) = (and_or_chain(width, false), and_or_chain(width, true));
+            assert!(
+                equivalent_to(&forward, &backward).unwrap(),
+                "{width} inputs"
+            );
+        }
+    }
+
     #[test]
     fn equivalence_kernel_is_complete_on_wide_hosts() {
-        // 25 inputs: above the exhaustive limit, so the FRAIG runs.
+        // 25 inputs: 2^25 patterns, far beyond any sample.
         let host = adder(12, "wide");
         assert_eq!(host.num_inputs(), 25);
         assert!(equivalent_to(&host, &host.clone()).unwrap());

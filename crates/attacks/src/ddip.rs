@@ -20,27 +20,20 @@
 use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::report::{AttackBudget, AttackRun, OgOutcome, OgReport, StepTiming};
+use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
 use crate::sat_attack::{og_run, BatchEnd, DipEngine, KeyExtraction};
 use kratt_locking::SecretKey;
 use kratt_netlist::Circuit;
 
-/// The Double DIP attack.
+/// The Double DIP attack. It runs under the request's [`Budget`]; an
+/// exhausted budget reports `OoT` like the paper.
 #[derive(Debug, Clone, Default)]
-pub struct DoubleDipAttack {
-    /// Resource budget; an exhausted budget reports `OoT` like the paper.
-    pub budget: AttackBudget,
-}
+pub struct DoubleDipAttack;
 
 impl DoubleDipAttack {
-    /// Double DIP with the default budget.
+    /// Creates the attack.
     pub fn new() -> Self {
-        DoubleDipAttack::default()
-    }
-
-    /// Double DIP with an explicit budget.
-    pub fn with_budget(budget: AttackBudget) -> Self {
-        DoubleDipAttack { budget }
+        DoubleDipAttack
     }
 
     /// The double-DIP loop under an explicit deadline.
@@ -138,14 +131,10 @@ mod tests {
     use kratt_netlist::{Circuit, GateType, NetId};
     use std::time::Duration;
 
-    /// Runs the double-DIP loop directly to keep the [`OgReport`]
-    /// assertions; external callers go through [`Attack::execute`].
-    fn report_of(
-        attack: &DoubleDipAttack,
-        locked: &Circuit,
-        oracle: &Oracle,
-    ) -> Result<OgReport, AttackError> {
-        attack.run_with_deadline(locked, oracle, &attack.budget, attack.budget.start())
+    /// Runs the attack through [`Attack::execute`] under `budget`.
+    fn run(locked: &Circuit, oracle: &Oracle, budget: Budget) -> Result<AttackRun, AttackError> {
+        DoubleDipAttack::new()
+            .execute(&AttackRequest::oracle_guided(locked, oracle).with_budget(budget))
     }
 
     fn adder4() -> Circuit {
@@ -187,8 +176,8 @@ mod tests {
             .lock(&original, &secret)
             .unwrap();
         let oracle = Oracle::new(original.clone()).unwrap();
-        let report = report_of(&DoubleDipAttack::new(), &locked.circuit, &oracle).unwrap();
-        let key = report.outcome.key().expect("RLL must be broken").clone();
+        let run = run(&locked.circuit, &oracle, Budget::default()).unwrap();
+        let key = run.outcome.exact_key().expect("RLL must be broken").clone();
         let unlocked = locked.apply_key(&key).unwrap();
         assert!(kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap());
     }
@@ -203,9 +192,9 @@ mod tests {
         let sat = SatAttack::new()
             .execute(&AttackRequest::oracle_guided(&locked.circuit, &oracle_a))
             .unwrap();
-        let ddip = report_of(&DoubleDipAttack::new(), &locked.circuit, &oracle_b).unwrap();
+        let ddip = run(&locked.circuit, &oracle_b, Budget::default()).unwrap();
         assert!(sat.outcome.exact_key().is_some());
-        assert!(ddip.outcome.key().is_some());
+        assert!(ddip.outcome.exact_key().is_some());
         assert!(
             ddip.iterations <= sat.iterations,
             "DDIP ({}) should not need more iterations than SAT ({})",
@@ -220,12 +209,12 @@ mod tests {
         let secret = SecretKey::from_u64(0x155 & 0x1ff, 9);
         let locked = SarLock::new(9).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
-        let attack = DoubleDipAttack::with_budget(AttackBudget {
+        let budget = Budget {
             time_limit: Some(Duration::from_secs(2)),
             max_iterations: 4,
-            ..AttackBudget::default()
-        });
-        let report = report_of(&attack, &locked.circuit, &oracle).unwrap();
-        assert_eq!(report.outcome, OgOutcome::OutOfTime);
+            ..Budget::default()
+        };
+        let run = run(&locked.circuit, &oracle, budget).unwrap();
+        assert!(run.outcome.is_out_of_budget());
     }
 }

@@ -70,9 +70,10 @@ impl fmt::Display for ThreatModel {
 }
 
 /// The one shared resource budget of an attack run. Replaces the previously
-/// scattered per-attack knobs (`AttackBudget`, `QbfConfig::time_limit`, the
-/// structural-analysis timeouts): a request carries a single `Budget` and
-/// every engine derives its solver limits from it.
+/// scattered per-attack knobs (per-attack budget fields,
+/// `QbfConfig::time_limit`, the structural-analysis timeouts): a request
+/// carries a single `Budget` and every engine derives its solver limits
+/// from it.
 ///
 /// The paper gives the baseline attacks a two-day limit on a 32-core server;
 /// this reproduction scales the limits down but keeps the semantics: an

@@ -30,8 +30,8 @@ use kratt_locking::SecretKey;
 use kratt_netlist::analysis::support;
 use kratt_netlist::sim::Simulator;
 use kratt_netlist::transform::extract_cone;
-use kratt_netlist::{Circuit, NetId};
-use kratt_sat::{Encoder, Lit, Solver, SolverConfig, Var};
+use kratt_netlist::{Aig, AigLit, Circuit, NetId};
+use kratt_sat::{encode_aig, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -284,39 +284,37 @@ impl FallAttack {
         variable: &str,
         deadline: &Deadline,
     ) -> Result<Unateness, AttackError> {
+        if !cone
+            .inputs()
+            .iter()
+            .any(|&pi| cone.net_name(pi) == variable)
+        {
+            return Err(AttackError::InterfaceMismatch(variable.to_string()));
+        }
+        // Both cofactors in one AIG: `variable` bound to 0, then to 1, every
+        // other input shared by name.
+        let mut aig = Aig::new(cone.name());
+        for value in [false, true] {
+            let bound = HashMap::from([(variable.to_string(), AigLit::TRUE.when(value))]);
+            let lits = aig.lower_circuit(cone, &bound)?;
+            aig.add_output(
+                format!("f{}", u8::from(value)),
+                lits[cone.outputs()[0].index()],
+            );
+        }
         let mut solver = Solver::with_config(SolverConfig {
             conflict_limit: self.config.sat_conflict_limit,
             deadline: deadline.instant(),
             cancel: Some(deadline.cancel_flag()),
             ..Default::default()
         });
-        let encoder = Encoder::new();
-        // Copy A: variable forced to 0. Copy B: variable forced to 1, all
-        // other inputs shared with copy A.
-        let enc_a = encoder.encode(&mut solver, cone, &HashMap::new());
-        let mut shared: HashMap<String, Var> = enc_a
-            .inputs()
-            .iter()
-            .filter(|(name, _)| name != variable)
-            .cloned()
-            .collect();
-        let var_b = solver.new_var();
-        shared.insert(variable.to_string(), var_b);
-        let enc_b = encoder.encode(&mut solver, cone, &shared);
-        let var_a = enc_a
-            .input_var(variable)
-            .ok_or_else(|| AttackError::InterfaceMismatch(variable.to_string()))?;
-        solver.add_clause([Lit::negative(var_a)]);
-        solver.add_clause([Lit::positive(var_b)]);
-        let out_a = enc_a.outputs()[0];
-        let out_b = enc_b.outputs()[0];
+        let encoding = encode_aig(&mut solver, &aig, &HashMap::new());
+        let (out_a, out_b) = (encoding.outputs()[0], encoding.outputs()[1]);
 
         // Positive unate ⇔ no assignment with f(x=0)=1 and f(x=1)=0.
-        let violates_positive =
-            solver.solve_with_assumptions(&[Lit::positive(out_a), Lit::negative(out_b)]);
+        let violates_positive = solver.solve_with_assumptions(&[out_a, !out_b]);
         // Negative unate ⇔ no assignment with f(x=0)=0 and f(x=1)=1.
-        let violates_negative =
-            solver.solve_with_assumptions(&[Lit::negative(out_a), Lit::positive(out_b)]);
+        let violates_negative = solver.solve_with_assumptions(&[!out_a, out_b]);
         Ok(
             match (violates_positive.is_unsat(), violates_negative.is_unsat()) {
                 (true, _) => Unateness::Positive,

@@ -57,9 +57,9 @@
 //! The unified attack API is the *only* entry point: the legacy per-attack
 //! inherent `run` methods were removed, callers go through
 //! [`Attack::execute`] or the [`AttackRegistry`]. Budgets are unified in
-//! [`Budget`] (the old [`AttackBudget`] name is an alias), and its
-//! [`Deadline`] is threaded into the SAT/QBF loops so every component of an
-//! attack honours one wall clock cooperatively.
+//! the request's [`Budget`], and its [`Deadline`] is threaded into the
+//! SAT/QBF loops so every component of an attack honours one wall clock
+//! cooperatively.
 
 pub mod appsat;
 pub mod campaign;
@@ -98,8 +98,8 @@ pub use portfolio::PortfolioAttack;
 pub use registry::AttackRegistry;
 pub use removal::RemovalAttack;
 pub use report::{
-    key_input_names, score_guess, AttackBudget, AttackOutcome, AttackRun, KeyGuess, MemberRun,
-    NamedGuess, OgOutcome, OgReport, OlReport, StepTiming,
+    key_input_names, score_guess, AttackOutcome, AttackRun, KeyGuess, MemberRun, NamedGuess,
+    OgOutcome, OgReport, OlReport, StepTiming,
 };
 pub use sat_attack::{measure_dip_encoding, DipEncodeStats, DipEngineKind, SatAttack};
 pub use scope::ScopeAttack;

@@ -18,10 +18,6 @@ use kratt_netlist::Circuit;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Legacy name of the shared resource budget; use
-/// [`Budget`](crate::engine::Budget) in new code.
-pub type AttackBudget = crate::engine::Budget;
-
 /// The key-input names of a locked netlist, in `keyinput` order — the name
 /// list every `KeyGuess` ↔ `SecretKey` conversion is defined over. Thin
 /// alias of [`Circuit::key_input_names`], kept for the many existing
@@ -587,6 +583,7 @@ pub fn score_guess(locked: &LockedCircuit, guess: &KeyGuess) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Budget;
     use kratt_locking::{LockingTechnique, SarLock};
     use kratt_netlist::GateType;
     use std::time::Duration;
@@ -665,9 +662,9 @@ mod tests {
 
     #[test]
     fn budget_default_has_a_time_limit() {
-        let budget = AttackBudget::default();
+        let budget = Budget::default();
         assert!(budget.time_limit.is_some());
-        let custom = AttackBudget::with_time_limit(Duration::from_secs(5));
+        let custom = Budget::with_time_limit(Duration::from_secs(5));
         assert_eq!(custom.time_limit, Some(Duration::from_secs(5)));
     }
 

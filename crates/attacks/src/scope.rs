@@ -101,16 +101,6 @@ impl ScopeAttack {
         ))
     }
 
-    /// Analyses a single key bit; returns the guessed value or `None` when
-    /// the two assignments are structurally indistinguishable.
-    ///
-    /// # Errors
-    ///
-    /// Returns a netlist error if the circuit cannot be analysed.
-    pub fn analyze_bit(&self, locked: &Circuit, key: NetId) -> Result<Option<bool>, AttackError> {
-        Ok(self.decide(&ScopePlan::new(locked)?, key))
-    }
-
     /// The guess the margin-aware comparison makes from the key bit's
     /// cofactor pair.
     fn decide(&self, plan: &ScopePlan<'_>, key: NetId) -> Option<bool> {

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kratt::KrattAttack;
-use kratt_attacks::{Attack, AttackBudget, AttackRequest, Budget, Oracle, SatAttack, ScopeAttack};
+use kratt_attacks::{Attack, AttackRequest, Budget, Oracle, SatAttack, ScopeAttack};
 use kratt_benchmarks::arith::array_multiplier;
 use kratt_benchmarks::IscasCircuit;
 use kratt_locking::{AntiSat, LockingTechnique, RandomXorLocking, SarLock, SecretKey, TtLock};
@@ -173,10 +173,10 @@ fn bench_sat_attack_on_rll(c: &mut Criterion) {
     group.bench_function("sat_attack_rll_8_keys", |b| {
         b.iter(|| {
             let oracle = Oracle::new(original.clone()).unwrap();
-            let budget = AttackBudget {
+            let budget = Budget {
                 time_limit: Some(Duration::from_secs(30)),
                 max_iterations: 10_000,
-                ..AttackBudget::default()
+                ..Budget::default()
             };
             let request =
                 AttackRequest::oracle_guided(&locked.circuit, &oracle).with_budget(budget);

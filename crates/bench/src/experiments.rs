@@ -2,10 +2,10 @@
 
 use crate::campaign::run_campaign_preset;
 use crate::Table;
-use kratt::{KrattAttack, KrattConfig, ThreatOutcome};
+use kratt::{KrattAttack, ThreatOutcome};
 use kratt_attacks::{
-    key_input_names, score_guess, Attack, AttackBudget, AttackRequest, AttackRun, Budget, KeyGuess,
-    Oracle, SatAttack, ScopeAttack, Verdict,
+    key_input_names, score_guess, Attack, AttackRequest, AttackRun, Budget, KeyGuess, Oracle,
+    SatAttack, ScopeAttack, Verdict,
 };
 use kratt_benchmarks::hello_ctf::HelloCtfCircuit;
 use kratt_benchmarks::{table1_circuits, ItcCircuit};
@@ -269,10 +269,10 @@ pub fn run_table5(options: &ExperimentOptions) -> Table {
         "SAT",
         "KRATT-OG",
     ]);
-    let budget = AttackBudget {
+    let budget = Budget {
         time_limit: Some(options.baseline_budget),
         max_iterations: 10_000,
-        ..AttackBudget::default()
+        ..Budget::default()
     };
     for challenge in HelloCtfCircuit::ALL {
         // final_v3 is tiny and always generated at full scale.
@@ -458,11 +458,6 @@ pub fn run_valkyrie_sweep(options: &ExperimentOptions, seeds: usize) -> Table {
         ]);
     }
     table
-}
-
-/// Returns a KRATT configuration mirroring the paper's one-minute QBF limit.
-pub fn paper_kratt_config() -> KrattConfig {
-    KrattConfig::default()
 }
 
 /// Output-corruption study behind the paper's Fig. 2 discussion: for every

@@ -28,8 +28,8 @@
 //!    the two roots are equal, and its complement exactly when its root
 //!    equals the negated reference.
 //! 3. **SAT miters.** Only when the unit's BDD outgrows the stage's node
-//!    budget, two gate-level miters decide `unit ≡ reference` and
-//!    `unit ≡ NOT reference`.
+//!    budget, two miters over one AIG of the unit and the reference decide
+//!    `unit ≡ reference` and `unit ≡ NOT reference`.
 //!
 //! Each stage decides only what it can prove, and each decision is about the
 //! same function of the same named inputs, so a unit gets the class the SAT
@@ -38,9 +38,9 @@
 use crate::og::SplitMix64;
 use crate::{KrattError, RemovalArtifacts};
 use kratt_netlist::sim::Simulator;
-use kratt_netlist::{Circuit, GateType, NetId};
+use kratt_netlist::{Aig, Circuit, GateType, NetId};
 use kratt_qbf::bdd::{BddManager, NodeLimitExceeded};
-use kratt_sat::{Encoder, Lit, Solver, Var};
+use kratt_sat::{encode_aig, Solver};
 use std::collections::HashMap;
 
 /// Node budget of the BDD stage. The largest unit of the Table-I hosts (a
@@ -156,9 +156,9 @@ fn classify_within(
     if let Ok(class) = decide_on_bdd(unit, &reference, node_budget) {
         return Ok((class, Stage::Bdd));
     }
-    let class = if units_equivalent(unit, &reference, false) {
+    let class = if units_equivalent(unit, &reference, false)? {
         UnitClass::Comparator
-    } else if units_equivalent(unit, &reference, true) {
+    } else if units_equivalent(unit, &reference, true)? {
         UnitClass::ComplementComparator
     } else {
         UnitClass::Other
@@ -269,31 +269,25 @@ fn decide_on_bdd(
 }
 
 /// SAT check: `unit ≡ reference` (or `unit ≡ NOT reference` when
-/// `complemented`), sharing inputs by name; inputs of the unit that the
-/// reference does not mention are universally quantified implicitly (the
-/// miter must be UNSAT for all of them).
-fn units_equivalent(unit: &Circuit, reference: &Circuit, complemented: bool) -> bool {
+/// `complemented`) on one AIG, inputs shared by name; inputs of the unit
+/// that the reference does not mention are universally quantified
+/// implicitly (the miter must be UNSAT for all of them).
+fn units_equivalent(
+    unit: &Circuit,
+    reference: &Circuit,
+    complemented: bool,
+) -> Result<bool, KrattError> {
+    let mut aig = Aig::new("classification_miter");
+    let u = aig.add_circuit(unit)?[0];
+    let r = aig.add_circuit(reference)?[0];
+    // unit != ref must be unsatisfiable; for the complemented check,
+    // unit != NOT ref.
+    let diff = aig.xor(u, r.when(!complemented));
+    aig.add_output("diff", diff);
     let mut solver = Solver::new();
-    let encoder = Encoder::new();
-    let enc_unit = encoder.encode(&mut solver, unit, &HashMap::new());
-    let shared: HashMap<String, Var> = enc_unit.inputs().iter().cloned().collect();
-    let enc_ref = encoder.encode(&mut solver, reference, &shared);
-    let diff = solver.new_var();
-    encoder.encode_xor2(
-        &mut solver,
-        diff,
-        enc_unit.outputs()[0],
-        enc_ref.outputs()[0],
-    );
-    // unit != ref must be unsatisfiable; for the complemented check we ask
-    // unit == ref to be unsatisfiable instead.
-    let target = if complemented {
-        Lit::negative(diff)
-    } else {
-        Lit::positive(diff)
-    };
-    solver.add_clause([target]);
-    solver.solve().is_unsat()
+    let encoding = encode_aig(&mut solver, &aig, &HashMap::new());
+    solver.add_clause([*encoding.outputs().last().expect("miter output registered")]);
+    Ok(solver.solve().is_unsat())
 }
 
 #[cfg(test)]

@@ -24,8 +24,8 @@ use crate::{KrattError, RemovalArtifacts};
 use kratt_attacks::{KeyGuess, Oracle};
 use kratt_dataflow::{CircuitAnalysis, SupportDomain};
 use kratt_netlist::sim::Simulator;
-use kratt_netlist::{Circuit, NetId};
-use kratt_sat::{cancel_requested, CancelFlag, Encoder, Lit, SatResult, Solver};
+use kratt_netlist::{Aig, Circuit, NetId};
+use kratt_sat::{cancel_requested, encode_aig, CancelFlag, SatResult, Solver};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -418,9 +418,11 @@ fn ppi_only_cones(
 /// `[cone][polarity]` (`None` where the polarity is unreachable or the
 /// budget stopped SAT first). A packed simulation of the subcircuit over
 /// [`SIM_WORDS`] random words per PPI (non-protected inputs held at 0, which
-/// PPI-only cones ignore) justifies every pair some lane hits; the rest go
-/// to SAT on the gate-level encoding, built on the first miss and bounded
-/// by the search's deadline and cancel flag.
+/// PPI-only cones ignore) justifies every pair some lane hits. The rest go
+/// to SAT: the subcircuit is lowered into an AIG once, each missed pair's
+/// root edge, in the pair's polarity, is registered as an output, and each
+/// output is assumed in turn, bounded by the search's deadline and cancel
+/// flag.
 fn justify_cones(
     subcircuit: &Circuit,
     ppi_positions: &[usize],
@@ -461,17 +463,24 @@ fn justify_cones(
     }
 
     if !pending.is_empty() {
+        let mut aig = Aig::new(subcircuit.name());
+        let lits = aig.lower_circuit(subcircuit, &HashMap::new())?;
+        for &(cone, target) in &pending {
+            let net = cones[cone].net;
+            aig.add_output(subcircuit.net_name(net), lits[net.index()].when(target));
+        }
         let mut solver = Solver::with_config(kratt_sat::SolverConfig {
             deadline,
             cancel: config.cancel.clone(),
             ..Default::default()
         });
-        let encoding = Encoder::new().encode(&mut solver, subcircuit, &HashMap::new());
-        for (cone, target) in pending {
-            let assumption = Lit::with_polarity(encoding.var_of(cones[cone].net), target);
-            if let SatResult::Sat(model) = solver.solve_with_assumptions(&[assumption]) {
+        // Inputs are declared in the subcircuit's order, so a PPI's input
+        // position is its encoding position.
+        let encoding = encode_aig(&mut solver, &aig, &HashMap::new());
+        for (&(cone, target), &root) in pending.iter().zip(encoding.outputs()) {
+            if let SatResult::Sat(model) = solver.solve_with_assumptions(&[root]) {
                 witnesses[cone][usize::from(target)] = Some(cones[cone].pattern(num_ppis, |bit| {
-                    model.value(encoding.var_of(subcircuit.inputs()[ppi_positions[bit]]))
+                    model.value(encoding.inputs()[ppi_positions[bit]].1)
                 }));
             }
         }

@@ -47,7 +47,9 @@ pub mod qdimacs;
 
 use kratt_netlist::aig::{Aig, AigLit};
 use kratt_netlist::{Circuit, NetId};
-use kratt_sat::{cancel_requested, AigEncoding, CancelFlag, Encoder, Lit, SatResult, Solver, Var};
+use kratt_sat::{
+    cancel_requested, encode_aig, AigEncoding, CancelFlag, Lit, SatResult, Solver, Var,
+};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -373,14 +375,13 @@ impl<'a> ExistsForallSolver<'a> {
 /// iterations *and* targets.
 ///
 /// Both the verifier instance and every counterexample copy are encoded
-/// through the AIG core IR ([`kratt_sat::Encoder::encode_aig`]): the unit is
+/// through the AIG core IR ([`kratt_sat::encode_aig`]): the unit is
 /// lowered once into a structurally hashed AIG, and each counterexample copy
 /// lowers the unit with its universal inputs *bound to constants*, so the
 /// folding shrinks the copy to a function of the keys alone before any
 /// clause is emitted.
 struct CegarEngine<'a, 'c> {
     problem: &'a ExistsForallSolver<'c>,
-    encoder: Encoder,
     deadline: Option<Instant>,
     verifier: Solver,
     verify_encoding: AigEncoding,
@@ -395,7 +396,6 @@ struct CegarEngine<'a, 'c> {
 impl<'a, 'c> CegarEngine<'a, 'c> {
     fn new(problem: &'a ExistsForallSolver<'c>) -> Self {
         let deadline = problem.config.effective_deadline();
-        let encoder = Encoder::new();
 
         // Verification solver: one AIG image of the circuit; a candidate key
         // and the wrong output value are checked by assuming their literals.
@@ -408,7 +408,7 @@ impl<'a, 'c> CegarEngine<'a, 'c> {
             ..Default::default()
         });
         let verify_aig = unit_aig(problem.circuit, problem.output, &HashMap::new());
-        let verify_encoding = encoder.encode_aig(&mut verifier, &verify_aig, &HashMap::new());
+        let verify_encoding = encode_aig(&mut verifier, &verify_aig, &HashMap::new());
         let out_lit = verify_encoding.outputs()[0];
 
         // Synthesis solver: one shared set of existential variables; each
@@ -433,7 +433,6 @@ impl<'a, 'c> CegarEngine<'a, 'c> {
 
         CegarEngine {
             problem,
-            encoder,
             deadline,
             verifier,
             verify_encoding,
@@ -489,9 +488,7 @@ impl<'a, 'c> CegarEngine<'a, 'c> {
                 })
                 .collect();
             let copy_aig = unit_aig(problem.circuit, problem.output, &bound);
-            let copy = self
-                .encoder
-                .encode_aig(&mut self.synthesizer, &copy_aig, &self.exist_vars);
+            let copy = encode_aig(&mut self.synthesizer, &copy_aig, &self.exist_vars);
             let copy_out = copy.outputs()[0];
             self.synthesizer
                 .add_clause([Lit::negative(act), polarised(copy_out, target)]);
@@ -748,6 +745,41 @@ mod tests {
         None
     }
 
+    /// Decides an exported QDIMACS instance by brute force over its outer
+    /// blocks: true iff some assignment of the outer `e` block leaves the
+    /// matrix satisfiable (over the inner `e` block) under every assignment
+    /// of the `a` block.
+    fn brute_force_qdimacs(text: &str) -> bool {
+        let is_prefix = |line: &&str| line.starts_with("e ") || line.starts_with("a ");
+        let block = |kind: &str| -> Vec<Var> {
+            let line = text.lines().find(|l| l.starts_with(kind)).unwrap();
+            line[kind.len()..]
+                .split_whitespace()
+                .map(|t| t.parse::<usize>().unwrap())
+                .take_while(|&v| v != 0)
+                .map(|v| Var::from_index(v - 1))
+                .collect()
+        };
+        let (exists, forall) = (block("e "), block("a "));
+        let matrix: Vec<&str> = text.lines().filter(|l| !is_prefix(l)).collect();
+        let mut solver = kratt_sat::Cnf::from_dimacs(&matrix.join("\n"))
+            .unwrap()
+            .to_solver();
+        let assign = |vars: &[Var], bits: u64| -> Vec<Lit> {
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| Lit::with_polarity(v, bits >> i & 1 != 0))
+                .collect()
+        };
+        (0u64..1 << exists.len()).any(|e_val| {
+            (0u64..1 << forall.len()).all(|u_val| {
+                let mut assumptions = assign(&exists, e_val);
+                assumptions.extend(assign(&forall, u_val));
+                solver.solve_with_assumptions(&assumptions).is_sat()
+            })
+        })
+    }
+
     proptest::proptest! {
         /// Random small units: CEGAR agrees with brute force about
         /// satisfiability, and returned witnesses actually work.
@@ -778,6 +810,11 @@ mod tests {
 
             let reference = brute_force_exists_forall(&c, &ks, &xs, target);
             let solver = ExistsForallSolver::new(&c, &ks, &xs, out, target);
+            // The exported instance is the one CEGAR decides.
+            proptest::prop_assert_eq!(
+                brute_force_qdimacs(&solver.to_qdimacs()),
+                reference.is_some()
+            );
             match (reference, solver.solve()) {
                 (Some(_), QbfResult::Sat(witness)) => {
                     // Check the witness against every universal assignment.

@@ -5,7 +5,9 @@
 //! in-tree (see [`ExistsForallSolver`](crate::ExistsForallSolver)), but this
 //! module keeps the interchange path alive: it emits exactly the prenex
 //! ∃K ∀PPI ∃aux CNF the paper describes, so the instance can be handed to
-//! DepQBF (or any QDIMACS solver) for cross-checking.
+//! DepQBF (or any QDIMACS solver) for cross-checking. The matrix is the AIG
+//! image the in-tree CEGAR verifier solves, so the exported instance is the
+//! one the in-tree engine decides.
 //!
 //! ```
 //! use kratt_netlist::{Circuit, GateType};
@@ -25,20 +27,28 @@
 //! # }
 //! ```
 
+use crate::{polarised, unit_aig};
 use kratt_netlist::{Circuit, NetId};
 use kratt_sat::cnf::{clause_to_dimacs, ClauseSink, Cnf};
-use kratt_sat::{Encoder, Lit, Var};
+use kratt_sat::{encode_aig, Var};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Serialises `∃ existential ∀ universal ∃ aux . circuit[output] = target` in
 /// QDIMACS format.
 ///
-/// Primary inputs that appear in neither list are treated as universal, the
-/// same conservative default the in-tree solver uses. All Tseitin auxiliary
-/// variables (internal nets and XOR chain variables) are placed in an
-/// innermost existential block, as required for the encoding to be
-/// equisatisfiable with the circuit-level formula.
+/// The matrix is the [`encode_aig`] image of the circuit lowered into an AIG
+/// with `output` as its one output — the CNF the in-tree CEGAR verifier
+/// solves — plus the unit clause asserting `target`. Primary inputs that
+/// appear in neither list are treated as universal, the same conservative
+/// default the in-tree solver uses. The auxiliary variables (one per encoded
+/// AIG node) are placed in an innermost existential block, as required for
+/// the encoding to be equisatisfiable with the circuit-level formula.
+///
+/// # Panics
+///
+/// Panics if a quantified net is not a primary input of `circuit`, or if
+/// the circuit is cyclic (the construction API cannot produce one).
 pub fn export(
     circuit: &Circuit,
     existential: &[NetId],
@@ -54,12 +64,17 @@ pub fn export(
     }
 
     let mut cnf = Cnf::new();
-    let encoding = Encoder::new().encode(&mut cnf, circuit, &HashMap::new());
-    let out_var = encoding.var_of(output);
-    cnf.add_clause([Lit::with_polarity(out_var, target)]);
+    let aig = unit_aig(circuit, output, &HashMap::new());
+    let encoding = encode_aig(&mut cnf, &aig, &HashMap::new());
+    cnf.add_clause([polarised(encoding.outputs()[0], target)]);
 
-    let exist_vars: Vec<Var> = existential.iter().map(|&n| encoding.var_of(n)).collect();
-    let universal_vars: Vec<Var> = universal.iter().map(|&n| encoding.var_of(n)).collect();
+    let var_of = |net: NetId| {
+        encoding
+            .input_var(circuit.net_name(net))
+            .expect("quantified nets are primary inputs")
+    };
+    let exist_vars: Vec<Var> = existential.iter().map(|&n| var_of(n)).collect();
+    let universal_vars: Vec<Var> = universal.iter().map(|&n| var_of(n)).collect();
     let mut outer: Vec<Var> = exist_vars.clone();
     outer.extend(universal_vars.iter().copied());
     let inner: Vec<Var> = (0..cnf.num_vars())

@@ -6,7 +6,7 @@
 //! reproduction, but the interchange path is still valuable: it lets a user
 //! dump exactly the instances KRATT generates and feed them to any external
 //! solver for cross-checking. [`Cnf`] is the in-memory representation of such
-//! an instance, and [`ClauseSink`] lets the Tseitin [`Encoder`](crate::Encoder)
+//! an instance, and [`ClauseSink`] lets [`encode_aig`](crate::encode_aig)
 //! target either a live [`Solver`] or a [`Cnf`] to be serialised.
 //!
 //! ```
@@ -32,8 +32,8 @@ use std::fmt::Write as _;
 /// A destination clauses can be added to: either a live [`Solver`] or an
 /// in-memory [`Cnf`] formula headed for DIMACS serialisation.
 ///
-/// The Tseitin [`Encoder`](crate::Encoder) is generic over this trait, so the
-/// same circuit-to-CNF translation drives both solving and exporting.
+/// [`encode_aig`](crate::encode_aig) is generic over this trait, so the same
+/// circuit-to-CNF translation drives both solving and exporting.
 pub trait ClauseSink {
     /// Allocates a fresh variable.
     fn new_var(&mut self) -> Var;
@@ -292,8 +292,8 @@ fn parse_count(token: Option<&str>, line: usize, what: &str) -> Result<usize, Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::Encoder;
-    use kratt_netlist::{Circuit, GateType};
+    use crate::encode::encode_aig;
+    use kratt_netlist::{Aig, Circuit, GateType};
     use std::collections::HashMap;
 
     #[test]
@@ -406,7 +406,8 @@ mod tests {
         circuit.mark_output(cout);
 
         let mut cnf = Cnf::new();
-        let encoding = Encoder::new().encode(&mut cnf, &circuit, &HashMap::new());
+        let aig = Aig::from_circuit(&circuit).unwrap();
+        let encoding = encode_aig(&mut cnf, &aig, &HashMap::new());
         let round_tripped = Cnf::from_dimacs(&cnf.to_dimacs()).unwrap();
 
         let sim = kratt_netlist::sim::Simulator::new(&circuit).unwrap();
@@ -422,8 +423,8 @@ mod tests {
                 .collect();
             match solver.solve_with_assumptions(&assumptions) {
                 SatResult::Sat(model) => {
-                    assert_eq!(model.value(encoding.outputs()[0]), expected[0]);
-                    assert_eq!(model.value(encoding.outputs()[1]), expected[1]);
+                    assert_eq!(model.lit_is_true(encoding.outputs()[0]), expected[0]);
+                    assert_eq!(model.lit_is_true(encoding.outputs()[1]), expected[1]);
                 }
                 other => panic!("expected SAT, got {other:?}"),
             }

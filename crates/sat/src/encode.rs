@@ -1,54 +1,20 @@
-//! Tseitin encoding of gate-level circuits into solver clauses.
+//! Tseitin encoding of and-inverter graphs into solver clauses.
 //!
-//! Every net of the circuit is mapped to one solver variable; every gate is
-//! translated into the equivalence clauses between its output variable and
-//! the Boolean function of its input variables. Primary-input variables can
-//! be *shared* with previously encoded circuits, which is how miters (two
-//! copies of a locked circuit sharing primary inputs but not key inputs, the
-//! heart of the SAT-based attack) and equivalence checks are built.
+//! Every SAT query of the suite is posed on an [`Aig`]: the caller lowers
+//! its circuits with [`Aig::lower_circuit`] or [`Aig::add_circuit`]
+//! (inputs shared by name, so miters and cofactor pairs hash their common
+//! logic together), registers the edges it wants to constrain as outputs,
+//! and [`encode_aig`] emits the CNF image into a live [`Solver`] or a
+//! [`Cnf`](crate::cnf::Cnf) headed for DIMACS export. Input variables can be
+//! *shared* with earlier encodings by name, which is how the CEGAR loops add
+//! counterexample copies over one set of key variables.
+//!
+//! [`Solver`]: crate::Solver
 
 use crate::cnf::ClauseSink;
 use crate::lit::{Lit, Var};
-use crate::solver::Solver;
-use kratt_netlist::{Aig, AigLit, Circuit, GateType, NetId};
+use kratt_netlist::{Aig, AigLit};
 use std::collections::HashMap;
-
-/// The result of encoding one circuit into a [`Solver`].
-#[derive(Debug, Clone)]
-pub struct CircuitEncoding {
-    /// Variable assigned to each net, indexed by [`NetId::index`].
-    vars: Vec<Var>,
-    /// `(name, var)` for each primary input, in circuit input order.
-    inputs: Vec<(String, Var)>,
-    /// Input variables keyed by name — the lookup map behind
-    /// [`CircuitEncoding::input_var`], which sits on the hot path of the
-    /// CEGAR and DIP loops (one lookup per input per iteration).
-    input_by_name: HashMap<String, Var>,
-    /// Output variables in circuit output order.
-    outputs: Vec<Var>,
-}
-
-impl CircuitEncoding {
-    /// The solver variable carrying the value of `net`.
-    pub fn var_of(&self, net: NetId) -> Var {
-        self.vars[net.index()]
-    }
-
-    /// `(name, variable)` pairs for the primary inputs, in circuit order.
-    pub fn inputs(&self) -> &[(String, Var)] {
-        &self.inputs
-    }
-
-    /// The variable of the primary input with the given name.
-    pub fn input_var(&self, name: &str) -> Option<Var> {
-        self.input_by_name.get(name).copied()
-    }
-
-    /// Output variables, in circuit output order.
-    pub fn outputs(&self) -> &[Var] {
-        &self.outputs
-    }
-}
 
 /// The result of encoding an [`Aig`] into a solver: input variables by name
 /// and position, plus one *literal* per output (an AIG output is an edge, so
@@ -91,384 +57,192 @@ impl AigEncoding {
     }
 }
 
-/// Encoder of circuits into a [`Solver`]. The encoder is stateless; it is a
-/// struct (rather than free functions) so that the gate-encoding helpers can
-/// be discovered together in the documentation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Encoder;
-
-impl Encoder {
-    /// Creates an encoder.
-    pub fn new() -> Self {
-        Encoder
-    }
-
-    /// Encodes `circuit` into `solver` (any [`ClauseSink`]: a live
-    /// [`Solver`] or a [`Cnf`](crate::cnf::Cnf) headed for DIMACS export).
-    ///
-    /// `shared_inputs` maps primary-input *names* to already existing solver
-    /// variables; inputs found in the map reuse that variable instead of
-    /// getting a fresh one. All other nets receive fresh variables.
-    pub fn encode<S: ClauseSink>(
-        &self,
-        solver: &mut S,
-        circuit: &Circuit,
-        shared_inputs: &HashMap<String, Var>,
-    ) -> CircuitEncoding {
-        let mut vars: Vec<Option<Var>> = vec![None; circuit.num_nets()];
-        let mut inputs = Vec::with_capacity(circuit.num_inputs());
-        for &pi in circuit.inputs() {
-            let name = circuit.net_name(pi).to_string();
-            let var = shared_inputs
-                .get(&name)
-                .copied()
-                .unwrap_or_else(|| solver.new_var());
-            vars[pi.index()] = Some(var);
-            inputs.push((name, var));
+/// Encodes an [`Aig`] into `solver` (any [`ClauseSink`]). The image is
+/// compact:
+///
+/// * only nodes in the cone of the registered outputs are encoded
+///   (dangling logic costs nothing);
+/// * inverters and buffers are complement edges — no variable, no
+///   clauses;
+/// * single-fanout AND trees collapse into one k-ary conjunction
+///   (`k + 1` clauses, one variable);
+/// * the three-node XOR/XNOR shape is recognised and emitted as the
+///   four-clause XOR constraint, absorbing its two single-fanout
+///   children.
+///
+/// A registered output node always keeps its own variable, so every output
+/// edge has a literal to assume or assert.
+///
+/// `shared_inputs` maps AIG input *names* to existing solver variables;
+/// inputs found in the map reuse that variable instead of getting a fresh
+/// one. Every AIG input receives a variable (shared or fresh) whether or
+/// not it feeds an output cone, so counterexamples can always be read back
+/// over the full interface, by name or by input position.
+pub fn encode_aig<S: ClauseSink>(
+    solver: &mut S,
+    aig: &Aig,
+    shared_inputs: &HashMap<String, Var>,
+) -> AigEncoding {
+    let n = aig.num_nodes();
+    let cone = aig.cone(aig.outputs());
+    let refs = aig.reference_counts(&cone);
+    let is_output_node = {
+        let mut mark = vec![false; n];
+        for lit in aig.outputs() {
+            mark[lit.node() as usize] = true;
         }
-        for net in circuit.nets() {
-            if vars[net.index()].is_none() {
-                vars[net.index()] = Some(solver.new_var());
-            }
-        }
-        let vars: Vec<Var> = vars
-            .into_iter()
-            .map(|v| v.expect("assigned above"))
-            .collect();
+        mark
+    };
 
-        for (_, gate) in circuit.gates() {
-            let output = vars[gate.output.index()];
-            let gate_inputs: Vec<Var> = gate.inputs.iter().map(|n| vars[n.index()]).collect();
-            self.encode_gate(solver, gate.ty, output, &gate_inputs);
+    // --- Pattern detection pass (ascending = topological order). -------
+    // `xor_def[n] = (a, b)` means node n is encoded as `n ↔ a ⊕ b`;
+    // `absorbed[m]` marks nodes folded into a parent's constraint.
+    let mut xor_def: Vec<Option<(AigLit, AigLit)>> = vec![None; n];
+    let mut absorbed = vec![false; n];
+    for node in 1..n as u32 {
+        if !cone[node as usize] || !aig.is_and(node) {
+            continue;
         }
-
-        let outputs = circuit.outputs().iter().map(|o| vars[o.index()]).collect();
-        let input_by_name = inputs.iter().cloned().collect();
-        CircuitEncoding {
-            vars,
-            inputs,
-            input_by_name,
-            outputs,
+        let (f0, f1) = aig.fanins(node);
+        if !(f0.is_complemented() && f1.is_complemented()) {
+            continue;
         }
-    }
-
-    /// Encodes an [`Aig`] into `solver`, producing a CNF that is usually far
-    /// smaller than the per-gate [`Encoder::encode`] image of the equivalent
-    /// circuit:
-    ///
-    /// * only nodes in the cone of the registered outputs are encoded
-    ///   (dangling logic costs nothing);
-    /// * inverters and buffers are complement edges — no variable, no
-    ///   clauses;
-    /// * single-fanout AND trees collapse into one k-ary conjunction
-    ///   (`k + 1` clauses, one variable — the same cost the per-gate encoder
-    ///   pays for a k-input AND gate);
-    /// * the three-node XOR/XNOR shape is recognised and emitted as the
-    ///   four-clause XOR constraint, absorbing its two single-fanout
-    ///   children.
-    ///
-    /// `shared_inputs` maps AIG input *names* to existing solver variables,
-    /// exactly as for [`Encoder::encode`]. Every AIG input receives a
-    /// variable (shared or fresh) whether or not it feeds an output cone, so
-    /// counterexamples can always be read back over the full interface.
-    pub fn encode_aig<S: ClauseSink>(
-        &self,
-        solver: &mut S,
-        aig: &Aig,
-        shared_inputs: &HashMap<String, Var>,
-    ) -> AigEncoding {
-        let n = aig.num_nodes();
-        let cone = aig.cone(aig.outputs());
-        let refs = aig.reference_counts(&cone);
-        let is_output_node = {
-            let mut mark = vec![false; n];
-            for lit in aig.outputs() {
-                mark[lit.node() as usize] = true;
-            }
-            mark
+        let (c0, c1) = (f0.node(), f1.node());
+        let absorbable = |c: u32| {
+            aig.is_and(c)
+                && refs[c as usize] == 1
+                && !is_output_node[c as usize]
+                && !absorbed[c as usize]
         };
-
-        // --- Pattern detection pass (ascending = topological order). -------
-        // `xor_def[n] = (a, b)` means node n is encoded as `n ↔ a ⊕ b`;
-        // `absorbed[m]` marks nodes folded into a parent's constraint.
-        let mut xor_def: Vec<Option<(AigLit, AigLit)>> = vec![None; n];
-        let mut absorbed = vec![false; n];
-        for node in 1..n as u32 {
-            if !cone[node as usize] || !aig.is_and(node) {
-                continue;
-            }
-            let (f0, f1) = aig.fanins(node);
-            if !(f0.is_complemented() && f1.is_complemented()) {
-                continue;
-            }
-            let (c0, c1) = (f0.node(), f1.node());
-            let absorbable = |c: u32| {
-                aig.is_and(c)
-                    && refs[c as usize] == 1
-                    && !is_output_node[c as usize]
-                    && !absorbed[c as usize]
-            };
-            if !absorbable(c0) || !absorbable(c1) {
-                continue;
-            }
-            let (a0, b0) = aig.fanins(c0);
-            let (a1, b1) = aig.fanins(c1);
-            // XOR shape: the two children conjoin complementary literal
-            // pairs. Grandchildren must themselves carry variables.
-            let complementary = (a1 == a0.complement() && b1 == b0.complement())
-                || (a1 == b0.complement() && b1 == a0.complement());
-            let materialised = |l: AigLit| !absorbed[l.node() as usize];
-            if complementary && materialised(a0) && materialised(b0) {
-                xor_def[node as usize] = Some((a0, b0));
-                absorbed[c0 as usize] = true;
-                absorbed[c1 as usize] = true;
-            }
+        if !absorbable(c0) || !absorbable(c1) {
+            continue;
         }
-        // AND-cone collapse: a plain, single-fanout AND feeding another
-        // encoded AND disappears into its parent's k-ary conjunction.
-        let mut internal = vec![false; n];
-        for node in 1..n as u32 {
-            if !cone[node as usize]
-                || !aig.is_and(node)
-                || absorbed[node as usize]
-                || xor_def[node as usize].is_some()
+        let (a0, b0) = aig.fanins(c0);
+        let (a1, b1) = aig.fanins(c1);
+        // XOR shape: the two children conjoin complementary literal
+        // pairs. Grandchildren must themselves carry variables.
+        let complementary = (a1 == a0.complement() && b1 == b0.complement())
+            || (a1 == b0.complement() && b1 == a0.complement());
+        let materialised = |l: AigLit| !absorbed[l.node() as usize];
+        if complementary && materialised(a0) && materialised(b0) {
+            xor_def[node as usize] = Some((a0, b0));
+            absorbed[c0 as usize] = true;
+            absorbed[c1 as usize] = true;
+        }
+    }
+    // AND-cone collapse: a plain, single-fanout AND feeding another
+    // encoded AND disappears into its parent's k-ary conjunction.
+    let mut internal = vec![false; n];
+    for node in 1..n as u32 {
+        if !cone[node as usize]
+            || !aig.is_and(node)
+            || absorbed[node as usize]
+            || xor_def[node as usize].is_some()
+        {
+            continue;
+        }
+        let (f0, f1) = aig.fanins(node);
+        for f in [f0, f1] {
+            let m = f.node() as usize;
+            if !f.is_complemented()
+                && aig.is_and(f.node())
+                && refs[m] == 1
+                && !is_output_node[m]
+                && !absorbed[m]
+                && xor_def[m].is_none()
             {
-                continue;
+                internal[m] = true;
             }
-            let (f0, f1) = aig.fanins(node);
+        }
+    }
+
+    // --- Variable allocation. ------------------------------------------
+    let mut node_vars: Vec<Option<Var>> = vec![None; n];
+    let mut inputs = Vec::with_capacity(aig.num_inputs());
+    for (&node, name) in aig.input_nodes().iter().zip(aig.input_names()) {
+        let var = shared_inputs
+            .get(name)
+            .copied()
+            .unwrap_or_else(|| solver.new_var());
+        node_vars[node as usize] = Some(var);
+        inputs.push((name.clone(), var));
+    }
+    if aig.outputs().iter().any(|lit| lit.is_constant()) {
+        // A pinned variable standing in for the constant node (whose
+        // plain value is false), so constant outputs still have a CNF
+        // literal.
+        let constant = solver.new_var();
+        solver.add_clause([Lit::negative(constant)]);
+        node_vars[0] = Some(constant);
+    }
+    for node in 1..n as u32 {
+        let i = node as usize;
+        if cone[i] && aig.is_and(node) && !absorbed[i] && !internal[i] {
+            node_vars[i] = Some(solver.new_var());
+        }
+    }
+    let lit_of = |node_vars: &[Option<Var>], l: AigLit| -> Lit {
+        let var = node_vars[l.node() as usize].expect("referenced node materialised");
+        Lit::with_polarity(var, !l.is_complemented())
+    };
+
+    // --- Clause emission. ----------------------------------------------
+    for node in 1..n as u32 {
+        let i = node as usize;
+        if !cone[i] || !aig.is_and(node) || absorbed[i] || internal[i] {
+            continue;
+        }
+        let out = node_vars[i].expect("allocated above");
+        if let Some((a, b)) = xor_def[i] {
+            let (la, lb) = (lit_of(&node_vars, a), lit_of(&node_vars, b));
+            solver.add_clause([Lit::negative(out), la, lb]);
+            solver.add_clause([Lit::negative(out), !la, !lb]);
+            solver.add_clause([Lit::positive(out), !la, lb]);
+            solver.add_clause([Lit::positive(out), la, !lb]);
+            continue;
+        }
+        // Gather the conjunction's leaves through internal children.
+        let mut leaves: Vec<Lit> = Vec::new();
+        let mut stack = vec![node];
+        while let Some(m) = stack.pop() {
+            let (f0, f1) = aig.fanins(m);
             for f in [f0, f1] {
-                let m = f.node() as usize;
-                if !f.is_complemented()
-                    && aig.is_and(f.node())
-                    && refs[m] == 1
-                    && !is_output_node[m]
-                    && !absorbed[m]
-                    && xor_def[m].is_none()
-                {
-                    internal[m] = true;
-                }
-            }
-        }
-
-        // --- Variable allocation. ------------------------------------------
-        let mut node_vars: Vec<Option<Var>> = vec![None; n];
-        let mut inputs = Vec::with_capacity(aig.num_inputs());
-        for (&node, name) in aig.input_nodes().iter().zip(aig.input_names()) {
-            let var = shared_inputs
-                .get(name)
-                .copied()
-                .unwrap_or_else(|| solver.new_var());
-            node_vars[node as usize] = Some(var);
-            inputs.push((name.clone(), var));
-        }
-        if aig.outputs().iter().any(|lit| lit.is_constant()) {
-            // A pinned variable standing in for the constant node (whose
-            // plain value is false), so constant outputs still have a CNF
-            // literal.
-            let constant = solver.new_var();
-            solver.add_clause([Lit::negative(constant)]);
-            node_vars[0] = Some(constant);
-        }
-        for node in 1..n as u32 {
-            let i = node as usize;
-            if cone[i] && aig.is_and(node) && !absorbed[i] && !internal[i] {
-                node_vars[i] = Some(solver.new_var());
-            }
-        }
-        let lit_of = |node_vars: &[Option<Var>], l: AigLit| -> Lit {
-            let var = node_vars[l.node() as usize].expect("referenced node materialised");
-            Lit::with_polarity(var, !l.is_complemented())
-        };
-
-        // --- Clause emission. ----------------------------------------------
-        for node in 1..n as u32 {
-            let i = node as usize;
-            if !cone[i] || !aig.is_and(node) || absorbed[i] || internal[i] {
-                continue;
-            }
-            let out = node_vars[i].expect("allocated above");
-            if let Some((a, b)) = xor_def[i] {
-                let (la, lb) = (lit_of(&node_vars, a), lit_of(&node_vars, b));
-                solver.add_clause([Lit::negative(out), la, lb]);
-                solver.add_clause([Lit::negative(out), !la, !lb]);
-                solver.add_clause([Lit::positive(out), !la, lb]);
-                solver.add_clause([Lit::positive(out), la, !lb]);
-                continue;
-            }
-            // Gather the conjunction's leaves through internal children.
-            let mut leaves: Vec<Lit> = Vec::new();
-            let mut stack = vec![node];
-            while let Some(m) = stack.pop() {
-                let (f0, f1) = aig.fanins(m);
-                for f in [f0, f1] {
-                    if !f.is_complemented() && internal[f.node() as usize] {
-                        stack.push(f.node());
-                    } else {
-                        leaves.push(lit_of(&node_vars, f));
-                    }
-                }
-            }
-            for &leaf in &leaves {
-                solver.add_clause([Lit::negative(out), leaf]);
-            }
-            let mut clause: Vec<Lit> = leaves.iter().map(|&l| !l).collect();
-            clause.push(Lit::positive(out));
-            solver.add_clause(clause);
-        }
-
-        let outputs = aig
-            .outputs()
-            .iter()
-            .map(|&l| lit_of(&node_vars, l))
-            .collect();
-        let input_by_name = inputs.iter().cloned().collect();
-        AigEncoding {
-            inputs,
-            input_by_name,
-            node_vars,
-            outputs,
-        }
-    }
-
-    /// Encodes `output ↔ ty(inputs)`.
-    pub fn encode_gate<S: ClauseSink>(
-        &self,
-        solver: &mut S,
-        ty: GateType,
-        output: Var,
-        inputs: &[Var],
-    ) {
-        use GateType::*;
-        let out_pos = Lit::positive(output);
-        let out_neg = Lit::negative(output);
-        match ty {
-            And | Nand => {
-                // For AND: out -> in_i, and (all in_i) -> out.
-                // For NAND the output literal polarity flips.
-                let (o_true, o_false) = if ty == And {
-                    (out_pos, out_neg)
+                if !f.is_complemented() && internal[f.node() as usize] {
+                    stack.push(f.node());
                 } else {
-                    (out_neg, out_pos)
-                };
-                for &input in inputs {
-                    solver.add_clause([o_false, Lit::positive(input)]);
+                    leaves.push(lit_of(&node_vars, f));
                 }
-                let mut clause: Vec<Lit> = inputs.iter().map(|&i| Lit::negative(i)).collect();
-                clause.push(o_true);
-                solver.add_clause(clause);
-            }
-            Or | Nor => {
-                let (o_true, o_false) = if ty == Or {
-                    (out_pos, out_neg)
-                } else {
-                    (out_neg, out_pos)
-                };
-                for &input in inputs {
-                    solver.add_clause([o_true, Lit::negative(input)]);
-                }
-                let mut clause: Vec<Lit> = inputs.iter().map(|&i| Lit::positive(i)).collect();
-                clause.push(o_false);
-                solver.add_clause(clause);
-            }
-            Xor | Xnor => {
-                // Chain pairwise XORs through auxiliary variables, then tie
-                // the output (inverted for XNOR).
-                let mut accumulator = inputs[0];
-                for &input in &inputs[1..] {
-                    let next = solver.new_var();
-                    self.encode_xor2(solver, next, accumulator, input);
-                    accumulator = next;
-                }
-                if ty == Xor {
-                    self.encode_equal(solver, output, accumulator);
-                } else {
-                    self.encode_not(solver, output, accumulator);
-                }
-            }
-            Not => self.encode_not(solver, output, inputs[0]),
-            Buf => self.encode_equal(solver, output, inputs[0]),
-            Const0 => {
-                solver.add_clause([out_neg]);
-            }
-            Const1 => {
-                solver.add_clause([out_pos]);
             }
         }
-    }
-
-    /// Encodes `a ↔ b`.
-    pub fn encode_equal<S: ClauseSink>(&self, solver: &mut S, a: Var, b: Var) {
-        solver.add_clause([Lit::negative(a), Lit::positive(b)]);
-        solver.add_clause([Lit::positive(a), Lit::negative(b)]);
-    }
-
-    /// Encodes `a ↔ ¬b`.
-    pub fn encode_not<S: ClauseSink>(&self, solver: &mut S, a: Var, b: Var) {
-        solver.add_clause([Lit::negative(a), Lit::negative(b)]);
-        solver.add_clause([Lit::positive(a), Lit::positive(b)]);
-    }
-
-    /// Encodes `out ↔ a ⊕ b`.
-    pub fn encode_xor2<S: ClauseSink>(&self, solver: &mut S, out: Var, a: Var, b: Var) {
-        solver.add_clause([Lit::negative(out), Lit::positive(a), Lit::positive(b)]);
-        solver.add_clause([Lit::negative(out), Lit::negative(a), Lit::negative(b)]);
-        solver.add_clause([Lit::positive(out), Lit::negative(a), Lit::positive(b)]);
-        solver.add_clause([Lit::positive(out), Lit::positive(a), Lit::negative(b)]);
-    }
-
-    /// Creates a fresh variable equal to the OR of `inputs` (true iff at
-    /// least one input is true).
-    pub fn or_reduce<S: ClauseSink>(&self, solver: &mut S, inputs: &[Var]) -> Var {
-        let out = solver.new_var();
-        for &input in inputs {
-            solver.add_clause([Lit::positive(out), Lit::negative(input)]);
+        for &leaf in &leaves {
+            solver.add_clause([Lit::negative(out), leaf]);
         }
-        let mut clause: Vec<Lit> = inputs.iter().map(|&i| Lit::positive(i)).collect();
-        clause.push(Lit::negative(out));
+        let mut clause: Vec<Lit> = leaves.iter().map(|&l| !l).collect();
+        clause.push(Lit::positive(out));
         solver.add_clause(clause);
-        out
     }
 
-    /// Builds a *miter* over two encodings of circuits with the same number
-    /// of outputs: returns a fresh variable that is true iff at least one
-    /// pair of corresponding outputs differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the encodings have different output counts.
-    pub fn miter<S: ClauseSink>(
-        &self,
-        solver: &mut S,
-        a: &CircuitEncoding,
-        b: &CircuitEncoding,
-    ) -> Var {
-        assert_eq!(
-            a.outputs().len(),
-            b.outputs().len(),
-            "miter requires matching output counts"
-        );
-        let mut diffs = Vec::with_capacity(a.outputs().len());
-        for (&oa, &ob) in a.outputs().iter().zip(b.outputs()) {
-            let diff = solver.new_var();
-            self.encode_xor2(solver, diff, oa, ob);
-            diffs.push(diff);
-        }
-        self.or_reduce(solver, &diffs)
+    let outputs = aig
+        .outputs()
+        .iter()
+        .map(|&l| lit_of(&node_vars, l))
+        .collect();
+    let input_by_name = inputs.iter().cloned().collect();
+    AigEncoding {
+        inputs,
+        input_by_name,
+        node_vars,
+        outputs,
     }
-}
-
-/// Convenience: encode a circuit into a fresh solver and return both.
-pub fn encode_standalone(circuit: &Circuit) -> (Solver, CircuitEncoding) {
-    let mut solver = Solver::new();
-    let encoding = Encoder::new().encode(&mut solver, circuit, &HashMap::new());
-    (solver, encoding)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SatResult;
+    use crate::cnf::Cnf;
+    use crate::solver::{SatResult, Solver};
     use kratt_netlist::sim::Simulator;
+    use kratt_netlist::{Circuit, GateType, NetId};
 
     fn full_adder() -> Circuit {
         let mut c = Circuit::new("fa");
@@ -485,118 +259,6 @@ mod tests {
         c
     }
 
-    /// For every input pattern, constrain the encoded inputs and check the
-    /// solver agrees with the simulator on the outputs.
-    fn check_encoding_matches_simulation(circuit: &Circuit) {
-        let sim = Simulator::new(circuit).unwrap();
-        let n = circuit.num_inputs();
-        for pattern in 0u64..(1u64 << n) {
-            let bits: Vec<bool> = (0..n).map(|i| pattern >> i & 1 != 0).collect();
-            let expected = sim.run(&bits).unwrap();
-            let (mut solver, encoding) = encode_standalone(circuit);
-            let assumptions: Vec<Lit> = encoding
-                .inputs()
-                .iter()
-                .zip(&bits)
-                .map(|(&(_, var), &value)| Lit::with_polarity(var, value))
-                .collect();
-            match solver.solve_with_assumptions(&assumptions) {
-                SatResult::Sat(model) => {
-                    for (i, &out_var) in encoding.outputs().iter().enumerate() {
-                        assert_eq!(model.value(out_var), expected[i], "pattern {pattern:b}");
-                    }
-                }
-                other => panic!("circuit encoding should be satisfiable, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn full_adder_encoding_matches_simulation() {
-        check_encoding_matches_simulation(&full_adder());
-    }
-
-    #[test]
-    fn all_gate_types_match_simulation() {
-        let mut c = Circuit::new("zoo");
-        let a = c.add_input("a").unwrap();
-        let b = c.add_input("b").unwrap();
-        let d = c.add_input("d").unwrap();
-        let g1 = c.add_gate(GateType::Nand, "g1", &[a, b, d]).unwrap();
-        let g2 = c.add_gate(GateType::Nor, "g2", &[a, b]).unwrap();
-        let g3 = c.add_gate(GateType::Xnor, "g3", &[g1, g2, d]).unwrap();
-        let g4 = c.add_gate(GateType::Not, "g4", &[g3]).unwrap();
-        let g5 = c.add_gate(GateType::Buf, "g5", &[g4]).unwrap();
-        let one = c.add_gate(GateType::Const1, "one", &[]).unwrap();
-        let g6 = c.add_gate(GateType::Xor, "g6", &[g5, one]).unwrap();
-        let zero = c.add_gate(GateType::Const0, "zero", &[]).unwrap();
-        let g7 = c.add_gate(GateType::Or, "g7", &[g6, zero, g2]).unwrap();
-        c.mark_output(g7);
-        c.mark_output(g3);
-        check_encoding_matches_simulation(&c);
-    }
-
-    #[test]
-    fn shared_inputs_build_an_equivalence_miter() {
-        // Two structurally different but equivalent circuits: a XOR b vs
-        // (a AND NOT b) OR (NOT a AND b). Their miter must be UNSAT.
-        let mut x = Circuit::new("xor_direct");
-        let a = x.add_input("a").unwrap();
-        let b = x.add_input("b").unwrap();
-        let o = x.add_gate(GateType::Xor, "o", &[a, b]).unwrap();
-        x.mark_output(o);
-
-        let mut y = Circuit::new("xor_sop");
-        let a = y.add_input("a").unwrap();
-        let b = y.add_input("b").unwrap();
-        let na = y.add_gate(GateType::Not, "na", &[a]).unwrap();
-        let nb = y.add_gate(GateType::Not, "nb", &[b]).unwrap();
-        let t1 = y.add_gate(GateType::And, "t1", &[a, nb]).unwrap();
-        let t2 = y.add_gate(GateType::And, "t2", &[na, b]).unwrap();
-        let o = y.add_gate(GateType::Or, "o2", &[t1, t2]).unwrap();
-        y.mark_output(o);
-
-        let encoder = Encoder::new();
-        let mut solver = Solver::new();
-        let enc_x = encoder.encode(&mut solver, &x, &HashMap::new());
-        let shared: HashMap<String, Var> = enc_x.inputs().iter().cloned().collect();
-        let enc_y = encoder.encode(&mut solver, &y, &shared);
-        let miter = encoder.miter(&mut solver, &enc_x, &enc_y);
-        solver.add_clause([Lit::positive(miter)]);
-        assert!(
-            solver.solve().is_unsat(),
-            "equivalent circuits must have UNSAT miter"
-        );
-
-        // A non-equivalent pair must have a SAT miter.
-        let mut z = Circuit::new("and2");
-        let a = z.add_input("a").unwrap();
-        let b = z.add_input("b").unwrap();
-        let o = z.add_gate(GateType::And, "o3", &[a, b]).unwrap();
-        z.mark_output(o);
-        let mut solver = Solver::new();
-        let enc_x = encoder.encode(&mut solver, &x, &HashMap::new());
-        let shared: HashMap<String, Var> = enc_x.inputs().iter().cloned().collect();
-        let enc_z = encoder.encode(&mut solver, &z, &shared);
-        let miter = encoder.miter(&mut solver, &enc_x, &enc_z);
-        solver.add_clause([Lit::positive(miter)]);
-        assert!(solver.solve().is_sat());
-    }
-
-    #[test]
-    fn or_reduce_is_true_iff_any_input_true() {
-        let mut solver = Solver::new();
-        let inputs: Vec<Var> = (0..3).map(|_| solver.new_var()).collect();
-        let out = Encoder::new().or_reduce(&mut solver, &inputs);
-        // All inputs false forces out false.
-        let mut assumptions: Vec<Lit> = inputs.iter().map(|&v| Lit::negative(v)).collect();
-        assumptions.push(Lit::positive(out));
-        assert!(solver.solve_with_assumptions(&assumptions).is_unsat());
-        // One input true forces out true.
-        let assumptions = vec![Lit::positive(inputs[1]), Lit::negative(out)];
-        assert!(solver.solve_with_assumptions(&assumptions).is_unsat());
-    }
-
     /// For every input pattern, constrain the AIG encoding's inputs and
     /// check the solver agrees with the circuit simulator on the outputs.
     fn check_aig_encoding_matches_simulation(circuit: &Circuit) {
@@ -604,7 +266,7 @@ mod tests {
         let aig = Aig::from_circuit(circuit).unwrap();
         let n = circuit.num_inputs();
         let mut solver = Solver::new();
-        let encoding = Encoder::new().encode_aig(&mut solver, &aig, &HashMap::new());
+        let encoding = encode_aig(&mut solver, &aig, &HashMap::new());
         for pattern in 0u64..(1u64 << n) {
             let bits: Vec<bool> = (0..n).map(|i| pattern >> i & 1 != 0).collect();
             let expected = sim.run(&bits).unwrap();
@@ -640,17 +302,20 @@ mod tests {
         let g2 = c.add_gate(GateType::Nor, "g2", &[a, b]).unwrap();
         let g3 = c.add_gate(GateType::Xnor, "g3", &[g1, g2, d]).unwrap();
         let g4 = c.add_gate(GateType::Not, "g4", &[g3]).unwrap();
+        let buf = c.add_gate(GateType::Buf, "buf", &[g4]).unwrap();
         let one = c.add_gate(GateType::Const1, "one", &[]).unwrap();
-        let g5 = c.add_gate(GateType::Xor, "g5", &[g4, one]).unwrap();
-        let g6 = c.add_gate(GateType::Or, "g6", &[g5, g2, a]).unwrap();
+        let g5 = c.add_gate(GateType::Xor, "g5", &[buf, one]).unwrap();
+        let zero = c.add_gate(GateType::Const0, "zero", &[]).unwrap();
+        let g6 = c.add_gate(GateType::Or, "g6", &[g5, zero, g2, a]).unwrap();
         c.mark_output(g6);
         c.mark_output(g3);
         c.mark_output(one);
+        c.mark_output(zero);
         check_aig_encoding_matches_simulation(&c);
     }
 
     #[test]
-    fn aig_encoding_is_smaller_than_the_per_gate_encoding() {
+    fn aig_encoding_collapses_and_trees_and_xor_shapes() {
         // A netlist with inverters, buffers, a multi-input AND and dangling
         // logic — everything the AIG image elides.
         let mut c = Circuit::new("shrink");
@@ -664,21 +329,14 @@ mod tests {
         let _dangling = c.add_gate(GateType::Or, "dang", &[b, d]).unwrap();
         c.mark_output(x);
 
-        let mut gate_cnf = crate::cnf::Cnf::new();
-        Encoder::new().encode(&mut gate_cnf, &c, &HashMap::new());
         let aig = Aig::from_circuit(&c).unwrap();
-        let mut aig_cnf = crate::cnf::Cnf::new();
-        Encoder::new().encode_aig(&mut aig_cnf, &aig, &HashMap::new());
-        assert!(
-            aig_cnf.num_vars() < gate_cnf.num_vars(),
-            "{} vs {}",
-            aig_cnf.num_vars(),
-            gate_cnf.num_vars()
-        );
-        assert!(aig_cnf.num_clauses() < gate_cnf.num_clauses());
+        let mut cnf = Cnf::new();
+        encode_aig(&mut cnf, &aig, &HashMap::new());
         // The k-ary AND collapse keeps the wide conjunction at one variable
-        // and the XOR shape is recognised: inputs + AND root + XOR root.
-        assert_eq!(aig_cnf.num_vars(), 3 + 2);
+        // (three binary clauses and one long one) and the XOR shape is
+        // recognised (four clauses): inputs + AND root + XOR root.
+        assert_eq!(cnf.num_vars(), 3 + 2);
+        assert_eq!(cnf.num_clauses(), 4 + 4);
     }
 
     #[test]
@@ -707,7 +365,7 @@ mod tests {
         let mut miter_aig = aig.clone();
         miter_aig.add_output("diff", miter);
         let mut solver = Solver::new();
-        let enc = Encoder::new().encode_aig(&mut solver, &miter_aig, &HashMap::new());
+        let enc = encode_aig(&mut solver, &miter_aig, &HashMap::new());
         let diff = *enc.outputs().last().unwrap();
         solver.add_clause([diff]);
         assert!(solver.solve().is_unsat());
@@ -724,7 +382,7 @@ mod tests {
         let miter = aig.miter(&outs_x, &outs_z);
         aig.add_output("diff", miter);
         let mut solver = Solver::new();
-        let enc = Encoder::new().encode_aig(&mut solver, &aig, &HashMap::new());
+        let enc = encode_aig(&mut solver, &aig, &HashMap::new());
         let diff = *enc.outputs().last().unwrap();
         solver.add_clause([diff]);
         assert!(solver.solve().is_sat());
@@ -738,7 +396,7 @@ mod tests {
         aig.add_output("f", kratt_netlist::AigLit::FALSE);
         aig.add_output("pass", a.complement());
         let mut solver = Solver::new();
-        let enc = Encoder::new().encode_aig(&mut solver, &aig, &HashMap::new());
+        let enc = encode_aig(&mut solver, &aig, &HashMap::new());
         match solver.solve() {
             SatResult::Sat(model) => {
                 assert!(model.lit_is_true(enc.outputs()[0]));
@@ -784,7 +442,7 @@ mod tests {
             let sim = Simulator::new(&c).unwrap();
             let aig = Aig::from_circuit(&c).unwrap();
             let mut solver = Solver::new();
-            let encoding = Encoder::new().encode_aig(&mut solver, &aig, &HashMap::new());
+            let encoding = encode_aig(&mut solver, &aig, &HashMap::new());
             for _ in 0..8 {
                 let bits: Vec<bool> = (0..n_inputs).map(|_| rng.gen_bool(0.5)).collect();
                 let expected = sim.run(&bits).unwrap();
@@ -798,64 +456,6 @@ mod tests {
                     SatResult::Sat(model) => {
                         for (i, &out_lit) in encoding.outputs().iter().enumerate() {
                             proptest::prop_assert_eq!(model.lit_is_true(out_lit), expected[i]);
-                        }
-                    }
-                    other => {
-                        return Err(proptest::test_runner::TestCaseError::fail(
-                            format!("expected SAT, got {other:?}"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    proptest::proptest! {
-        /// Random circuits: the Tseitin encoding agrees with the simulator on
-        /// random input patterns.
-        #[test]
-        fn prop_encoding_agrees_with_simulation(seed in 0u64..100) {
-            use rand::rngs::StdRng;
-            use rand::{Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut c = Circuit::new(format!("rand{seed}"));
-            let n_inputs = 5usize;
-            let mut nets: Vec<NetId> =
-                (0..n_inputs).map(|i| c.add_input(format!("i{i}")).unwrap()).collect();
-            let kinds = [
-                GateType::And, GateType::Nand, GateType::Or, GateType::Nor,
-                GateType::Xor, GateType::Xnor, GateType::Not, GateType::Buf,
-            ];
-            for g in 0..15 {
-                let ty = kinds[rng.gen_range(0..kinds.len())];
-                let arity = if matches!(ty, GateType::Not | GateType::Buf) {
-                    1
-                } else {
-                    rng.gen_range(2..4usize)
-                };
-                let ins: Vec<NetId> =
-                    (0..arity).map(|_| nets[rng.gen_range(0..nets.len())]).collect();
-                let out = c.add_gate(ty, format!("g{g}"), &ins).unwrap();
-                nets.push(out);
-            }
-            c.mark_output(*nets.last().unwrap());
-            c.mark_output(nets[n_inputs + 3]);
-
-            let sim = Simulator::new(&c).unwrap();
-            let (mut solver, encoding) = encode_standalone(&c);
-            for _ in 0..8 {
-                let bits: Vec<bool> = (0..n_inputs).map(|_| rng.gen_bool(0.5)).collect();
-                let expected = sim.run(&bits).unwrap();
-                let assumptions: Vec<Lit> = encoding
-                    .inputs()
-                    .iter()
-                    .zip(&bits)
-                    .map(|(&(_, var), &value)| Lit::with_polarity(var, value))
-                    .collect();
-                match solver.solve_with_assumptions(&assumptions) {
-                    SatResult::Sat(model) => {
-                        for (i, &out_var) in encoding.outputs().iter().enumerate() {
-                            proptest::prop_assert_eq!(model.value(out_var), expected[i]);
                         }
                     }
                     other => {

@@ -10,13 +10,15 @@
 //!   LBD-based learnt-clause reduction. It supports incremental solving under
 //!   assumptions and configurable conflict/time budgets (so the oracle-guided
 //!   baseline attacks can "time out" exactly as in the paper's Table III).
-//! * [`encode`] — Tseitin transformation of [`kratt_netlist::Circuit`]s into
-//!   solver clauses, with support for sharing variables across encodings
-//!   (the building block for miters, the SAT attack and equivalence checks).
-//! * [`cnf`] — standalone [`Cnf`] formulas, the [`ClauseSink`] abstraction the
-//!   encoder targets, and DIMACS reading/writing so instances can be exchanged
-//!   with external solvers such as CryptoMiniSat, exactly as the original tool
-//!   does.
+//! * [`encode_aig`] — the one circuit-to-CNF translation: a
+//!   [`kratt_netlist::Circuit`] is lowered into an [`kratt_netlist::Aig`]
+//!   and its compact Tseitin image emitted into a solver, with input
+//!   variables shared across encodings by name (the building block for
+//!   miters, the SAT attack, the QBF loop and every other SAT query).
+//! * [`cnf`] — standalone [`Cnf`] formulas, the [`ClauseSink`] abstraction
+//!   [`encode_aig`] targets, and DIMACS reading/writing so instances can be
+//!   exchanged with external solvers such as CryptoMiniSat, exactly as the
+//!   original tool does.
 //!
 //! # Example
 //!
@@ -42,7 +44,7 @@ pub mod lit;
 pub mod solver;
 
 pub use cnf::{ClauseSink, Cnf, ParseDimacsError};
-pub use encode::{AigEncoding, CircuitEncoding, Encoder};
+pub use encode::{encode_aig, AigEncoding};
 pub use lit::{Lit, Var};
 pub use solver::{
     cancel_requested, CancelFlag, Model, SatResult, Solver, SolverConfig, SolverStats,

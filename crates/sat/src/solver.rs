@@ -250,12 +250,6 @@ impl Solver {
         self.config.time_limit = time_limit;
     }
 
-    /// Replaces the absolute deadline shared by all subsequent `solve*`
-    /// calls (see [`SolverConfig::deadline`]).
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.config.deadline = deadline;
-    }
-
     /// Installs (or clears) the cooperative cancellation flag shared by all
     /// subsequent `solve*` calls (see [`SolverConfig::cancel`]).
     pub fn set_cancel(&mut self, cancel: Option<CancelFlag>) {

@@ -43,8 +43,8 @@ use crate::SynthError;
 use kratt_netlist::analysis::topological_order;
 use kratt_netlist::sim::Simulator;
 use kratt_netlist::transform::{propagate_constants, prune_dangling};
-use kratt_netlist::{Circuit, GateType, NetId};
-use kratt_sat::{Encoder, Lit, Solver, SolverConfig};
+use kratt_netlist::{Aig, Circuit, GateType, NetId};
+use kratt_sat::{encode_aig, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -133,13 +133,7 @@ pub fn sat_sweep_with_stats(
             .push(out);
     }
 
-    // --- Confirm candidates with SAT and record representatives. ----------
-    let mut solver = Solver::with_config(SolverConfig {
-        conflict_limit: options.sat_conflict_limit,
-        ..Default::default()
-    });
-    let encoder = Encoder::new();
-    let encoding = encoder.encode(&mut solver, circuit, &HashMap::new());
+    // --- Candidate pairs: each class member against its representative. ---
     // Topological position of every gate output, so the earliest net of a
     // class becomes the representative.
     let position: HashMap<NetId, usize> = order
@@ -147,33 +141,39 @@ pub fn sat_sweep_with_stats(
         .enumerate()
         .map(|(i, &gid)| (circuit.gate(gid).output, i))
         .collect();
-
-    let mut replace: HashMap<NetId, NetId> = HashMap::new();
+    let mut pairs: Vec<(NetId, NetId)> = Vec::new();
     for (_, mut members) in class_of {
-        if members.len() < 2 {
-            continue;
-        }
         members.sort_by_key(|n| position[n]);
         let representative = members[0];
         for &candidate in &members[1..] {
-            if stats.sat_checks >= options.max_sat_checks {
+            if pairs.len() >= options.max_sat_checks {
                 break;
             }
-            stats.sat_checks += 1;
-            let diff = solver.new_var();
-            encoder.encode_xor2(
-                &mut solver,
-                diff,
-                encoding.var_of(representative),
-                encoding.var_of(candidate),
-            );
-            if solver
-                .solve_with_assumptions(&[Lit::positive(diff)])
-                .is_unsat()
-            {
-                replace.insert(candidate, representative);
-                stats.merged_nets += 1;
-            }
+            pairs.push((representative, candidate));
+        }
+    }
+
+    // --- Confirm candidates with SAT and record representatives. ----------
+    // One AIG image of the circuit with one XOR output per pair; a pair is
+    // equivalent when its XOR cannot be 1. Pairs whose nets hash to one edge
+    // still count as a query (their XOR is constant 0).
+    let mut aig = Aig::new(circuit.name());
+    let lits = aig.lower_circuit(circuit, &HashMap::new())?;
+    for &(representative, candidate) in &pairs {
+        let diff = aig.xor(lits[representative.index()], lits[candidate.index()]);
+        aig.add_output(circuit.net_name(candidate), diff);
+    }
+    let mut solver = Solver::with_config(SolverConfig {
+        conflict_limit: options.sat_conflict_limit,
+        ..Default::default()
+    });
+    let encoding = encode_aig(&mut solver, &aig, &HashMap::new());
+    let mut replace: HashMap<NetId, NetId> = HashMap::new();
+    for (&(representative, candidate), &diff) in pairs.iter().zip(encoding.outputs()) {
+        stats.sat_checks += 1;
+        if solver.solve_with_assumptions(&[diff]).is_unsat() {
+            replace.insert(candidate, representative);
+            stats.merged_nets += 1;
         }
     }
 

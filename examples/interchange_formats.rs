@@ -13,10 +13,10 @@ use kratt::removal::remove_locking_unit;
 use kratt_benchmarks::small::majority;
 use kratt_locking::{LockingTechnique, SarLock, SecretKey};
 use kratt_netlist::sim::exhaustively_equivalent;
-use kratt_netlist::{bench, verilog};
+use kratt_netlist::{bench, verilog, Aig};
 use kratt_qbf::ExistsForallSolver;
 use kratt_sat::cnf::{ClauseSink, Cnf};
-use kratt_sat::{Encoder, Lit};
+use kratt_sat::encode_aig;
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,11 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(exhaustively_equivalent(&locked.circuit, &reparsed_verilog)?);
     println!("both round trips preserve the locked function");
 
-    // --- DIMACS export of the Tseitin encoding ------------------------------
+    // --- DIMACS export of the AIG's Tseitin encoding -----------------------
     let mut cnf = Cnf::new();
-    let encoding = Encoder::new().encode(&mut cnf, &locked.circuit, &HashMap::new());
+    let aig = Aig::from_circuit(&locked.circuit)?;
+    let encoding = encode_aig(&mut cnf, &aig, &HashMap::new());
     // Pin the locked output to 1 just to make the instance non-trivial.
-    cnf.add_clause([Lit::positive(encoding.outputs()[0])]);
+    cnf.add_clause([encoding.outputs()[0]]);
     let dimacs = cnf.to_dimacs_with_comments(&["locked majority, output forced to 1"]);
     println!(
         "\n--- DIMACS CNF: {} variables, {} clauses (feed to any SAT solver) ---",

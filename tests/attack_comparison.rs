@@ -3,18 +3,18 @@
 
 use kratt::KrattAttack;
 use kratt_attacks::{
-    score_guess, AppSatAttack, Attack, AttackBudget, AttackRequest, Budget, DoubleDipAttack,
-    Oracle, SatAttack, ScopeAttack,
+    score_guess, AppSatAttack, Attack, AttackRequest, Budget, DoubleDipAttack, Oracle, SatAttack,
+    ScopeAttack,
 };
 use kratt_benchmarks::arith::ripple_carry_adder;
 use kratt_locking::{LockingTechnique, RandomXorLocking, SarLock, SecretKey, TtLock};
 use std::time::Duration;
 
-fn short_budget() -> AttackBudget {
-    AttackBudget {
+fn short_budget() -> Budget {
+    Budget {
         time_limit: Some(Duration::from_secs(2)),
         max_iterations: 12,
-        ..AttackBudget::default()
+        ..Budget::default()
     }
 }
 

@@ -16,26 +16,20 @@ use kratt_suite::locking::{
 };
 use kratt_suite::netlist::aig::Aig;
 use kratt_suite::netlist::Circuit;
-use kratt_suite::sat::{ClauseSink, Cnf, Encoder, Lit};
+use kratt_suite::sat::{encode_aig, ClauseSink, Cnf};
 use kratt_suite::synth::{check_equivalence_with_stats, resynthesize, Effort, ResynthesisOptions};
 use std::collections::HashMap;
 use std::fmt::{Debug, Write as _};
 use std::time::Duration;
 
 /// `cnf`: the equivalence miter of each full-scale ISCAS host against its
-/// seed-1 resynthesis, encoded per gate (`Encoder::encode` + `miter` + a
-/// unit clause) and through the AIG (`Aig::miter` + `encode_aig`).
-const CNF_COLUMNS: [&str; 5] = [
-    "host",
-    "gate vars",
-    "gate clauses",
-    "AIG vars",
-    "AIG clauses",
-];
-const CNF: &[(&str, usize, usize, usize, usize)] = &[
-    ("c2670", 4981, 13006, 1579, 5293),
-    ("c5315", 9524, 25067, 3053, 10576),
-    ("c6288", 6197, 16170, 33, 2),
+/// seed-1 resynthesis, built in one AIG (`Aig::miter`), encoded with
+/// `encode_aig` and asserted with a unit clause.
+const CNF_COLUMNS: [&str; 3] = ["host", "AIG vars", "AIG clauses"];
+const CNF: &[(&str, usize, usize)] = &[
+    ("c2670", 1579, 5293),
+    ("c5315", 3053, 10576),
+    ("c6288", 33, 2),
 ];
 
 /// `fraig`: `check_equivalence_with_stats` on quarter-scale hosts against
@@ -145,19 +139,10 @@ fn miter_pair(original: Circuit) -> (Circuit, Circuit) {
 
 #[test]
 fn cnf_miter_sizes() {
-    let encoder = Encoder::new();
     let current: Vec<_> = IscasCircuit::ALL
         .iter()
         .map(|&host| {
             let (a, b) = miter_pair(host.generate());
-
-            let mut gate_cnf = Cnf::new();
-            let enc_a = encoder.encode(&mut gate_cnf, &a, &HashMap::new());
-            let shared: HashMap<_, _> = enc_a.inputs().iter().cloned().collect();
-            let enc_b = encoder.encode(&mut gate_cnf, &b, &shared);
-            let miter = encoder.miter(&mut gate_cnf, &enc_a, &enc_b);
-            gate_cnf.add_clause([Lit::positive(miter)]);
-
             let mut aig = Aig::new(format!("{}_miter", host.name()));
             let lits_a = aig.lower_circuit(&a, &HashMap::new()).unwrap();
             let outs_a: Vec<_> = a.outputs().iter().map(|o| lits_a[o.index()]).collect();
@@ -166,16 +151,9 @@ fn cnf_miter_sizes() {
             let diff = aig.miter(&outs_a, &outs_b);
             aig.add_output("diff", diff);
             let mut aig_cnf = Cnf::new();
-            let enc = encoder.encode_aig(&mut aig_cnf, &aig, &HashMap::new());
+            let enc = encode_aig(&mut aig_cnf, &aig, &HashMap::new());
             aig_cnf.add_clause([enc.outputs()[0]]);
-
-            (
-                host.name(),
-                gate_cnf.num_vars(),
-                gate_cnf.num_clauses(),
-                aig_cnf.num_vars(),
-                aig_cnf.num_clauses(),
-            )
+            (host.name(), aig_cnf.num_vars(), aig_cnf.num_clauses())
         })
         .collect();
     assert_golden("cnf", &CNF_COLUMNS, CNF, &current);

@@ -16,10 +16,10 @@ use kratt_benchmarks::small::majority;
 use kratt_locking::metrics::{corruption_profile, exact_corrupted_patterns};
 use kratt_locking::{LockingTechnique, LutLock, SarLock, SecretKey, SfllFlex, SfllHd, TtLock};
 use kratt_netlist::sim::exhaustively_equivalent;
-use kratt_netlist::{bench, verilog};
+use kratt_netlist::{bench, verilog, Aig};
 use kratt_qbf::ExistsForallSolver;
 use kratt_sat::cnf::Cnf;
-use kratt_sat::Encoder;
+use kratt_sat::encode_aig;
 use kratt_synth::passes::{map_to_cell_library, sat_sweep, CellLibrary, SatSweepOptions};
 use kratt_synth::{check_equivalence, resynthesize, Effort, ResynthesisOptions};
 use rand::rngs::StdRng;
@@ -199,8 +199,8 @@ fn qdimacs_export_matches_the_solved_instance() {
     assert_eq!(recovered, secret.to_u64());
 }
 
-/// The DIMACS bridge: a Tseitin-encoded locked circuit solves identically
-/// before and after a round trip through the text format.
+/// The DIMACS bridge: the CNF image of a locked circuit's AIG solves
+/// identically before and after a round trip through the text format.
 #[test]
 fn dimacs_round_trip_preserves_the_locked_instance() {
     let original = majority();
@@ -208,7 +208,8 @@ fn dimacs_round_trip_preserves_the_locked_instance() {
         .lock(&original, &SecretKey::from_u64(0b001, 3))
         .unwrap();
     let mut cnf = Cnf::new();
-    let encoding = Encoder::new().encode(&mut cnf, &locked.circuit, &HashMap::new());
+    let aig = Aig::from_circuit(&locked.circuit).unwrap();
+    let encoding = encode_aig(&mut cnf, &aig, &HashMap::new());
     let parsed = Cnf::from_dimacs(&cnf.to_dimacs()).unwrap();
     assert_eq!(parsed, cnf);
     assert!(parsed.num_vars() >= locked.circuit.num_inputs());

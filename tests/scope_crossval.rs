@@ -19,8 +19,8 @@ use kratt_lint::lint_locked;
 use kratt_locking::{scheme_registry, LockedCircuit, SchemeSpec};
 use kratt_netlist::analysis::stats;
 use kratt_netlist::transform::set_inputs_constant;
-use kratt_netlist::{Circuit, NetId};
-use kratt_sat::{Encoder, Lit, Solver, Var};
+use kratt_netlist::{Aig, AigLit, Circuit, NetId};
+use kratt_sat::{encode_aig, Solver};
 use kratt_synth::check_equivalence;
 use std::collections::HashMap;
 
@@ -117,19 +117,28 @@ fn backticked(message: &str) -> &str {
     &message[start..end]
 }
 
+/// Lowers `circuit` into `aig` (inputs shared by name) and returns the edge
+/// of its output `oname`.
+fn output_edge(aig: &mut Aig, circuit: &Circuit, oname: &str) -> AigLit {
+    let lits = aig.lower_circuit(circuit, &HashMap::new()).unwrap();
+    lits[circuit.outputs()[output_index(circuit, oname)].index()]
+}
+
+/// Whether some input assignment makes `edge` of `aig` true.
+fn satisfiable(mut aig: Aig, edge: AigLit) -> bool {
+    aig.add_output("query", edge);
+    let mut solver = Solver::new();
+    let enc = encode_aig(&mut solver, &aig, &HashMap::new());
+    solver.add_clause([enc.outputs()[0]]);
+    solver.solve().is_sat()
+}
+
 /// Whether `output = target` is satisfiable in the circuit (some input
 /// assignment produces the value).
 fn output_can_be(circuit: &Circuit, oname: &str, target: bool) -> bool {
-    let mut solver = Solver::new();
-    let encoder = Encoder::new();
-    let enc = encoder.encode(&mut solver, circuit, &HashMap::new());
-    let out = enc.outputs()[output_index(circuit, oname)];
-    solver.add_clause([if target {
-        Lit::positive(out)
-    } else {
-        Lit::negative(out)
-    }]);
-    solver.solve().is_sat()
+    let mut aig = Aig::new(circuit.name());
+    let out = output_edge(&mut aig, circuit, oname);
+    satisfiable(aig, out.when(target))
 }
 
 /// SAT-confirms one `key-unate-output` verdict: for a monotone
@@ -139,13 +148,9 @@ fn output_can_be(circuit: &Circuit, oname: &str, target: bool) -> bool {
 fn confirm_unate(locked: &Circuit, key: NetId, oname: &str, non_decreasing: bool) {
     let c0 = set_inputs_constant(locked, &[(key, false)]).unwrap();
     let c1 = set_inputs_constant(locked, &[(key, true)]).unwrap();
-    let mut solver = Solver::new();
-    let encoder = Encoder::new();
-    let e0 = encoder.encode(&mut solver, &c0, &HashMap::new());
-    let shared: HashMap<String, Var> = e0.inputs().iter().cloned().collect();
-    let e1 = encoder.encode(&mut solver, &c1, &shared);
-    let out0 = e0.outputs()[output_index(&c0, oname)];
-    let out1 = e1.outputs()[output_index(&c1, oname)];
+    let mut aig = Aig::new("cofactors");
+    let out0 = output_edge(&mut aig, &c0, oname);
+    let out1 = output_edge(&mut aig, &c1, oname);
     // Ask for the forbidden lane: a fall on a rising key bit (or a rise on
     // a falling one).
     let (high, low) = if non_decreasing {
@@ -153,10 +158,9 @@ fn confirm_unate(locked: &Circuit, key: NetId, oname: &str, non_decreasing: bool
     } else {
         (out1, out0)
     };
-    solver.add_clause([Lit::positive(high)]);
-    solver.add_clause([Lit::negative(low)]);
+    let forbidden = aig.and(high, low.complement());
     assert!(
-        solver.solve().is_unsat(),
+        !satisfiable(aig, forbidden),
         "output `{oname}` is not monotone in `{}` — false unateness verdict",
         locked.net_name(key)
     );
