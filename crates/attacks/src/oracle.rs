@@ -2,7 +2,7 @@
 //! query with inputs and observe outputs, as in the paper's OG threat model.
 
 use kratt_netlist::sim::Simulator;
-use kratt_netlist::{Circuit, NetId, NetlistError};
+use kratt_netlist::{Circuit, NetlistError};
 use std::cell::Cell;
 
 /// A simulated functional IC.
@@ -110,15 +110,10 @@ impl Oracle {
     }
 
     fn position_of(&self, name: &str) -> Result<usize, NetlistError> {
-        let net: NetId = self
-            .circuit
+        self.circuit
             .find_net(name)
-            .filter(|&n| self.circuit.is_input(n))
-            .ok_or_else(|| NetlistError::UnknownNet(name.to_string()))?;
-        Ok(self
-            .circuit
-            .input_position(net)
-            .expect("input has a position"))
+            .and_then(|net| self.circuit.input_position(net))
+            .ok_or_else(|| NetlistError::UnknownNet(name.to_string()))
     }
 
     /// Queries with an assignment given by input *name*; unnamed inputs
@@ -135,41 +130,6 @@ impl Oracle {
             pattern[self.position_of(name)?] = value;
         }
         self.query(&pattern)
-    }
-
-    /// Batched form of [`Oracle::query_by_name`]: every row of `rows` gives
-    /// the values of the named inputs (`names[i]` ↦ `row[i]`), unnamed
-    /// inputs default to `false`, and the rows are answered in 64-wide
-    /// packed sweeps. Counts `rows.len()` queries.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a name is not a primary input of the oracle
-    /// circuit or a row's width differs from `names.len()`.
-    pub fn query_batch_by_name(
-        &self,
-        names: &[String],
-        rows: &[Vec<bool>],
-    ) -> Result<Vec<Vec<bool>>, NetlistError> {
-        let positions: Vec<usize> = names
-            .iter()
-            .map(|name| self.position_of(name))
-            .collect::<Result<_, _>>()?;
-        let mut patterns = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != names.len() {
-                return Err(NetlistError::InputWidthMismatch {
-                    expected: names.len(),
-                    got: row.len(),
-                });
-            }
-            let mut pattern = vec![false; self.circuit.num_inputs()];
-            for (&position, &value) in positions.iter().zip(row) {
-                pattern[position] = value;
-            }
-            patterns.push(pattern);
-        }
-        self.query_batch(&patterns)
     }
 }
 
@@ -244,22 +204,5 @@ mod tests {
             oracle.query_by_name(&[("x", true)]).is_err(),
             "internal nets are not queryable"
         );
-    }
-
-    #[test]
-    fn batched_by_name_matches_scalar_by_name() {
-        let oracle = Oracle::new(xor_and()).unwrap();
-        let names = vec!["b".to_string()];
-        let rows = vec![vec![true], vec![false]];
-        let batched = oracle.query_batch_by_name(&names, &rows).unwrap();
-        assert_eq!(batched[0], oracle.query_by_name(&[("b", true)]).unwrap());
-        assert_eq!(batched[1], oracle.query_by_name(&[("b", false)]).unwrap());
-        assert_eq!(oracle.queries(), 4);
-        assert!(oracle
-            .query_batch_by_name(&names, &[vec![true, false]])
-            .is_err());
-        assert!(oracle
-            .query_batch_by_name(&["ghost".to_string()], &[vec![true]])
-            .is_err());
     }
 }

@@ -91,13 +91,23 @@ pub(crate) struct DipEngine<'a> {
     /// Activation literal of the miter clause (`act → outputs differ`).
     miter_act: Var,
     key_a: Vec<Var>,
-    key_b: Vec<Var>,
-    data_names: Vec<String>,
     data_vars: Vec<Var>,
     key_names: Vec<String>,
     /// Positions of the data / key inputs inside `locked.inputs()`.
     data_positions: Vec<usize>,
     key_positions: Vec<usize>,
+    /// Position of each data input inside `oracle.circuit().inputs()`.
+    oracle_positions: Vec<usize>,
+    /// The locked circuit lowered once; every IO constraint is folded
+    /// from it ([`DipEngine::constrain`]). `from_circuit` keeps the input
+    /// order, so input `p` of `locked` is `base.input_nodes()[p]`.
+    base: Aig,
+    /// The edge of every `base` node in the IO constraint being folded,
+    /// reused across constraints (node 0, the constant, stays `FALSE`).
+    fold: Vec<AigLit>,
+    /// The key variables of copy A and copy B by key name: the
+    /// `shared_inputs` each constraint copy is encoded over.
+    key_copies: [HashMap<String, Var>; 2],
     /// `(vars, clauses)` of the initial miter encoding, captured before any
     /// IO-constraint copy is added — the per-iteration baseline the bench
     /// `dip_aig` kernel tracks.
@@ -120,16 +130,16 @@ impl<'a> DipEngine<'a> {
             return Err(AttackError::NoKeyInputs);
         }
         let data_names = locked.data_input_names();
-        for name in &data_names {
-            let known = oracle
-                .circuit()
-                .find_net(name)
-                .map(|n| oracle.circuit().is_input(n))
-                .unwrap_or(false);
-            if !known {
-                return Err(AttackError::InterfaceMismatch(name.clone()));
-            }
-        }
+        let oracle_circuit = oracle.circuit();
+        let oracle_positions = data_names
+            .iter()
+            .map(|name| {
+                oracle_circuit
+                    .find_net(name)
+                    .and_then(|net| oracle_circuit.input_position(net))
+                    .ok_or_else(|| AttackError::InterfaceMismatch(name.clone()))
+            })
+            .collect::<Result<Vec<usize>, AttackError>>()?;
 
         // The attack's one absolute deadline bounds every SAT call; no
         // per-call time limit, which would restart the clock per DIP.
@@ -187,6 +197,15 @@ impl<'a> DipEngine<'a> {
         };
         let data_positions = data_names.iter().map(position_of).collect();
         let key_positions = key_names.iter().map(position_of).collect();
+        let base = Aig::from_circuit(locked)?;
+        let fold = vec![AigLit::FALSE; base.num_nodes()];
+        let key_copies = [&key_a, &key_b].map(|keys| {
+            key_names
+                .iter()
+                .cloned()
+                .zip(keys.iter().copied())
+                .collect::<HashMap<String, Var>>()
+        });
         Ok(DipEngine {
             locked,
             locked_sim: Simulator::new(locked)?,
@@ -194,12 +213,14 @@ impl<'a> DipEngine<'a> {
             solver,
             miter_act,
             key_a,
-            key_b,
-            data_names,
             data_vars,
             key_names,
             data_positions,
             key_positions,
+            oracle_positions,
+            base,
+            fold,
+            key_copies,
             encode_footprint,
             base_queries: oracle.queries(),
         })
@@ -283,15 +304,19 @@ impl<'a> DipEngine<'a> {
         DipBatch { dips, end }
     }
 
+    /// The oracle's input pattern for a data-input pattern; oracle inputs
+    /// the locked circuit lacks stay `false`.
+    fn oracle_pattern(&self, dip: &[bool]) -> Vec<bool> {
+        let mut pattern = vec![false; self.oracle.num_inputs()];
+        for (&position, &value) in self.oracle_positions.iter().zip(dip) {
+            pattern[position] = value;
+        }
+        pattern
+    }
+
     /// Queries the oracle for the given data-input pattern.
     pub(crate) fn query_oracle(&self, dip: &[bool]) -> Result<Vec<bool>, AttackError> {
-        let assignment: Vec<(&str, bool)> = self
-            .data_names
-            .iter()
-            .map(String::as_str)
-            .zip(dip.iter().copied())
-            .collect();
-        Ok(self.oracle.query_by_name(&assignment)?)
+        Ok(self.oracle.query(&self.oracle_pattern(dip))?)
     }
 
     /// Queries the oracle for many data-input patterns in packed 64-wide
@@ -300,7 +325,8 @@ impl<'a> DipEngine<'a> {
         &self,
         dips: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, AttackError> {
-        Ok(self.oracle.query_batch_by_name(&self.data_names, dips)?)
+        let patterns: Vec<Vec<bool>> = dips.iter().map(|dip| self.oracle_pattern(dip)).collect();
+        Ok(self.oracle.query_batch(&patterns)?)
     }
 
     /// Queries the oracle for a batch of DIPs in one sweep and adds the IO
@@ -319,22 +345,41 @@ impl<'a> DipEngine<'a> {
 
     /// Adds the IO constraint "both key copies must reproduce `outputs` on
     /// `dip`" to the miter.
+    ///
+    /// One pass over `base` in node order folds the constraint into a
+    /// scratch AIG: data inputs become the DIP's constants, key inputs the
+    /// scratch AIG's inputs, and every AND node the conjunction of its
+    /// folded fanins, so constant folding leaves only the key-dependent
+    /// residue. That AIG is encoded once per key copy over the copy's key
+    /// variables, and every output literal is pinned to the oracle's
+    /// response with a unit clause.
     pub(crate) fn constrain(&mut self, dip: &[bool], outputs: &[bool]) {
-        for keys in [&self.key_a, &self.key_b] {
-            let shared: HashMap<String, Var> = self
-                .key_names
-                .iter()
-                .cloned()
-                .zip(keys.iter().copied())
-                .collect();
-            encode_aig_constraint_copy(
-                &mut self.solver,
-                self.locked,
-                &self.data_names,
-                dip,
-                outputs,
-                &shared,
-            );
+        let mut scratch = Aig::new("dip_constraint");
+        let inputs = self.base.input_nodes();
+        for (&position, &value) in self.data_positions.iter().zip(dip) {
+            self.fold[inputs[position] as usize] = AigLit::TRUE.when(value);
+        }
+        for (&position, name) in self.key_positions.iter().zip(&self.key_names) {
+            self.fold[inputs[position] as usize] = scratch.add_input(name.as_str());
+        }
+        for node in 1..self.base.num_nodes() as u32 {
+            if self.base.is_and(node) {
+                let (f0, f1) = self.base.fanins(node);
+                let (a, b) = (folded(&self.fold, f0), folded(&self.fold, f1));
+                self.fold[node as usize] = scratch.and(a, b);
+            }
+        }
+        // Output names are never read: the scratch AIG only lives for the
+        // two encodings below.
+        for &lit in self.base.outputs() {
+            scratch.add_output(String::new(), folded(&self.fold, lit));
+        }
+        for keys in &self.key_copies {
+            let enc = encode_aig(&mut self.solver, &scratch, keys);
+            for (&out_lit, &value) in enc.outputs().iter().zip(outputs) {
+                self.solver
+                    .add_clause([if value { out_lit } else { !out_lit }]);
+            }
         }
     }
 
@@ -388,7 +433,7 @@ impl<'a> DipEngine<'a> {
 
     /// Number of data (non-key) inputs.
     pub(crate) fn num_data_inputs(&self) -> usize {
-        self.data_names.len()
+        self.data_vars.len()
     }
 
     /// Number of oracle queries this run has spent so far.
@@ -397,35 +442,9 @@ impl<'a> DipEngine<'a> {
     }
 }
 
-/// Encodes one IO-constraint copy of `locked` AIG-side: the data inputs are
-/// bound to the DIP's constants *before* lowering, so constant folding
-/// collapses most of the circuit and only the key-dependent residue reaches
-/// the solver. Key inputs share the given solver variables; every output
-/// literal is pinned to the oracle's response with a unit clause.
-fn encode_aig_constraint_copy(
-    solver: &mut Solver,
-    locked: &Circuit,
-    data_names: &[String],
-    dip: &[bool],
-    outputs: &[bool],
-    shared_keys: &HashMap<String, Var>,
-) {
-    let mut scratch = Aig::new("dip_constraint");
-    let bound: HashMap<String, AigLit> = data_names
-        .iter()
-        .zip(dip)
-        .map(|(name, &value)| (name.clone(), AigLit::TRUE.when(value)))
-        .collect();
-    let lits = scratch
-        .lower_circuit(locked, &bound)
-        .expect("locked circuit already lowered acyclically in DipEngine::new");
-    for &o in locked.outputs() {
-        scratch.add_output(locked.net_name(o), lits[o.index()]);
-    }
-    let enc = encode_aig(solver, &scratch, shared_keys);
-    for (&out_lit, &value) in enc.outputs().iter().zip(outputs) {
-        solver.add_clause([if value { out_lit } else { !out_lit }]);
-    }
+/// The edge `lit` of the base AIG maps to under the node map `fold`.
+fn folded(fold: &[AigLit], lit: AigLit) -> AigLit {
+    fold[lit.node() as usize].when(!lit.is_complemented())
 }
 
 /// CNF footprint of the initial DIP miter, as measured by the bench
@@ -756,6 +775,115 @@ mod tests {
                 "{} queries over {rounds} rounds",
                 run.oracle_queries
             );
+        }
+    }
+
+    /// A random host over `i0..i{n}`: a seeded gate recipe, built with its
+    /// inputs declared in order or in reverse, so two builds compute the
+    /// same function over differently ordered interfaces.
+    fn random_host(seed: u64, reversed: bool) -> Circuit {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_inputs = rng.gen_range(4..7usize);
+        let mut c = Circuit::new(format!("host{seed}"));
+        let mut declared: Vec<(usize, NetId)> = (0..n_inputs)
+            .map(|i| if reversed { n_inputs - 1 - i } else { i })
+            .map(|i| (i, c.add_input(format!("i{i}")).unwrap()))
+            .collect();
+        declared.sort();
+        let mut nets: Vec<NetId> = declared.into_iter().map(|(_, net)| net).collect();
+        const TYPES: [GateType; 7] = [
+            GateType::And,
+            GateType::Or,
+            GateType::Nand,
+            GateType::Nor,
+            GateType::Xor,
+            GateType::Xnor,
+            GateType::Not,
+        ];
+        for g in 0..rng.gen_range(8..16usize) {
+            let ty = TYPES[rng.gen_range(0..TYPES.len())];
+            let arity = if ty == GateType::Not { 1 } else { 2 };
+            let ins: Vec<NetId> = (0..arity)
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            nets.push(c.add_gate(ty, format!("g{g}"), &ins).unwrap());
+        }
+        for _ in 0..rng.gen_range(1..4usize) {
+            c.mark_output(nets[rng.gen_range(n_inputs..nets.len())]);
+        }
+        c
+    }
+
+    /// The locked circuit's outputs at data pattern `dip` under key `key`.
+    fn locked_outputs(locked: &Circuit, dip: &[bool], key: &[bool]) -> Vec<bool> {
+        let data = locked.data_inputs().into_iter().zip(dip.iter().copied());
+        let keys = locked.key_inputs().into_iter().zip(key.iter().copied());
+        let assignment: Vec<(NetId, bool)> = data.chain(keys).collect();
+        Simulator::new(locked)
+            .unwrap()
+            .run_assignment(&assignment)
+            .unwrap()
+    }
+
+    proptest::proptest! {
+        /// One IO constraint admits exactly the keys under which the locked
+        /// circuit reproduces the oracle's response at the DIP, in each key
+        /// copy. The oracle declares its inputs in reverse, so its query
+        /// pattern goes through positions, not through the locked order.
+        #[test]
+        fn prop_one_io_constraint_admits_exactly_the_consistent_keys(seed in 0u64..1024) {
+            use kratt_locking::AntiSat;
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let host = random_host(seed, false);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let n_data = host.num_inputs();
+            let key_bits = match seed % 3 {
+                0 => rng.gen_range(3..6usize),
+                1 => rng.gen_range(3..6usize).min(n_data),
+                _ => 4,
+            };
+            let secret = SecretKey::random(&mut rng, key_bits);
+            let locked = match seed % 3 {
+                0 => RandomXorLocking::new(key_bits, seed).lock(&host, &secret),
+                1 => SarLock::new(key_bits).lock(&host, &secret),
+                _ => AntiSat::new(key_bits).lock(&host, &secret),
+            }
+            .unwrap()
+            .circuit;
+            let oracle = Oracle::new(random_host(seed, true)).unwrap();
+            let dip: Vec<bool> = (0..n_data).map(|_| rng.gen_bool(0.5)).collect();
+
+            let budget = Budget::default();
+            let mut engine = DipEngine::new(&locked, &oracle, &budget, budget.start()).unwrap();
+            let outputs = engine.query_oracle(&dip).unwrap();
+            proptest::prop_assert_eq!(&outputs, &locked_outputs(&locked, &dip, secret.bits()));
+            engine.constrain(&dip, &outputs);
+
+            let key_b: Vec<Var> = engine
+                .key_names()
+                .iter()
+                .map(|name| engine.key_copies[1][name])
+                .collect();
+            for copy in [engine.key_a.clone(), key_b] {
+                for k in 0..1u64 << key_bits {
+                    let key: Vec<bool> = (0..key_bits).map(|i| k >> i & 1 == 1).collect();
+                    let mut assumptions = vec![Lit::negative(engine.miter_act)];
+                    assumptions.extend(copy.iter().zip(&key).map(|(&v, &b)| Lit::with_polarity(v, b)));
+                    let admitted = engine.solver.solve_with_assumptions(&assumptions).is_sat();
+                    let consistent = locked_outputs(&locked, &dip, &key) == outputs;
+                    proptest::prop_assert!(
+                        admitted == consistent,
+                        "key {:0w$b}: admitted {}, consistent {}",
+                        k,
+                        admitted,
+                        consistent,
+                        w = key_bits
+                    );
+                }
+            }
         }
     }
 

@@ -46,7 +46,9 @@ pub struct Gate {
 struct Net {
     name: String,
     driver: Option<GateId>,
-    is_input: bool,
+    /// Position in the primary-input list, for primary inputs. Inputs are
+    /// only ever appended, so a position never changes once assigned.
+    input_position: Option<u32>,
 }
 
 /// A gate-level combinational netlist.
@@ -119,7 +121,11 @@ impl Circuit {
         self.name = name.into();
     }
 
-    fn insert_net(&mut self, name: String, is_input: bool) -> Result<NetId, NetlistError> {
+    fn insert_net(
+        &mut self,
+        name: String,
+        input_position: Option<u32>,
+    ) -> Result<NetId, NetlistError> {
         if self.by_name.contains_key(&name) {
             return Err(NetlistError::DuplicateNet(name));
         }
@@ -129,7 +135,7 @@ impl Circuit {
         self.nets.push(Net {
             name,
             driver: None,
-            is_input,
+            input_position,
         });
         Ok(id)
     }
@@ -140,7 +146,8 @@ impl Circuit {
     ///
     /// Returns [`NetlistError::DuplicateNet`] if a net with this name exists.
     pub fn add_input(&mut self, name: impl Into<String>) -> Result<NetId, NetlistError> {
-        let id = self.insert_net(name.into(), true)?;
+        let position = self.inputs.len() as u32;
+        let id = self.insert_net(name.into(), Some(position))?;
         self.inputs.push(id);
         Ok(id)
     }
@@ -169,7 +176,7 @@ impl Circuit {
                 return Err(NetlistError::UnknownNet(format!("net#{}", i.0)));
             }
         }
-        let out = self.insert_net(output_name.into(), false)?;
+        let out = self.insert_net(output_name.into(), None)?;
         let gid = GateId(self.gates.len() as u32);
         self.gates.push(Gate {
             ty,
@@ -304,7 +311,7 @@ impl Circuit {
 
     /// Whether the net is a primary input.
     pub fn is_input(&self, net: NetId) -> bool {
-        self.nets[net.index()].is_input
+        self.nets[net.index()].input_position.is_some()
     }
 
     /// Whether the net is listed as a primary output.
@@ -366,8 +373,11 @@ impl Circuit {
     }
 
     /// Position of `net` within the primary-input list, if it is an input.
+    /// Constant time: the position is stored on the net when it is declared.
     pub fn input_position(&self, net: NetId) -> Option<usize> {
-        self.inputs.iter().position(|&n| n == net)
+        self.nets[net.index()]
+            .input_position
+            .map(|position| position as usize)
     }
 
     /// Convenience wrapper building a [`sim::Simulator`](crate::sim::Simulator)
@@ -397,7 +407,7 @@ impl Circuit {
     /// undriven net. Fixture hook; see the module note above.
     #[doc(hidden)]
     pub fn raw_add_undriven_net(&mut self, name: impl Into<String>) -> Result<NetId, NetlistError> {
-        self.insert_net(name.into(), false)
+        self.insert_net(name.into(), None)
     }
 
     /// Pushes a gate whose output is an *existing* net, without touching the
@@ -412,7 +422,7 @@ impl Circuit {
             inputs: inputs.to_vec(),
             output,
         });
-        if self.nets[output.index()].driver.is_none() && !self.nets[output.index()].is_input {
+        if self.nets[output.index()].driver.is_none() && !self.is_input(output) {
             self.nets[output.index()].driver = Some(gid);
         }
     }
@@ -472,6 +482,26 @@ mod tests {
         assert!(c.is_input(a));
         assert!(c.driver(a).is_none());
         assert_eq!(c.input_position(a), Some(0));
+    }
+
+    #[test]
+    fn input_positions_follow_declaration_order_across_gates() {
+        let mut c = Circuit::new("interleaved");
+        let a = c.add_input("a").unwrap();
+        let g = c.add_gate(GateType::Not, "g", &[a]).unwrap();
+        let b = c.add_input("b").unwrap();
+        let h = c.add_gate(GateType::And, "h", &[g, b]).unwrap();
+        let k = c.add_input("keyinput0").unwrap();
+        let o = c.add_gate(GateType::Xor, "o", &[h, k]).unwrap();
+        c.mark_output(o);
+        for (index, &input) in c.inputs().iter().enumerate() {
+            assert_eq!(c.input_position(input), Some(index));
+        }
+        for net in [g, h, o] {
+            assert_eq!(c.input_position(net), None);
+            assert!(!c.is_input(net));
+        }
+        assert_eq!(c.inputs(), &[a, b, k]);
     }
 
     #[test]

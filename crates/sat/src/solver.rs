@@ -317,13 +317,15 @@ impl Solver {
         }
         clause.sort();
         clause.dedup();
-        // Tautology or satisfied-at-level-0 clauses are dropped; false
-        // literals at level 0 are removed.
+        // A literal is `var << 1 | negated`, so sorting puts `v` right
+        // before `¬v`: one pass over neighbours finds every tautology.
+        if clause.windows(2).any(|pair| pair[1] == !pair[0]) {
+            return true;
+        }
+        // Clauses satisfied at level 0 are dropped; false literals at level
+        // 0 are removed.
         let mut simplified: Vec<Lit> = Vec::with_capacity(clause.len());
         for &lit in &clause {
-            if clause.contains(&!lit) {
-                return true; // tautology
-            }
             match self.value_lit(lit) {
                 LBool::True => return true,
                 LBool::False => continue,
@@ -987,6 +989,38 @@ mod tests {
         assert!(solver.add_clause([Lit::positive(a)]));
         assert!(!solver.add_clause([Lit::negative(a)]));
         assert!(solver.solve().is_unsat());
+    }
+
+    #[test]
+    fn tautologies_are_dropped_in_any_literal_order() {
+        let mut solver = Solver::new();
+        let vars: Vec<Var> = (0..4).map(|_| solver.new_var()).collect();
+        let (x, others) = (vars[0], &vars[1..]);
+        let mut clause = vec![Lit::positive(x), Lit::negative(x)];
+        clause.extend(others.iter().map(|&v| Lit::negative(v)));
+        // Every rotation of the clause and of its reverse: the complementary
+        // pair lands at every distance and in both orders.
+        let mut orders = Vec::new();
+        for base in [clause.clone(), clause.iter().rev().copied().collect()] {
+            for shift in 0..base.len() {
+                let mut order = base.clone();
+                order.rotate_left(shift);
+                orders.push(order);
+            }
+        }
+        let before = solver.num_clauses();
+        for order in orders {
+            assert!(solver.add_clause(order));
+            assert_eq!(solver.num_clauses(), before, "a tautology was stored");
+        }
+        // The dropped clause constrains nothing: with every other literal
+        // false, `x` stays free in both phases.
+        for &v in others {
+            assert!(solver.add_clause([Lit::positive(v)]));
+        }
+        for phase in [Lit::positive(x), Lit::negative(x)] {
+            assert!(solver.solve_with_assumptions(&[phase]).is_sat());
+        }
     }
 
     #[test]

@@ -124,26 +124,27 @@ pub fn sat_sweep_with_stats(
     }
 
     // --- Candidate classes: gate outputs grouped by signature. -------------
-    let mut class_of: HashMap<Vec<u64>, Vec<NetId>> = HashMap::new();
+    // Classes are numbered as they first appear along `order`, so they come
+    // in topological order of their representatives (the earliest member)
+    // and each class lists its members topologically. A binding
+    // `max_sat_checks` therefore spends its budget on the same pairs on
+    // every call.
+    let mut class_index: HashMap<&[u64], usize> = HashMap::new();
+    let mut classes: Vec<Vec<NetId>> = Vec::new();
     for &gid in &order {
         let out = circuit.gate(gid).output;
-        class_of
-            .entry(signatures[out.index()].clone())
-            .or_default()
-            .push(out);
+        let class = *class_index
+            .entry(&signatures[out.index()])
+            .or_insert_with(|| {
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+        classes[class].push(out);
     }
 
     // --- Candidate pairs: each class member against its representative. ---
-    // Topological position of every gate output, so the earliest net of a
-    // class becomes the representative.
-    let position: HashMap<NetId, usize> = order
-        .iter()
-        .enumerate()
-        .map(|(i, &gid)| (circuit.gate(gid).output, i))
-        .collect();
     let mut pairs: Vec<(NetId, NetId)> = Vec::new();
-    for (_, mut members) in class_of {
-        members.sort_by_key(|n| position[n]);
+    for members in &classes {
         let representative = members[0];
         for &candidate in &members[1..] {
             if pairs.len() >= options.max_sat_checks {
@@ -389,6 +390,45 @@ mod tests {
         assert!(exhaustively_equivalent(&c, &swept).unwrap());
         assert!(stats.merged_nets >= 1, "the duplicated OR cone must merge");
         assert!(swept.num_gates() < c.num_gates());
+    }
+
+    #[test]
+    fn a_binding_sat_budget_merges_the_same_pair_on_every_sweep() {
+        // Four duplicated AND pairs; one SAT check can merge only one.
+        let mut c = Circuit::new("pairs");
+        let ins: Vec<NetId> = (0..8)
+            .map(|i| c.add_input(format!("i{i}")).unwrap())
+            .collect();
+        for p in 0..4 {
+            let (a, b) = (ins[2 * p], ins[2 * p + 1]);
+            let x = c.add_gate(GateType::And, format!("x{p}"), &[a, b]).unwrap();
+            let y = c.add_gate(GateType::And, format!("y{p}"), &[b, a]).unwrap();
+            c.mark_output(x);
+            c.mark_output(y);
+        }
+        let options = SatSweepOptions {
+            max_sat_checks: 1,
+            ..Default::default()
+        };
+        let (first, stats) = sat_sweep_with_stats(&c, &options).unwrap();
+        assert_eq!((stats.sat_checks, stats.merged_nets), (1, 1));
+        assert!(exhaustively_equivalent(&c, &first).unwrap());
+        assert!(
+            first.find_net("y0").is_none(),
+            "the topologically first pair takes the budget"
+        );
+        for p in 1..4 {
+            assert!(first.find_net(&format!("y{p}")).is_some());
+        }
+        let reference = kratt_netlist::bench::write(&first).unwrap();
+        for sweep in 1..20 {
+            let (again, _) = sat_sweep_with_stats(&c, &options).unwrap();
+            assert_eq!(
+                kratt_netlist::bench::write(&again).unwrap(),
+                reference,
+                "sweep {sweep} differs from the first"
+            );
+        }
     }
 
     #[test]
