@@ -9,18 +9,17 @@
 //! patterns — the "approximate functional recovery" behaviour the paper
 //! discusses — while on traditional locking it behaves like the exact attack.
 
-use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
+use crate::engine::{Attack, AttackRequest, ThreatModel};
 use crate::error::AttackError;
-use crate::oracle::Oracle;
-use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
-use crate::sat_attack::{og_run, DipEngine, DipSearch, KeyExtraction};
+use crate::report::{AttackOutcome, AttackRun, StepTiming};
+use crate::sat_attack::{DipEngine, DipSearch};
 use kratt_locking::SecretKey;
-use kratt_netlist::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The AppSAT attack. It runs under the request's [`Budget`]; an exhausted
-/// budget reports `OoT` like the paper.
+/// The AppSAT attack. It runs under the request's
+/// [`Budget`](crate::engine::Budget); an exhausted budget reports `OoT` like
+/// the paper.
 #[derive(Debug, Clone)]
 pub struct AppSatAttack {
     /// A sampling round runs after every `settle_every` DIP iterations.
@@ -50,31 +49,33 @@ impl AppSatAttack {
     pub fn new() -> Self {
         AppSatAttack::default()
     }
+}
 
-    /// The DIP/sampling loop under an explicit deadline.
-    /// [`Attack::execute`] is the public entry point.
-    fn run_with_deadline(
-        &self,
-        locked: &Circuit,
-        oracle: &Oracle,
-        budget: &Budget,
-        deadline: Deadline,
-    ) -> Result<OgReport, AttackError> {
+impl Attack for AppSatAttack {
+    fn name(&self) -> &'static str {
+        "appsat"
+    }
+
+    fn supports(&self, model: ThreatModel) -> bool {
+        model == ThreatModel::OracleGuided
+    }
+
+    fn execute(&self, request: &AttackRequest<'_>) -> Result<AttackRun, AttackError> {
+        let oracle = request.require_oracle(self.name())?;
+        let deadline = request.deadline();
+        if deadline.expired() {
+            return Ok(AttackRun::out_of_budget(
+                self.name(),
+                request.threat_model(),
+            ));
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut engine = DipEngine::new(locked, oracle, budget, deadline.clone())?;
+        let mut engine = DipEngine::new(request.locked, oracle, &request.budget, deadline)?;
         let mut iterations = 0usize;
         let mut last_candidate: Vec<bool>;
-        loop {
-            if deadline.expired()
-                || iterations >= budget.max_iterations
-                || budget.oracle_queries_exhausted(engine.oracle_queries())
-            {
-                return Ok(OgReport {
-                    outcome: OgOutcome::OutOfTime,
-                    runtime: deadline.elapsed(),
-                    iterations,
-                    oracle_queries: engine.oracle_queries(),
-                });
+        let outcome = loop {
+            if engine.out_of_budget(iterations) {
+                break AttackOutcome::OutOfBudget;
             }
             match engine.find_dip() {
                 DipSearch::Found { dip, candidate_key } => {
@@ -83,32 +84,8 @@ impl AppSatAttack {
                     last_candidate = candidate_key;
                     iterations += 1;
                 }
-                DipSearch::Exhausted => {
-                    let outcome = match engine.extract_key() {
-                        KeyExtraction::Key(key) => OgOutcome::Key(key),
-                        KeyExtraction::NoneConsistent => {
-                            OgOutcome::Key(SecretKey::from_bits(vec![
-                                false;
-                                engine.key_names().len()
-                            ]))
-                        }
-                        KeyExtraction::Budget => OgOutcome::OutOfTime,
-                    };
-                    return Ok(OgReport {
-                        outcome,
-                        runtime: deadline.elapsed(),
-                        iterations,
-                        oracle_queries: engine.oracle_queries(),
-                    });
-                }
-                DipSearch::Budget => {
-                    return Ok(OgReport {
-                        outcome: OgOutcome::OutOfTime,
-                        runtime: deadline.elapsed(),
-                        iterations,
-                        oracle_queries: engine.oracle_queries(),
-                    });
-                }
+                DipSearch::Exhausted => break engine.extract_key()?,
+                DipSearch::Budget => break AttackOutcome::OutOfBudget,
             }
 
             // Sampling / settlement round: the candidate key is checked on
@@ -141,46 +118,23 @@ impl AppSatAttack {
                     engine.constrain(pattern, outputs);
                 }
                 if error <= self.error_threshold {
-                    return Ok(OgReport {
-                        outcome: OgOutcome::Key(SecretKey::from_bits(candidate)),
-                        runtime: deadline.elapsed(),
-                        iterations,
-                        oracle_queries: engine.oracle_queries(),
-                    });
+                    break AttackOutcome::ExactKey(SecretKey::from_bits(candidate));
                 }
             }
-        }
-    }
-}
-
-impl Attack for AppSatAttack {
-    fn name(&self) -> &'static str {
-        "appsat"
-    }
-
-    fn supports(&self, model: ThreatModel) -> bool {
-        model == ThreatModel::OracleGuided
-    }
-
-    fn execute(&self, request: &AttackRequest<'_>) -> Result<AttackRun, AttackError> {
-        let oracle = request.require_oracle(self.name())?;
-        let deadline = request.deadline();
-        if deadline.expired() {
-            return Ok(AttackRun::out_of_budget(
-                self.name(),
-                request.threat_model(),
-            ));
-        }
-        let report = self.run_with_deadline(request.locked, oracle, &request.budget, deadline)?;
-        let steps = vec![StepTiming::new("dip-sampling-loop", report.runtime)];
-        Ok(og_run(self.name(), report, steps))
+        };
+        let mut run = engine.attack_run(self.name(), outcome, iterations);
+        run.steps
+            .push(StepTiming::new("dip-sampling-loop", run.runtime));
+        Ok(run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kratt_locking::{LockingTechnique, RandomXorLocking, SarLock, SecretKey};
+    use crate::engine::Budget;
+    use crate::oracle::Oracle;
+    use kratt_locking::{LockingTechnique, RandomXorLocking, SarLock};
     use kratt_netlist::{Circuit, GateType, NetId};
     use std::time::Duration;
 

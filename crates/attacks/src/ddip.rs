@@ -18,16 +18,14 @@
 //! 510 oracle queries where the SAT attack spends 255 queries. Its
 //! iterations do not halve there, and its queries double.
 
-use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
+use crate::engine::{Attack, AttackRequest, ThreatModel};
 use crate::error::AttackError;
-use crate::oracle::Oracle;
-use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
-use crate::sat_attack::{og_run, BatchEnd, DipEngine, KeyExtraction};
-use kratt_locking::SecretKey;
-use kratt_netlist::Circuit;
+use crate::report::{AttackOutcome, AttackRun, StepTiming};
+use crate::sat_attack::{BatchEnd, DipEngine};
 
-/// The Double DIP attack. It runs under the request's [`Budget`]; an
-/// exhausted budget reports `OoT` like the paper.
+/// The Double DIP attack. It runs under the request's
+/// [`Budget`](crate::engine::Budget); an exhausted budget reports `OoT` like
+/// the paper.
 #[derive(Debug, Clone, Default)]
 pub struct DoubleDipAttack;
 
@@ -35,68 +33,6 @@ impl DoubleDipAttack {
     /// Creates the attack.
     pub fn new() -> Self {
         DoubleDipAttack
-    }
-
-    /// The double-DIP loop under an explicit deadline.
-    /// [`Attack::execute`] is the public entry point.
-    fn run_with_deadline(
-        &self,
-        locked: &Circuit,
-        oracle: &Oracle,
-        budget: &Budget,
-        deadline: Deadline,
-    ) -> Result<OgReport, AttackError> {
-        let mut engine = DipEngine::new(locked, oracle, budget, deadline.clone())?;
-        let mut iterations = 0usize;
-        loop {
-            if deadline.expired()
-                || iterations >= budget.max_iterations
-                || budget.oracle_queries_exhausted(engine.oracle_queries())
-            {
-                return Ok(OgReport {
-                    outcome: OgOutcome::OutOfTime,
-                    runtime: deadline.elapsed(),
-                    iterations,
-                    oracle_queries: engine.oracle_queries(),
-                });
-            }
-            // Find up to two distinct DIPs in one solver session and query
-            // the oracle for both in a single packed sweep.
-            let batch = engine.find_dips(2);
-            if !batch.dips.is_empty() {
-                engine.constrain_batch(&batch.dips)?;
-                // Only rounds that constrained something count as iterations
-                // (the final empty exhaustion probe is bookkeeping, not
-                // progress — the same convention as the SAT attack's per-DIP
-                // count).
-                iterations += 1;
-            }
-            let exhausted = batch.end == Some(BatchEnd::Exhausted);
-            let budget_hit = batch.end == Some(BatchEnd::Budget);
-            if exhausted {
-                let outcome = match engine.extract_key() {
-                    KeyExtraction::Key(key) => OgOutcome::Key(key),
-                    KeyExtraction::NoneConsistent => {
-                        OgOutcome::Key(SecretKey::from_bits(vec![false; engine.key_names().len()]))
-                    }
-                    KeyExtraction::Budget => OgOutcome::OutOfTime,
-                };
-                return Ok(OgReport {
-                    outcome,
-                    runtime: deadline.elapsed(),
-                    iterations,
-                    oracle_queries: engine.oracle_queries(),
-                });
-            }
-            if budget_hit {
-                return Ok(OgReport {
-                    outcome: OgOutcome::OutOfTime,
-                    runtime: deadline.elapsed(),
-                    iterations,
-                    oracle_queries: engine.oracle_queries(),
-                });
-            }
-        }
     }
 }
 
@@ -118,15 +54,41 @@ impl Attack for DoubleDipAttack {
                 request.threat_model(),
             ));
         }
-        let report = self.run_with_deadline(request.locked, oracle, &request.budget, deadline)?;
-        let steps = vec![StepTiming::new("double-dip-loop", report.runtime)];
-        Ok(og_run(self.name(), report, steps))
+        let mut engine = DipEngine::new(request.locked, oracle, &request.budget, deadline)?;
+        let mut iterations = 0usize;
+        let outcome = loop {
+            if engine.out_of_budget(iterations) {
+                break AttackOutcome::OutOfBudget;
+            }
+            // Find up to two distinct DIPs in one solver session and query
+            // the oracle for both in a single packed sweep.
+            let batch = engine.find_dips(2);
+            if !batch.dips.is_empty() {
+                engine.constrain_batch(&batch.dips)?;
+                // Only rounds that constrained something count as iterations
+                // (the final empty exhaustion probe is bookkeeping, not
+                // progress — the same convention as the SAT attack's per-DIP
+                // count).
+                iterations += 1;
+            }
+            match batch.end {
+                Some(BatchEnd::Exhausted) => break engine.extract_key()?,
+                Some(BatchEnd::Budget) => break AttackOutcome::OutOfBudget,
+                None => {}
+            }
+        };
+        let mut run = engine.attack_run(self.name(), outcome, iterations);
+        run.steps
+            .push(StepTiming::new("double-dip-loop", run.runtime));
+        Ok(run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Budget;
+    use crate::oracle::Oracle;
     use crate::sat_attack::SatAttack;
     use kratt_locking::{LockingTechnique, RandomXorLocking, SarLock, SecretKey};
     use kratt_netlist::{Circuit, GateType, NetId};

@@ -26,6 +26,11 @@ pub enum AttackError {
     },
     /// No attack with the given name is registered.
     UnknownAttack(String),
+    /// A DIP-loop attack ran out of distinguishing inputs, but no key
+    /// reproduces every oracle response it observed: the oracle computes a
+    /// function the locked netlist takes under no key, so there is no key
+    /// to report.
+    NoConsistentKey,
     /// A strict `KeyGuess` → `SecretKey` conversion was attempted on a
     /// partial guess.
     PartialKey {
@@ -79,6 +84,9 @@ impl fmt::Display for AttackError {
             }
             AttackError::UnknownAttack(name) => {
                 write!(f, "no attack named `{name}` is registered")
+            }
+            AttackError::NoConsistentKey => {
+                write!(f, "no key reproduces the oracle's responses")
             }
             AttackError::PartialKey { missing, total } => {
                 write!(f, "guess leaves {missing} of {total} key bits undeciphered")

@@ -24,7 +24,7 @@
 use crate::engine::{Attack, AttackRequest, CostClass, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::report::{key_input_names, AttackOutcome, AttackRun, KeyGuess, OgOutcome, StepTiming};
+use crate::report::{key_input_names, AttackOutcome, AttackRun, KeyGuess, StepTiming};
 use crate::structure::{associate_keys_with_inputs, find_critical_signal};
 use kratt_locking::SecretKey;
 use kratt_netlist::analysis::support;
@@ -35,7 +35,6 @@ use kratt_sat::{encode_aig, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
-use std::time::Duration;
 
 /// Protected primary inputs and, per input, its associated key input(s).
 type ProtectedInputs = (Vec<String>, Vec<(String, Vec<String>)>);
@@ -52,8 +51,6 @@ pub struct FallConfig {
     /// Random input patterns used per key-confirmation check (the all-zero
     /// and all-one patterns are always included).
     pub confirmation_patterns: usize,
-    /// Wall-clock budget.
-    pub time_limit: Option<Duration>,
     /// Seed of the confirmation pattern generator.
     pub seed: u64,
 }
@@ -65,32 +62,23 @@ impl Default for FallConfig {
             max_candidate_keys: 64,
             sat_conflict_limit: Some(100_000),
             confirmation_patterns: 64,
-            time_limit: Some(Duration::from_secs(60)),
             seed: 0xfa11,
         }
     }
 }
 
-/// Report of a FALL run.
-#[derive(Debug, Clone)]
-pub struct FallReport {
+/// What FALL's three stages found: the candidate list its unit tests
+/// assert on, which [`Attack::execute`] reduces to one outcome.
+#[derive(Debug)]
+pub(crate) struct FallReport {
     /// Candidate keys produced by the functional analysis, most promising
     /// first (fewer non-unate rejections ⇒ earlier).
     pub candidates: Vec<KeyGuess>,
     /// The confirmed key, when an oracle was supplied and one candidate
-    /// survived confirmation; [`OgOutcome::OutOfTime`] otherwise.
-    pub outcome: OgOutcome,
-    /// Wall-clock runtime.
-    pub runtime: Duration,
+    /// survived confirmation.
+    pub key: Option<SecretKey>,
     /// Number of candidate nodes whose unateness was analysed.
     pub analyzed_nodes: usize,
-}
-
-impl FallReport {
-    /// The confirmed key, if any.
-    pub fn key(&self) -> Option<&SecretKey> {
-        self.outcome.key()
-    }
 }
 
 /// Unateness of a node in one of its support variables.
@@ -128,7 +116,7 @@ impl FallAttack {
         &self,
         locked: &Circuit,
         oracle: Option<&Oracle>,
-        deadline: Deadline,
+        deadline: &Deadline,
     ) -> Result<FallReport, AttackError> {
         let key_inputs = locked.key_inputs();
         if key_inputs.is_empty() {
@@ -148,8 +136,7 @@ impl FallAttack {
         let Some((ppi_names, associations)) = self.protected_inputs(locked) else {
             return Ok(FallReport {
                 candidates: Vec::new(),
-                outcome: OgOutcome::OutOfTime,
-                runtime: deadline.elapsed(),
+                key: None,
                 analyzed_nodes: 0,
             });
         };
@@ -183,7 +170,7 @@ impl FallAttack {
                 break;
             }
             analyzed += 1;
-            let Some(pattern) = self.unate_pattern(locked, node, &ppi_names, &deadline)? else {
+            let Some(pattern) = self.unate_pattern(locked, node, &ppi_names, deadline)? else {
                 continue;
             };
             // Map the protected pattern to key bits through the association.
@@ -205,7 +192,7 @@ impl FallAttack {
         }
 
         // --- Stage 3: key confirmation against the oracle. ----------------
-        let mut outcome = OgOutcome::OutOfTime;
+        let mut confirmed = None;
         if let Some(oracle) = oracle {
             let locked_sim = Simulator::new(locked)?;
             // The probe set covers the protected patterns implied by *every*
@@ -221,7 +208,7 @@ impl FallAttack {
                 }
                 let key = guess.to_secret_key(&key_names);
                 if self.confirm_key(locked, &locked_sim, oracle, &key_names, &key, &probes)? {
-                    outcome = OgOutcome::Key(key);
+                    confirmed = Some(key);
                     break;
                 }
             }
@@ -230,8 +217,7 @@ impl FallAttack {
         let candidates = candidates.into_iter().map(|(guess, _)| guess).collect();
         Ok(FallReport {
             candidates,
-            outcome,
-            runtime: deadline.elapsed(),
+            key: confirmed,
             analyzed_nodes: analyzed,
         })
     }
@@ -426,33 +412,30 @@ impl Attack for FallAttack {
                     .budget
                     .sat_conflict_limit
                     .or(self.config.sat_conflict_limit),
-                time_limit: request.budget.time_limit,
                 ..self.config.clone()
             },
         };
-        let report = attack.run_inner(request.locked, request.oracle, deadline)?;
-        // Unified outcome: a confirmed key beats everything; otherwise the
-        // strongest unconfirmed candidate is the (partial) result, and an
-        // empty candidate list is indistinguishable from running dry.
-        let outcome = match (&report.outcome, report.candidates.first()) {
-            (OgOutcome::Key(key), _) => AttackOutcome::ExactKey(key.clone()),
-            (OgOutcome::OutOfTime, Some(best)) => AttackOutcome::PartialGuess(best.clone()),
-            (OgOutcome::OutOfTime, None) => AttackOutcome::OutOfBudget,
+        let report = attack.run_inner(request.locked, request.oracle, &deadline)?;
+        let runtime = deadline.elapsed();
+        // A confirmed key beats everything; otherwise the strongest
+        // unconfirmed candidate is the (partial) result, and an empty
+        // candidate list is indistinguishable from running dry.
+        let outcome = match (report.key, report.candidates.into_iter().next()) {
+            (Some(key), _) => AttackOutcome::ExactKey(key),
+            (None, Some(best)) => AttackOutcome::PartialGuess(best),
+            (None, None) => AttackOutcome::OutOfBudget,
         };
         Ok(AttackRun {
             attack: self.name().to_string(),
             threat_model: request.threat_model(),
             outcome,
-            runtime: report.runtime,
+            runtime,
             iterations: report.analyzed_nodes,
             oracle_queries: request
                 .oracle
                 .map(|o| o.queries().saturating_sub(base_queries))
                 .unwrap_or(0),
-            steps: vec![StepTiming::new(
-                "structural+functional-analysis",
-                report.runtime,
-            )],
+            steps: vec![StepTiming::new("structural+functional-analysis", runtime)],
             members: Vec::new(),
         })
     }
@@ -461,19 +444,20 @@ impl Attack for FallAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Budget;
     use crate::report::score_guess;
     use kratt_locking::{Cac, LockingTechnique, SarLock, SfllHd, TtLock};
     use kratt_netlist::GateType;
 
-    /// Drives the pipeline exactly like `execute` but returns the rich
-    /// [`FallReport`] these assertions need (`run_inner` is private —
-    /// external callers go through [`Attack::execute`]).
+    /// Drives the pipeline like `execute` under the default budget's
+    /// deadline but returns the [`FallReport`] these assertions need
+    /// (external callers go through [`Attack::execute`]).
     fn report_of(
         attack: &FallAttack,
         locked: &Circuit,
         oracle: Option<&Oracle>,
     ) -> Result<FallReport, AttackError> {
-        attack.run_inner(locked, oracle, Deadline::started(attack.config.time_limit))
+        attack.run_inner(locked, oracle, &Budget::default().start())
     }
 
     fn adder4() -> Circuit {
@@ -514,10 +498,10 @@ mod tests {
         let locked = TtLock::new(4).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
         let report = report_of(&FallAttack::new(), &locked.circuit, Some(&oracle)).unwrap();
-        match report.outcome {
-            OgOutcome::Key(key) => assert_eq!(key.to_u64(), secret.to_u64()),
-            OgOutcome::OutOfTime => panic!("FALL should confirm the key on clean TTLock"),
-        }
+        let key = report
+            .key
+            .expect("FALL should confirm the key on clean TTLock");
+        assert_eq!(key.to_u64(), secret.to_u64());
         assert!(report.analyzed_nodes > 0);
     }
 
@@ -536,7 +520,7 @@ mod tests {
             "one candidate must equal the secret"
         );
         // Oracle-less runs never confirm a key.
-        assert_eq!(report.outcome, OgOutcome::OutOfTime);
+        assert_eq!(report.key, None);
     }
 
     #[test]
@@ -546,7 +530,10 @@ mod tests {
         let locked = Cac::new(4).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
         let report = report_of(&FallAttack::new(), &locked.circuit, Some(&oracle)).unwrap();
-        assert_eq!(report.key().map(SecretKey::to_u64), Some(secret.to_u64()));
+        assert_eq!(
+            report.key.as_ref().map(SecretKey::to_u64),
+            Some(secret.to_u64())
+        );
     }
 
     #[test]
@@ -565,7 +552,10 @@ mod tests {
         let locked = SfllHd::new(4, 1).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
         let report = report_of(&FallAttack::new(), &locked.circuit, Some(&oracle)).unwrap();
-        assert_eq!(report.key().map(SecretKey::to_u64), Some(secret.to_u64()));
+        assert_eq!(
+            report.key.as_ref().map(SecretKey::to_u64),
+            Some(secret.to_u64())
+        );
         // Both the secret and its complement show up as candidates; only the
         // secret survives confirmation.
         assert!(report.candidates.len() >= 2);
@@ -581,7 +571,7 @@ mod tests {
         let locked = SarLock::new(4).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
         let report = report_of(&FallAttack::new(), &locked.circuit, Some(&oracle)).unwrap();
-        assert_eq!(report.outcome, OgOutcome::OutOfTime);
+        assert_eq!(report.key, None);
     }
 
     #[test]

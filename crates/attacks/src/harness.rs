@@ -2,8 +2,9 @@
 //! worker threads and collects structured rows.
 //!
 //! This is what the paper's evaluation actually is — every (attack,
-//! locked circuit) pair of Tables II–V driven under one budget — and what
-//! the experiment binaries in `kratt-bench` are wrappers over. The harness
+//! locked circuit) pair of Tables II–V driven under one budget. Its one
+//! driver is [`Campaign`](crate::campaign::Campaign), which the `table3` and
+//! `campaign` binaries and `kratt --campaign` run. The harness
 //! owns the fan-out with a **work-stealing scheduler**: heavy solver-bound
 //! jobs (SAT/QBF CEGAR loops, [`CostClass::Heavy`]) are dealt round-robin
 //! across per-worker deques so the long poles start immediately, cheap

@@ -35,9 +35,10 @@
 //! * [`AttackRegistry`] — name-based construction (`"sat"`,
 //!   `"double-dip"`, `"appsat"`, `"fall"`, `"removal"`, `"scope"`; the
 //!   `kratt` crate adds `"kratt"`).
-//! * [`Harness`] — the parallel attacks × benchmarks batch driver behind
-//!   the experiment binaries, fed eagerly (a case slice) or lazily through
-//!   a [`CaseSource`].
+//! * [`Harness`] — the parallel attacks × benchmarks batch driver, fed
+//!   eagerly (a case slice) or lazily through a [`CaseSource`]. Only
+//!   [`Campaign`] drives it: the `table3` and `campaign` binaries and
+//!   `kratt --campaign` run through a campaign.
 //! * [`Campaign`] — the end-to-end lock → attack → verify pipeline: scheme
 //!   specs × hosts × attacks expanded into harness jobs, locked instances
 //!   memoised in a content-addressed [`CorpusCache`], every claimed key
@@ -87,7 +88,7 @@ pub use campaign::{
 pub use ddip::DoubleDipAttack;
 pub use engine::{Attack, AttackRequest, Budget, CostClass, Deadline, ThreatModel};
 pub use error::AttackError;
-pub use fall::{FallAttack, FallConfig, FallReport};
+pub use fall::{FallAttack, FallConfig};
 pub use harness::{
     CaseSource, FnCaseSource, Harness, JobTelemetry, MatrixCase, MatrixRow, RowHook,
     ScheduleOptions, ScheduleReport, SchedulerStats,
@@ -99,7 +100,7 @@ pub use registry::AttackRegistry;
 pub use removal::RemovalAttack;
 pub use report::{
     key_input_names, score_guess, AttackOutcome, AttackRun, KeyGuess, MemberRun, NamedGuess,
-    OgOutcome, OgReport, OlReport, StepTiming,
+    StepTiming,
 };
 pub use sat_attack::{measure_dip_encoding, DipEncodeStats, DipEngineKind, SatAttack};
 pub use scope::ScopeAttack;

@@ -16,19 +16,15 @@ use kratt_netlist::transform::{remove_cone, set_inputs_constant};
 use kratt_netlist::{Circuit, NetId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
-/// Result of a removal attack.
-#[derive(Debug, Clone)]
-pub struct RemovalReport {
+/// What a removal attack stripped and recovered: [`Attack::execute`]
+/// reports the circuit and names its one step after the signal.
+#[derive(Debug)]
+pub(crate) struct RemovalReport {
     /// The recovered circuit (key inputs removed, critical signal tied off).
     pub recovered: Circuit,
     /// Name of the critical signal that was removed.
     pub critical_signal: String,
-    /// The constant the critical signal was tied to.
-    pub constant: bool,
-    /// Wall-clock runtime.
-    pub runtime: Duration,
 }
 
 /// The removal attack. Needs oracle access only to decide which constant the
@@ -67,7 +63,6 @@ impl RemovalAttack {
         budget: &Budget,
         deadline: Deadline,
     ) -> Result<Option<RemovalReport>, AttackError> {
-        let start = Instant::now();
         if locked.key_inputs().is_empty() {
             return Err(AttackError::NoKeyInputs);
         }
@@ -80,7 +75,7 @@ impl RemovalAttack {
         // constants; pick the critical-signal constant that agrees with the
         // oracle on random patterns.
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut best: Option<(Circuit, bool, usize)> = None;
+        let mut best: Option<(Circuit, usize)> = None;
         for constant in [false, true] {
             if deadline.expired()
                 || budget.oracle_queries_exhausted(oracle.queries().saturating_sub(base_queries))
@@ -91,18 +86,16 @@ impl RemovalAttack {
             let agreement = self.agreement(&candidate, oracle, &mut rng)?;
             let better = match &best {
                 None => true,
-                Some((_, _, best_agreement)) => agreement > *best_agreement,
+                Some((_, best_agreement)) => agreement > *best_agreement,
             };
             if better {
-                best = Some((candidate, constant, agreement));
+                best = Some((candidate, agreement));
             }
         }
-        let (recovered, constant, _) = best.expect("two candidates evaluated");
+        let (recovered, _) = best.expect("two candidates evaluated");
         Ok(Some(RemovalReport {
             recovered,
             critical_signal: cs1_name,
-            constant,
-            runtime: start.elapsed(),
         }))
     }
 
@@ -188,18 +181,19 @@ impl Attack for RemovalAttack {
             run.oracle_queries = oracle.queries().saturating_sub(base_queries);
             return Ok(run);
         };
+        let runtime = deadline.elapsed();
         Ok(AttackRun {
             attack: self.name().to_string(),
             threat_model: request.threat_model(),
             // Removal recovers the circuit, never the key — the very
             // limitation the paper's QBF formulation addresses.
             outcome: AttackOutcome::RecoveredCircuit(report.recovered),
-            runtime: report.runtime,
+            runtime,
             iterations: self.patterns,
             oracle_queries: oracle.queries().saturating_sub(base_queries),
             steps: vec![StepTiming::new(
                 format!("strip-{}", report.critical_signal),
-                report.runtime,
+                runtime,
             )],
             members: Vec::new(),
         })

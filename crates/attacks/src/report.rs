@@ -1,10 +1,8 @@
-//! Attack outcomes, budgets and scoring helpers shared by all attacks.
+//! Attack outcomes, key guesses and scoring helpers shared by all attacks.
 //!
-//! The unified [`AttackRun`] report (outcome + telemetry) is what every
-//! engine returns through [`Attack::execute`](crate::engine::Attack); the
-//! legacy per-family reports ([`OlReport`], [`OgReport`]) remain as thin
-//! internal shapes the per-attack workers produce before `execute` lifts
-//! them into an [`AttackRun`].
+//! The unified [`AttackRun`] report (outcome + telemetry) is the one result
+//! every engine builds and returns through
+//! [`Attack::execute`](crate::engine::Attack).
 //!
 //! This module also owns the hand-rolled JSON plumbing (the workspace is
 //! offline and carries no serde): the escape/emit helpers the campaign
@@ -116,49 +114,6 @@ impl TryFrom<NamedGuess<'_>> for SecretKey {
     }
 }
 
-/// Report of an oracle-less attack: the guess plus timing, in the shape of
-/// the paper's Table II / IV rows (`cdk/dk` and CPU seconds).
-#[derive(Debug, Clone)]
-pub struct OlReport {
-    /// The (partial) key guess.
-    pub guess: KeyGuess,
-    /// Wall-clock runtime of the attack.
-    pub runtime: Duration,
-}
-
-/// Outcome of an oracle-guided attack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OgOutcome {
-    /// A complete key was recovered.
-    Key(SecretKey),
-    /// The attack exhausted its budget (the paper's "OoT").
-    OutOfTime,
-}
-
-impl OgOutcome {
-    /// The recovered key, if any.
-    pub fn key(&self) -> Option<&SecretKey> {
-        match self {
-            OgOutcome::Key(k) => Some(k),
-            OgOutcome::OutOfTime => None,
-        }
-    }
-}
-
-/// Report of an oracle-guided attack: outcome plus work counters, in the
-/// shape of the paper's Table III / V rows.
-#[derive(Debug, Clone)]
-pub struct OgReport {
-    /// Outcome (key or out-of-time).
-    pub outcome: OgOutcome,
-    /// Wall-clock runtime of the attack.
-    pub runtime: Duration,
-    /// Attack iterations performed (DIPs for the SAT-based family).
-    pub iterations: usize,
-    /// Number of oracle queries spent.
-    pub oracle_queries: u64,
-}
-
 /// The unified outcome of an [`AttackRun`], covering what every attack in
 /// the suite can produce.
 #[derive(Debug, Clone)]
@@ -221,15 +176,6 @@ impl AttackOutcome {
     }
 }
 
-impl From<OgOutcome> for AttackOutcome {
-    fn from(outcome: OgOutcome) -> Self {
-        match outcome {
-            OgOutcome::Key(key) => AttackOutcome::ExactKey(key),
-            OgOutcome::OutOfTime => AttackOutcome::OutOfBudget,
-        }
-    }
-}
-
 /// Wall-clock duration of one named pipeline step of an attack run.
 #[derive(Debug, Clone)]
 pub struct StepTiming {
@@ -268,8 +214,6 @@ pub struct MemberRun {
 /// The unified report of one [`Attack::execute`](crate::engine::Attack)
 /// call: the outcome plus the telemetry every attack family shares
 /// (runtime, iteration and oracle-query counters, per-step durations).
-/// Subsumes the common core of the legacy `OlReport` / `OgReport` /
-/// `FallReport` / `KrattReport` shapes.
 #[derive(Debug, Clone)]
 pub struct AttackRun {
     /// Registry name of the attack that produced this run.
@@ -670,17 +614,14 @@ mod tests {
 
     #[test]
     fn outcome_key_accessor() {
-        let outcome = OgOutcome::Key(SecretKey::from_u64(3, 2));
-        assert!(outcome.key().is_some());
-        assert!(OgOutcome::OutOfTime.key().is_none());
-    }
-
-    #[test]
-    fn og_outcome_lifts_into_the_unified_outcome() {
-        let lifted = AttackOutcome::from(OgOutcome::Key(SecretKey::from_u64(1, 1)));
-        assert!(lifted.exact_key().is_some());
-        assert!(!lifted.is_out_of_budget());
-        assert!(AttackOutcome::from(OgOutcome::OutOfTime).is_out_of_budget());
+        let exact = AttackOutcome::ExactKey(SecretKey::from_u64(3, 2));
+        assert_eq!(exact.exact_key().map(SecretKey::to_u64), Some(3));
+        assert!(!exact.is_out_of_budget());
+        assert!(AttackOutcome::OutOfBudget.exact_key().is_none());
+        assert!(AttackOutcome::OutOfBudget.is_out_of_budget());
+        assert!(AttackOutcome::PartialGuess(KeyGuess::new())
+            .exact_key()
+            .is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
+use crate::report::{AttackOutcome, AttackRun, StepTiming};
 use kratt_locking::SecretKey;
 use kratt_netlist::sim::Simulator;
 use kratt_netlist::{Aig, AigLit, Circuit};
@@ -29,17 +29,6 @@ pub enum DipEngineKind {
 /// data inputs share their real names (so both halves strash together); only
 /// the key inputs are duplicated under this suffix.
 const KEY_B_SUFFIX: &str = "__kratt_b";
-
-/// Result of the final key extraction after DIP exhaustion.
-pub(crate) enum KeyExtraction {
-    /// A key consistent with every IO constraint.
-    Key(SecretKey),
-    /// The constraints are unsatisfiable (degenerate instances only — after
-    /// exhaustion at least the oracle's own key should be consistent).
-    NoneConsistent,
-    /// The SAT budget ran out before the extraction finished.
-    Budget,
-}
 
 /// Result of one distinguishing-input search.
 pub(crate) enum DipSearch {
@@ -116,6 +105,10 @@ pub(crate) struct DipEngine<'a> {
     /// budget accounting and telemetry report this run's queries only even
     /// when a caller reuses one oracle across runs.
     base_queries: u64,
+    /// The run's budget and started deadline, which every loop of the
+    /// family stops on ([`DipEngine::out_of_budget`]).
+    budget: Budget,
+    deadline: Deadline,
 }
 
 impl<'a> DipEngine<'a> {
@@ -223,6 +216,8 @@ impl<'a> DipEngine<'a> {
             key_copies,
             encode_footprint,
             base_queries: oracle.queries(),
+            budget: budget.clone(),
+            deadline,
         })
     }
 
@@ -232,9 +227,13 @@ impl<'a> DipEngine<'a> {
         self.encode_footprint
     }
 
-    /// Names of the key inputs, in `keyinput` order.
-    pub(crate) fn key_names(&self) -> &[String] {
-        &self.key_names
+    /// Whether the loop must stop before its next iteration: the deadline
+    /// passed, `iterations` reached the iteration cap, or the oracle-query
+    /// cap is spent.
+    pub(crate) fn out_of_budget(&self, iterations: usize) -> bool {
+        self.deadline.expired()
+            || iterations >= self.budget.max_iterations
+            || self.budget.oracle_queries_exhausted(self.oracle_queries())
     }
 
     /// Searches for the next distinguishing input pattern.
@@ -383,25 +382,46 @@ impl<'a> DipEngine<'a> {
         }
     }
 
-    /// Extracts a key consistent with every accumulated IO constraint. Called
-    /// after [`DipSearch::Exhausted`]: any such key is functionally correct.
+    /// The family's one ending once no DIP is left: a key consistent with
+    /// every accumulated IO constraint, which is functionally correct.
     ///
     /// Re-solves the *same* solver as the DIP loop with the miter gate
     /// closed (`¬miter_act`), so the `K_A` copy — already constrained by
     /// every IO pair — yields the key directly with all learned clauses
     /// retained. The shared deadline or conflict budget running out
-    /// mid-extraction surfaces as [`KeyExtraction::Budget`], never as a
+    /// mid-extraction ends the run out of budget, and constraints no key
+    /// satisfies are [`AttackError::NoConsistentKey`]: neither is ever a
     /// fabricated key.
-    pub(crate) fn extract_key(&mut self) -> KeyExtraction {
+    pub(crate) fn extract_key(&mut self) -> Result<AttackOutcome, AttackError> {
         match self
             .solver
             .solve_with_assumptions(&[Lit::negative(self.miter_act)])
         {
-            SatResult::Sat(model) => KeyExtraction::Key(SecretKey::from_bits(
+            SatResult::Sat(model) => Ok(AttackOutcome::ExactKey(SecretKey::from_bits(
                 self.key_a.iter().map(|&v| model.value(v)).collect(),
-            )),
-            SatResult::Unsat => KeyExtraction::NoneConsistent,
-            SatResult::Unknown => KeyExtraction::Budget,
+            ))),
+            SatResult::Unsat => Err(AttackError::NoConsistentKey),
+            SatResult::Unknown => Ok(AttackOutcome::OutOfBudget),
+        }
+    }
+
+    /// The run of the DIP-family attack `attack`, ending now with `outcome`
+    /// after `iterations` iterations; its step timings are the caller's.
+    pub(crate) fn attack_run(
+        &self,
+        attack: &str,
+        outcome: AttackOutcome,
+        iterations: usize,
+    ) -> AttackRun {
+        AttackRun {
+            attack: attack.to_string(),
+            threat_model: ThreatModel::OracleGuided,
+            outcome,
+            runtime: self.deadline.elapsed(),
+            iterations,
+            oracle_queries: self.oracle_queries(),
+            steps: Vec::new(),
+            members: Vec::new(),
         }
     }
 
@@ -486,102 +506,6 @@ impl SatAttack {
     pub fn new() -> Self {
         SatAttack
     }
-
-    /// The DIP loop under an explicit deadline; also returns step timings.
-    /// [`Attack::execute`] is the public entry point.
-    fn run_with_deadline(
-        &self,
-        locked: &Circuit,
-        oracle: &Oracle,
-        budget: &Budget,
-        deadline: Deadline,
-    ) -> Result<(OgReport, Vec<StepTiming>), AttackError> {
-        let mut engine = DipEngine::new(locked, oracle, budget, deadline.clone())?;
-        let encode_time = deadline.elapsed();
-        let mut iterations = 0usize;
-        loop {
-            if deadline.expired()
-                || iterations >= budget.max_iterations
-                || budget.oracle_queries_exhausted(engine.oracle_queries())
-            {
-                return Ok(out_of_time(deadline, iterations, &engine, encode_time));
-            }
-            match engine.find_dip() {
-                DipSearch::Found { dip, .. } => {
-                    let outputs = engine.query_oracle(&dip)?;
-                    engine.constrain(&dip, &outputs);
-                    iterations += 1;
-                }
-                DipSearch::Budget => {
-                    return Ok(out_of_time(deadline, iterations, &engine, encode_time));
-                }
-                DipSearch::Exhausted => {
-                    let loop_time = deadline.elapsed() - encode_time;
-                    let outcome = match engine.extract_key() {
-                        KeyExtraction::Key(key) => OgOutcome::Key(key),
-                        KeyExtraction::NoneConsistent => {
-                            OgOutcome::Key(SecretKey::from_bits(vec![
-                                false;
-                                engine.key_names().len()
-                            ]))
-                        }
-                        KeyExtraction::Budget => {
-                            return Ok(out_of_time(deadline, iterations, &engine, encode_time))
-                        }
-                    };
-                    let report = OgReport {
-                        outcome,
-                        runtime: deadline.elapsed(),
-                        iterations,
-                        oracle_queries: engine.oracle_queries(),
-                    };
-                    let steps = vec![
-                        StepTiming::new("encode", encode_time),
-                        StepTiming::new("dip-loop", loop_time),
-                        StepTiming::new(
-                            "key-extraction",
-                            deadline.elapsed() - encode_time - loop_time,
-                        ),
-                    ];
-                    return Ok((report, steps));
-                }
-            }
-        }
-    }
-}
-
-/// The "OoT" report shape shared by the DIP-family loops.
-fn out_of_time(
-    deadline: Deadline,
-    iterations: usize,
-    engine: &DipEngine<'_>,
-    encode_time: std::time::Duration,
-) -> (OgReport, Vec<StepTiming>) {
-    let report = OgReport {
-        outcome: OgOutcome::OutOfTime,
-        runtime: deadline.elapsed(),
-        iterations,
-        oracle_queries: engine.oracle_queries(),
-    };
-    let steps = vec![
-        StepTiming::new("encode", encode_time),
-        StepTiming::new("dip-loop", deadline.elapsed().saturating_sub(encode_time)),
-    ];
-    (report, steps)
-}
-
-/// Wraps a DIP-family [`OgReport`] into the unified [`AttackRun`].
-pub(crate) fn og_run(attack: &str, report: OgReport, steps: Vec<StepTiming>) -> AttackRun {
-    AttackRun {
-        attack: attack.to_string(),
-        threat_model: ThreatModel::OracleGuided,
-        outcome: report.outcome.into(),
-        runtime: report.runtime,
-        iterations: report.iterations,
-        oracle_queries: report.oracle_queries,
-        steps,
-        members: Vec::new(),
-    }
 }
 
 impl Attack for SatAttack {
@@ -602,9 +526,41 @@ impl Attack for SatAttack {
                 request.threat_model(),
             ));
         }
-        let (report, steps) =
-            self.run_with_deadline(request.locked, oracle, &request.budget, deadline)?;
-        Ok(og_run(self.name(), report, steps))
+        let mut engine = DipEngine::new(request.locked, oracle, &request.budget, deadline.clone())?;
+        let encode_time = deadline.elapsed();
+        let mut iterations = 0usize;
+        let mut extraction_start = None;
+        let outcome = loop {
+            if engine.out_of_budget(iterations) {
+                break AttackOutcome::OutOfBudget;
+            }
+            match engine.find_dip() {
+                DipSearch::Found { dip, .. } => {
+                    let outputs = engine.query_oracle(&dip)?;
+                    engine.constrain(&dip, &outputs);
+                    iterations += 1;
+                }
+                DipSearch::Budget => break AttackOutcome::OutOfBudget,
+                DipSearch::Exhausted => {
+                    extraction_start = Some(deadline.elapsed());
+                    break engine.extract_key()?;
+                }
+            }
+        };
+        let mut run = engine.attack_run(self.name(), outcome, iterations);
+        // Only a recovered key closes with a key-extraction step; a run out
+        // of budget counts everything after encoding as its DIP loop.
+        let extraction_start = extraction_start.filter(|_| run.exact_key().is_some());
+        let loop_end = extraction_start.unwrap_or(run.runtime);
+        run.steps = vec![
+            StepTiming::new("encode", encode_time),
+            StepTiming::new("dip-loop", loop_end.saturating_sub(encode_time)),
+        ];
+        if let Some(start) = extraction_start {
+            run.steps
+                .push(StepTiming::new("key-extraction", run.runtime - start));
+        }
+        Ok(run)
     }
 }
 
@@ -729,7 +685,7 @@ mod tests {
                     Some(BatchEnd::Budget) => panic!("batch {batch}: generous budget exhausted"),
                 }
             }
-            let KeyExtraction::Key(key) = engine.extract_key() else {
+            let Ok(AttackOutcome::ExactKey(key)) = engine.extract_key() else {
                 panic!("batch {batch}: no key after exhaustion");
             };
             let unlocked = locked.apply_key(&key).unwrap();
@@ -863,7 +819,7 @@ mod tests {
             engine.constrain(&dip, &outputs);
 
             let key_b: Vec<Var> = engine
-                .key_names()
+                .key_names
                 .iter()
                 .map(|name| engine.key_copies[1][name])
                 .collect();

@@ -24,7 +24,7 @@
 
 use crate::engine::{Attack, AttackRequest, CostClass, Deadline, ThreatModel};
 use crate::error::AttackError;
-use crate::report::{AttackOutcome, AttackRun, KeyGuess, OlReport, StepTiming};
+use crate::report::{AttackOutcome, AttackRun, KeyGuess, StepTiming};
 use crate::scope_replay::ScopePlan;
 use kratt_netlist::analysis::CircuitStats;
 use kratt_netlist::{Circuit, NetId};
@@ -66,14 +66,14 @@ impl ScopeAttack {
     }
 
     /// The per-bit analysis under an explicit deadline and iteration cap
-    /// (one iteration = one analysed key bit); also returns the number of
+    /// (one iteration = one analysed key bit): the guess, and the number of
     /// key bits analysed before a limit (or the end of the key) was reached.
     fn run_with_deadline(
         &self,
         locked: &Circuit,
-        deadline: Deadline,
+        deadline: &Deadline,
         max_bits: usize,
-    ) -> Result<(OlReport, usize), AttackError> {
+    ) -> Result<(KeyGuess, usize), AttackError> {
         let key_inputs = locked.key_inputs();
         if key_inputs.is_empty() {
             return Err(AttackError::NoKeyInputs);
@@ -92,13 +92,7 @@ impl ScopeAttack {
                 guess.set(locked.net_name(key), value);
             }
         }
-        Ok((
-            OlReport {
-                guess,
-                runtime: deadline.elapsed(),
-            },
-            analysed,
-        ))
+        Ok((guess, analysed))
     }
 
     /// The guess the margin-aware comparison makes from the key bit's
@@ -153,23 +147,24 @@ impl Attack for ScopeAttack {
                 request.threat_model(),
             ));
         }
-        let (report, analysed) =
-            self.run_with_deadline(request.locked, deadline, request.budget.max_iterations)?;
+        let (guess, analysed) =
+            self.run_with_deadline(request.locked, &deadline, request.budget.max_iterations)?;
+        let runtime = deadline.elapsed();
         // A deadline hit mid-key means the partial guess is incomplete
         // evidence, not a result: report out-of-budget like the others.
         let outcome = if analysed < request.locked.key_inputs().len() {
             AttackOutcome::OutOfBudget
         } else {
-            AttackOutcome::PartialGuess(report.guess)
+            AttackOutcome::PartialGuess(guess)
         };
         Ok(AttackRun {
             attack: self.name().to_string(),
             threat_model: request.threat_model(),
             outcome,
-            runtime: report.runtime,
+            runtime,
             iterations: analysed,
             oracle_queries: 0,
-            steps: vec![StepTiming::new("per-bit-analysis", report.runtime)],
+            steps: vec![StepTiming::new("per-bit-analysis", runtime)],
             members: Vec::new(),
         })
     }

@@ -2,10 +2,10 @@
 
 use crate::campaign::run_campaign_preset;
 use crate::Table;
-use kratt::{KrattAttack, ThreatOutcome};
+use kratt::KrattAttack;
 use kratt_attacks::{
-    key_input_names, score_guess, Attack, AttackRequest, AttackRun, Budget, KeyGuess, Oracle,
-    SatAttack, ScopeAttack, Verdict,
+    key_input_names, score_guess, Attack, AttackOutcome, AttackRequest, AttackRun, Budget,
+    KeyGuess, Oracle, SatAttack, ScopeAttack, Verdict,
 };
 use kratt_benchmarks::hello_ctf::HelloCtfCircuit;
 use kratt_benchmarks::{table1_circuits, ItcCircuit};
@@ -301,7 +301,7 @@ pub fn run_table5(options: &ExperimentOptions) -> Table {
             .attack_oracle_guided(&locked.circuit, &oracle)
             .expect("locked designs have a critical signal");
         let kratt_og_cell = match kratt_og.outcome {
-            ThreatOutcome::ExactKey(_) => format!("{:.2}", start.elapsed().as_secs_f64()),
+            AttackOutcome::ExactKey(_) => format!("{:.2}", start.elapsed().as_secs_f64()),
             _ => "OoT".to_string(),
         };
         table.add_row([
@@ -428,7 +428,7 @@ pub fn run_valkyrie_sweep(options: &ExperimentOptions, seeds: usize) -> Table {
                     let report = KrattAttack::new()
                         .attack_oracle_guided(&locked.circuit, &oracle)
                         .expect("locked designs have a critical signal");
-                    if let ThreatOutcome::ExactKey(key) = &report.outcome {
+                    if let AttackOutcome::ExactKey(key) = &report.outcome {
                         let mut rng = StdRng::seed_from_u64(seed);
                         let functional = kratt_locking::common::verify_key_by_simulation(
                             &host,

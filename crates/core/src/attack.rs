@@ -107,45 +107,14 @@ pub enum KrattPath {
     StructuralAnalysis,
 }
 
-/// The result of a KRATT run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreatOutcome {
-    /// A complete key that stucks the unit / matches the oracle. For SFLTs
-    /// broken through QBF this is the secret key (or a provably correct
-    /// equivalent for Anti-SAT-style multi-key units); for DFLTs broken
-    /// through the structural analysis it is the secret key.
-    ExactKey(SecretKey),
-    /// A partial, per-bit guess (the oracle-less DFLT / Gen-Anti-SAT path).
-    PartialGuess(KeyGuess),
-    /// Budgets were exhausted before a result was obtained.
-    OutOfTime,
-}
-
-impl ThreatOutcome {
-    /// The exact key, if one was recovered.
-    pub fn exact_key(&self) -> Option<&SecretKey> {
-        match self {
-            ThreatOutcome::ExactKey(key) => Some(key),
-            _ => None,
-        }
-    }
-
-    /// The outcome as a per-bit guess (exact keys convert to a full guess
-    /// over the given key-input names).
-    pub fn as_guess(&self, key_names: &[String]) -> KeyGuess {
-        match self {
-            ThreatOutcome::ExactKey(key) => KeyGuess::from((key, key_names)),
-            ThreatOutcome::PartialGuess(guess) => guess.clone(),
-            ThreatOutcome::OutOfTime => KeyGuess::new(),
-        }
-    }
-}
-
 /// A full report of one KRATT run.
 #[derive(Debug, Clone)]
 pub struct KrattReport {
-    /// The outcome (key, partial guess, or out-of-time).
-    pub outcome: ThreatOutcome,
+    /// The outcome: an exact key (the secret of an SFLT broken through QBF,
+    /// or a provably correct equivalent for Anti-SAT-style multi-key units;
+    /// the secret of a DFLT broken through structural analysis), a partial
+    /// guess (the circuit-modification + SCOPE path), or out of budget.
+    pub outcome: AttackOutcome,
     /// The pipeline step that produced the outcome.
     pub path: KrattPath,
     /// The unit classification, when the pipeline got that far.
@@ -188,45 +157,7 @@ impl KrattAttack {
     /// Returns an error if the netlist is not a single-merge-point locked
     /// design (no key inputs, or no critical signal).
     pub fn attack_oracle_less(&self, locked: &Circuit) -> Result<KrattReport, KrattError> {
-        let start = Instant::now();
-        let mut steps: Vec<StepTiming> = Vec::new();
-        let artifacts = remove_locking_unit(locked)?;
-        steps.push(StepTiming::new("logic-removal", start.elapsed()));
-
-        // Step 2: QBF.
-        let qbf_start = Instant::now();
-        let (qbf_outcome, qbf_iterations) = solve_unit_qbf(&artifacts, &self.config.qbf)?;
-        steps.push(StepTiming::new("qbf", qbf_start.elapsed()));
-        match qbf_outcome {
-            QbfStepOutcome::Key { guess, .. } => {
-                let key = self.guess_to_key(locked, &guess);
-                return Ok(KrattReport {
-                    outcome: ThreatOutcome::ExactKey(key),
-                    path: KrattPath::Qbf,
-                    unit_class: None,
-                    runtime: start.elapsed(),
-                    steps,
-                    qbf_iterations,
-                    artifacts,
-                });
-            }
-            QbfStepOutcome::NoConstantKey | QbfStepOutcome::Unknown => {}
-        }
-        if self.config.deadline_expired() {
-            return Ok(KrattReport {
-                outcome: ThreatOutcome::OutOfTime,
-                path: KrattPath::Qbf,
-                unit_class: None,
-                runtime: start.elapsed(),
-                steps,
-                qbf_iterations,
-                artifacts,
-            });
-        }
-
-        // Steps 3–5: classification, circuit modification, SCOPE.
-        let unit_class = classify_step(&artifacts, &mut steps)?;
-        self.modification_and_scope(artifacts, unit_class, start, steps, qbf_iterations)
+        self.run(locked, None)
     }
 
     /// Runs KRATT under the oracle-guided threat model (steps 1–3 and 6–7 of
@@ -243,125 +174,83 @@ impl KrattAttack {
         locked: &Circuit,
         oracle: &Oracle,
     ) -> Result<KrattReport, KrattError> {
-        let start = Instant::now();
-        let mut steps: Vec<StepTiming> = Vec::new();
-        let artifacts = remove_locking_unit(locked)?;
-        steps.push(StepTiming::new("logic-removal", start.elapsed()));
-
-        // Step 2: QBF (SFLTs are already done here).
-        let qbf_start = Instant::now();
-        let (qbf_outcome, qbf_iterations) = solve_unit_qbf(&artifacts, &self.config.qbf)?;
-        steps.push(StepTiming::new("qbf", qbf_start.elapsed()));
-        match qbf_outcome {
-            QbfStepOutcome::Key { guess, .. } => {
-                let key = self.guess_to_key(locked, &guess);
-                return Ok(KrattReport {
-                    outcome: ThreatOutcome::ExactKey(key),
-                    path: KrattPath::Qbf,
-                    unit_class: None,
-                    runtime: start.elapsed(),
-                    steps,
-                    qbf_iterations,
-                    artifacts,
-                });
-            }
-            QbfStepOutcome::NoConstantKey | QbfStepOutcome::Unknown => {}
-        }
-        if self.config.deadline_expired() {
-            return Ok(KrattReport {
-                outcome: ThreatOutcome::OutOfTime,
-                path: KrattPath::Qbf,
-                unit_class: None,
-                runtime: start.elapsed(),
-                steps,
-                qbf_iterations,
-                artifacts,
-            });
-        }
-
-        // Step 3: classification. Only a DFLT restore unit guards the
-        // protected pattern steps 6–7 search for — on any other unit (e.g.
-        // SFLL-HD with h >= 1) the restore output does not flip at the
-        // secret, so the oracle check would accept almost any candidate.
-        // Such units take the step-5 branch of their class instead.
-        let unit_class = classify_step(&artifacts, &mut steps)?;
-        if !unit_class.is_restore_unit() {
-            return self.modification_and_scope(
-                artifacts,
-                unit_class,
-                start,
-                steps,
-                qbf_iterations,
-            );
-        }
-
-        // Steps 6–7: extraction, structural analysis.
-        let extraction_start = Instant::now();
-        let subcircuit = extract_locked_subcircuit(&artifacts)?;
-        steps.push(StepTiming::new("extraction", extraction_start.elapsed()));
-        let analysis_start = Instant::now();
-        let outcome = match structural_analysis(
-            &artifacts,
-            &subcircuit,
-            locked,
-            oracle,
-            &self.config.structural,
-        )? {
-            StructuralOutcome::Key { guess, .. } => {
-                ThreatOutcome::ExactKey(self.guess_to_key(locked, &guess))
-            }
-            StructuralOutcome::OutOfTime => ThreatOutcome::OutOfTime,
-        };
-        steps.push(StepTiming::new(
-            "structural-analysis",
-            analysis_start.elapsed(),
-        ));
-        Ok(KrattReport {
-            outcome,
-            path: KrattPath::StructuralAnalysis,
-            unit_class: Some(unit_class),
-            runtime: start.elapsed(),
-            steps,
-            qbf_iterations,
-            artifacts,
-        })
+        self.run(locked, Some(oracle))
     }
 
-    /// Steps 4–5 for a unit of class `unit_class` — circuit modification
-    /// plus SCOPE on the locked subcircuit (restore units) or on the unit
-    /// itself (anything else) — closing the report with the partial guess.
-    fn modification_and_scope(
-        &self,
-        artifacts: RemovalArtifacts,
-        unit_class: UnitClass,
-        start: Instant,
-        mut steps: Vec<StepTiming>,
-        qbf_iterations: usize,
-    ) -> Result<KrattReport, KrattError> {
-        let scope = ScopeAttack {
-            margin: self.config.scope_margin,
-        };
-        let scope_start = Instant::now();
-        let (guess, path) = if unit_class.is_restore_unit() {
-            let subcircuit = extract_locked_subcircuit(&artifacts)?;
+    /// The flow of Fig. 4. Steps 1–3 (logic removal, QBF, classification)
+    /// run under both threat models; a QBF key or an expired deadline ends
+    /// the run before classification. After it, an oracle and a DFLT
+    /// restore unit take steps 6–7 (extraction, structural analysis), and
+    /// anything else takes steps 4–5 (circuit modification plus SCOPE).
+    fn run(&self, locked: &Circuit, oracle: Option<&Oracle>) -> Result<KrattReport, KrattError> {
+        let start = Instant::now();
+        let mut steps: Vec<StepTiming> = Vec::new();
+        let artifacts = timed(&mut steps, "logic-removal", || remove_locking_unit(locked))?;
+        let (qbf_outcome, qbf_iterations) = timed(&mut steps, "qbf", || {
+            solve_unit_qbf(&artifacts, &self.config.qbf)
+        })?;
+        let mut unit_class = None;
+        let (outcome, path) = if let QbfStepOutcome::Key { guess, .. } = qbf_outcome {
             (
-                attack_subcircuit_with_scope(&artifacts, &subcircuit, &scope)?,
-                KrattPath::ModifiedSubcircuitScope,
+                AttackOutcome::ExactKey(self.guess_to_key(locked, &guess)),
+                KrattPath::Qbf,
             )
+        } else if self.config.deadline_expired() {
+            (AttackOutcome::OutOfBudget, KrattPath::Qbf)
         } else {
-            (
-                attack_unit_with_scope(&artifacts, &scope)?,
-                KrattPath::ModifiedUnitScope,
-            )
+            let class = timed(&mut steps, "classification", || classify_unit(&artifacts))?;
+            unit_class = Some(class);
+            match oracle {
+                // Only a DFLT restore unit guards the protected pattern
+                // steps 6–7 search for — on any other unit (e.g. SFLL-HD
+                // with h >= 1) the restore output does not flip at the
+                // secret, so the oracle check would accept almost any
+                // candidate.
+                Some(oracle) if class.is_restore_unit() => {
+                    let subcircuit = timed(&mut steps, "extraction", || {
+                        extract_locked_subcircuit(&artifacts)
+                    })?;
+                    let analysis = timed(&mut steps, "structural-analysis", || {
+                        structural_analysis(
+                            &artifacts,
+                            &subcircuit,
+                            locked,
+                            oracle,
+                            &self.config.structural,
+                        )
+                    })?;
+                    let outcome = match analysis {
+                        StructuralOutcome::Key { guess, .. } => {
+                            AttackOutcome::ExactKey(self.guess_to_key(locked, &guess))
+                        }
+                        StructuralOutcome::OutOfTime => AttackOutcome::OutOfBudget,
+                    };
+                    (outcome, KrattPath::StructuralAnalysis)
+                }
+                // Steps 4–5 on the locked subcircuit (restore units) or on
+                // the unit itself (anything else).
+                _ => {
+                    let scope = ScopeAttack {
+                        margin: self.config.scope_margin,
+                    };
+                    let (guess, path) = timed(&mut steps, "circuit-modification+scope", || {
+                        if class.is_restore_unit() {
+                            let subcircuit = extract_locked_subcircuit(&artifacts)?;
+                            attack_subcircuit_with_scope(&artifacts, &subcircuit, &scope)
+                                .map(|guess| (guess, KrattPath::ModifiedSubcircuitScope))
+                        } else {
+                            attack_unit_with_scope(&artifacts, &scope)
+                                .map(|guess| (guess, KrattPath::ModifiedUnitScope))
+                        }
+                    })?;
+                    (AttackOutcome::PartialGuess(guess), path)
+                }
+            }
         };
-        steps.push(StepTiming::new(
-            "circuit-modification+scope",
-            scope_start.elapsed(),
-        ));
         Ok(KrattReport {
-            outcome: ThreatOutcome::PartialGuess(guess),
+            outcome,
             path,
-            unit_class: Some(unit_class),
+            unit_class,
             runtime: start.elapsed(),
             steps,
             qbf_iterations,
@@ -374,15 +263,12 @@ impl KrattAttack {
     }
 }
 
-/// Step 3: classifies the unit, timed as the `classification` step.
-fn classify_step(
-    artifacts: &RemovalArtifacts,
-    steps: &mut Vec<StepTiming>,
-) -> Result<UnitClass, KrattError> {
-    let classify_start = Instant::now();
-    let unit_class = classify_unit(artifacts)?;
-    steps.push(StepTiming::new("classification", classify_start.elapsed()));
-    Ok(unit_class)
+/// Runs one pipeline step, appending its duration to `steps` under `name`.
+fn timed<T>(steps: &mut Vec<StepTiming>, name: &str, step: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let value = step();
+    steps.push(StepTiming::new(name, start.elapsed()));
+    value
 }
 
 impl Attack for KrattAttack {
@@ -407,19 +293,11 @@ impl Attack for KrattAttack {
         let attack = KrattAttack {
             config: self.config.clone().apply_budget(&request.budget, &deadline),
         };
-        let report = match request.oracle {
-            Some(oracle) => attack.attack_oracle_guided(request.locked, oracle)?,
-            None => attack.attack_oracle_less(request.locked)?,
-        };
-        let outcome = match report.outcome {
-            ThreatOutcome::ExactKey(key) => AttackOutcome::ExactKey(key),
-            ThreatOutcome::PartialGuess(guess) => AttackOutcome::PartialGuess(guess),
-            ThreatOutcome::OutOfTime => AttackOutcome::OutOfBudget,
-        };
+        let report = attack.run(request.locked, request.oracle)?;
         Ok(AttackRun {
             attack: self.name().to_string(),
             threat_model: request.threat_model(),
-            outcome,
+            outcome: report.outcome,
             runtime: report.runtime,
             iterations: report.qbf_iterations,
             oracle_queries: request
@@ -523,7 +401,7 @@ mod tests {
             assert_eq!(report.path, KrattPath::ModifiedSubcircuitScope);
             assert!(report.unit_class.unwrap().is_restore_unit());
             match &report.outcome {
-                ThreatOutcome::PartialGuess(guess) => {
+                AttackOutcome::PartialGuess(guess) => {
                     let (cdk, dk) = score_guess(&locked, guess);
                     assert!(dk > 0);
                     assert!(cdk <= dk);
@@ -597,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_time_is_reported_when_budgets_are_zero() {
+    fn out_of_budget_is_reported_when_budgets_are_zero() {
         let original = ripple_carry_adder(4).unwrap();
         let oracle = Oracle::new(original.clone()).unwrap();
         let secret = SecretKey::from_u64(0b1001, 4);
@@ -612,7 +490,7 @@ mod tests {
         let report = KrattAttack::with_config(config)
             .attack_oracle_guided(&locked.circuit, &oracle)
             .unwrap();
-        assert_eq!(report.outcome, ThreatOutcome::OutOfTime);
+        assert!(report.outcome.is_out_of_budget());
     }
 
     #[test]
@@ -690,12 +568,15 @@ mod tests {
 
     #[test]
     fn outcome_as_guess_round_trips() {
-        let names: Vec<String> = (0..3).map(|i| format!("keyinput{i}")).collect();
-        let outcome = ThreatOutcome::ExactKey(SecretKey::from_u64(0b101, 3));
-        let guess = outcome.as_guess(&names);
-        assert_eq!(guess.deciphered(), 3);
-        assert!(guess.bits["keyinput0"]);
-        assert!(!guess.bits["keyinput1"]);
-        assert_eq!(ThreatOutcome::OutOfTime.as_guess(&names).deciphered(), 0);
+        let locked = SarLock::new(3)
+            .lock(&majority(), &SecretKey::from_u64(0b101, 3))
+            .unwrap();
+        let report = KrattAttack::new()
+            .attack_oracle_less(&locked.circuit)
+            .unwrap();
+        let names = locked.circuit.key_input_names();
+        let guess = report.outcome.as_guess(&names);
+        assert_eq!(score_guess(&locked, &guess), (3, 3));
+        assert_eq!(guess.to_secret_key(&names).to_u64(), 0b101);
     }
 }

@@ -26,12 +26,14 @@
 //!    circuit from the FSC once the protected pattern is known.
 //!
 //! The [`KrattAttack`] orchestrator strings these together exactly as the
-//! flow chart does.
+//! flow chart does: steps 1–3 run once, and the threat model picks the
+//! branch after classification.
 //!
 //! # Example
 //!
 //! ```
-//! use kratt::{KrattAttack, ThreatOutcome};
+//! use kratt::KrattAttack;
+//! use kratt_attacks::AttackOutcome;
 //! use kratt_locking::{LockingTechnique, SarLock, SecretKey};
 //! use kratt_netlist::{Circuit, GateType};
 //!
@@ -52,7 +54,7 @@
 //!
 //! let report = KrattAttack::new().attack_oracle_less(&locked.circuit)?;
 //! match report.outcome {
-//!     ThreatOutcome::ExactKey(key) => assert_eq!(key.to_u64(), 0b100),
+//!     AttackOutcome::ExactKey(key) => assert_eq!(key.to_u64(), 0b100),
 //!     other => panic!("QBF should pin the SARLock key, got {other:?}"),
 //! }
 //! # Ok(())
@@ -70,9 +72,7 @@ pub mod qbf_attack;
 pub mod reconstruct;
 pub mod removal;
 
-pub use attack::{
-    attack_registry, KrattAttack, KrattConfig, KrattPath, KrattReport, ThreatOutcome,
-};
+pub use attack::{attack_registry, KrattAttack, KrattConfig, KrattPath, KrattReport};
 pub use classify::UnitClass;
 pub use error::KrattError;
 pub use removal::RemovalArtifacts;

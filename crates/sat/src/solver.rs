@@ -12,7 +12,7 @@ use crate::heap::ActivityHeap;
 use crate::lit::{Lit, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A shared cooperative cancellation token.
 ///
@@ -111,13 +111,10 @@ pub struct SolverConfig {
     pub max_learnts_base: usize,
     /// Abort with [`SatResult::Unknown`] after this many conflicts.
     pub conflict_limit: Option<u64>,
-    /// Abort with [`SatResult::Unknown`] after this much wall-clock time
-    /// (measured from the start of each `solve*` call).
-    pub time_limit: Option<Duration>,
     /// Abort with [`SatResult::Unknown`] at this absolute point in time.
-    /// Unlike `time_limit` (which restarts per call) the deadline is shared
-    /// across every incremental `solve*` call, which is how an attack's
-    /// single wall-clock budget is threaded down cooperatively.
+    /// The deadline is shared across every incremental `solve*` call, which
+    /// is how an attack's single wall-clock budget is threaded down
+    /// cooperatively.
     pub deadline: Option<Instant>,
     /// Abort with [`SatResult::Unknown`] as soon as this shared flag is
     /// raised. Checked wherever the deadline is checked (call entry and
@@ -134,7 +131,6 @@ impl Default for SolverConfig {
             restart_base: 100,
             max_learnts_base: 8000,
             conflict_limit: None,
-            time_limit: None,
             deadline: None,
             cancel: None,
         }
@@ -244,10 +240,10 @@ impl Solver {
         }
     }
 
-    /// Replaces the resource budgets (useful between incremental calls).
-    pub fn set_budget(&mut self, conflict_limit: Option<u64>, time_limit: Option<Duration>) {
+    /// Replaces the per-call conflict limit (useful between incremental
+    /// calls).
+    pub fn set_conflict_limit(&mut self, conflict_limit: Option<u64>) {
         self.config.conflict_limit = conflict_limit;
-        self.config.time_limit = time_limit;
     }
 
     /// Installs (or clears) the cooperative cancellation flag shared by all
@@ -366,11 +362,7 @@ impl Solver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        let per_call = self.config.time_limit.map(|limit| Instant::now() + limit);
-        let deadline = match (per_call, self.config.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        let deadline = self.config.deadline;
         if deadline.map(|d| Instant::now() >= d).unwrap_or(false)
             || cancel_requested(&self.config.cancel)
         {
@@ -856,6 +848,7 @@ fn luby(y: f64, mut x: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn lit(solver_vars: &[Var], index: isize) -> Lit {
         if index > 0 {
@@ -1041,11 +1034,11 @@ mod tests {
             }
         }
         let (mut solver, _) = build((pigeons * holes) as usize, &clauses);
-        solver.set_budget(Some(5), None);
+        solver.set_conflict_limit(Some(5));
         let result = solver.solve();
         assert!(matches!(result, SatResult::Unknown | SatResult::Unsat));
         // With the budget lifted the instance is decided (UNSAT).
-        solver.set_budget(None, None);
+        solver.set_conflict_limit(None);
         assert!(solver.solve().is_unsat());
     }
 

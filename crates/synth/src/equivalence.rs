@@ -203,7 +203,7 @@ pub fn check_equivalence_with_stats(
     // --- Outputs: equal rebuilt edges are proven; query the rest. ----------
     fraig
         .solver
-        .set_budget(output_query_budget(conflict_limit), None);
+        .set_conflict_limit(output_query_budget(conflict_limit));
     let mut survivors: Vec<(AigLit, AigLit)> = Vec::new();
     for (&la, &lb) in outs_a.iter().zip(&outs_b) {
         let (x, y) = (fraig.edge(la), fraig.edge(lb));

@@ -7,8 +7,8 @@
 //!
 //! Run with `cargo run --release --example ctf_challenge`.
 
-use kratt::{KrattAttack, ThreatOutcome};
-use kratt_attacks::{score_guess, Oracle};
+use kratt::KrattAttack;
+use kratt_attacks::{score_guess, AttackOutcome, Oracle};
 use kratt_benchmarks::hello_ctf::HelloCtfCircuit;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let oracle = Oracle::new(host.clone())?;
         let og = KrattAttack::new().attack_oracle_guided(&locked.circuit, &oracle)?;
         match &og.outcome {
-            ThreatOutcome::ExactKey(key) => {
+            AttackOutcome::ExactKey(key) => {
                 let correct = key
                     .bits()
                     .iter()

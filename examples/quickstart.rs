@@ -6,8 +6,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use kratt::{KrattAttack, ThreatOutcome};
-use kratt_attacks::Oracle;
+use kratt::KrattAttack;
+use kratt_attacks::{AttackOutcome, Oracle};
 use kratt_benchmarks::small::majority;
 use kratt_locking::{LockingTechnique, SarLock, SecretKey, TtLock};
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nlocked with SARLock, secret key k3k2k1 = {secret}");
     let report = KrattAttack::new().attack_oracle_less(&locked.circuit)?;
     match &report.outcome {
-        ThreatOutcome::ExactKey(key) => {
+        AttackOutcome::ExactKey(key) => {
             println!(
                 "KRATT (oracle-less, {:?}) recovered key = {key}",
                 report.path
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let oracle = Oracle::new(original.clone())?;
     let report = KrattAttack::new().attack_oracle_guided(&locked.circuit, &oracle)?;
     match &report.outcome {
-        ThreatOutcome::ExactKey(key) => {
+        AttackOutcome::ExactKey(key) => {
             println!(
                 "KRATT (oracle-guided, {:?}) recovered key = {key} with {} oracle queries",
                 report.path,

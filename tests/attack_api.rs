@@ -6,12 +6,12 @@
 //! `supports` claims.
 
 use kratt_attacks::{
-    score_guess, AttackError, AttackOutcome, AttackRequest, Budget, Oracle, ThreatModel,
+    score_guess, AttackError, AttackOutcome, AttackRequest, AttackRun, Budget, Oracle, ThreatModel,
 };
 use kratt_benchmarks::arith::ripple_carry_adder;
 use kratt_locking::{LockedCircuit, LockingTechnique, SarLock, SecretKey, TtLock};
 use kratt_netlist::sim::exhaustively_equivalent;
-use kratt_netlist::Circuit;
+use kratt_netlist::{Circuit, GateType};
 
 /// The planted secrets of the two conformance hosts.
 const SFLT_SECRET: u64 = 0b101;
@@ -199,6 +199,12 @@ fn supports_matches_what_execute_accepts() {
     }
 }
 
+/// The step names and outcome kind of one run.
+fn steps_and_kind(run: &AttackRun) -> (Vec<&str>, &'static str) {
+    let steps = run.steps.iter().map(|s| s.name.as_str()).collect();
+    (steps, run.outcome.kind())
+}
+
 #[test]
 fn runs_carry_telemetry_and_serialise_to_json() {
     let registry = kratt::attack_registry();
@@ -206,10 +212,6 @@ fn runs_carry_telemetry_and_serialise_to_json() {
     let oracle = Oracle::new(original).unwrap();
     let request = AttackRequest::oracle_guided(&locked.circuit, &oracle);
     let run = registry.build("sat").unwrap().execute(&request).unwrap();
-    assert!(
-        !run.steps.is_empty(),
-        "DIP-family runs must report step timings"
-    );
     assert!(
         run.oracle_queries > 0,
         "the SAT attack must spend oracle queries"
@@ -220,11 +222,134 @@ fn runs_carry_telemetry_and_serialise_to_json() {
     assert!(json.contains("\"threat_model\":\"oracle-guided\""));
     assert!(json.contains("\"kind\":\"exact-key\""));
 
-    // KRATT's run reports the Fig. 4 steps it actually took.
-    let kratt_run = registry.build("kratt").unwrap().execute(&request).unwrap();
-    let step_names: Vec<&str> = kratt_run.steps.iter().map(|s| s.name.as_str()).collect();
-    assert!(step_names.contains(&"logic-removal"));
-    assert!(step_names.contains(&"qbf"));
+    // Every registry attack names the steps it took; the traced benchmark
+    // maps these names onto its layers, so they are pinned exactly.
+    let (dflt_original, dflt) = dflt_host();
+    let dflt_oracle = Oracle::new(dflt_original).unwrap();
+    let dflt_request = AttackRequest::oracle_guided(&dflt.circuit, &dflt_oracle);
+    let run_of = |name: &str, request: &AttackRequest<'_>| {
+        registry
+            .build(name)
+            .unwrap()
+            .execute(request)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let expected: [(&str, &AttackRequest<'_>, &[&str], &str); 8] = [
+        (
+            "sat",
+            &request,
+            &["encode", "dip-loop", "key-extraction"],
+            "exact-key",
+        ),
+        ("double-dip", &request, &["double-dip-loop"], "exact-key"),
+        ("appsat", &request, &["dip-sampling-loop"], "exact-key"),
+        (
+            "kratt",
+            &AttackRequest::oracle_less(&locked.circuit),
+            &["logic-removal", "qbf"],
+            "exact-key",
+        ),
+        (
+            "kratt",
+            &AttackRequest::oracle_less(&dflt.circuit),
+            &[
+                "logic-removal",
+                "qbf",
+                "classification",
+                "circuit-modification+scope",
+            ],
+            "partial-guess",
+        ),
+        (
+            "kratt",
+            &dflt_request,
+            &[
+                "logic-removal",
+                "qbf",
+                "classification",
+                "extraction",
+                "structural-analysis",
+            ],
+            "exact-key",
+        ),
+        ("scope", &request, &["per-bit-analysis"], "partial-guess"),
+        (
+            "fall",
+            &dflt_request,
+            &["structural+functional-analysis"],
+            "exact-key",
+        ),
+    ];
+    for (name, request, steps, kind) in expected {
+        let run = run_of(name, request);
+        assert_eq!(
+            steps_and_kind(&run),
+            (steps.to_vec(), kind),
+            "{name} under the {} model",
+            run.threat_model
+        );
+    }
+    let removal = run_of("removal", &request);
+    let (steps, kind) = steps_and_kind(&removal);
+    assert_eq!(kind, "recovered-circuit");
+    assert!(
+        matches!(steps.as_slice(), [step] if step.starts_with("strip-")),
+        "removal: {steps:?}"
+    );
+
+    // An exhausted iteration budget ends the SAT attack after its DIP loop.
+    let capped = AttackRequest::oracle_guided(&locked.circuit, &oracle).with_budget(Budget {
+        max_iterations: 1,
+        ..Budget::default()
+    });
+    assert_eq!(
+        steps_and_kind(&run_of("sat", &capped)),
+        (vec!["encode", "dip-loop"], "out-of-budget")
+    );
+}
+
+/// `y0 = x ⊕ keyinput0`, `y1 = x ⊙ keyinput0` against an oracle computing
+/// `y0 = y1 = x`: key 0 reproduces `y0` only and key 1 reproduces `y1`
+/// only, so no key is consistent with any oracle response.
+fn inconsistent_lock() -> (Circuit, Circuit) {
+    let mut locked = Circuit::new("xor_xnor");
+    let x = locked.add_input("x").unwrap();
+    let k = locked.add_input("keyinput0").unwrap();
+    let y0 = locked.add_gate(GateType::Xor, "y0", &[x, k]).unwrap();
+    let y1 = locked.add_gate(GateType::Xnor, "y1", &[x, k]).unwrap();
+    locked.mark_output(y0);
+    locked.mark_output(y1);
+    let mut original = Circuit::new("copy");
+    let x = original.add_input("x").unwrap();
+    let y0 = original.add_gate(GateType::Buf, "y0", &[x]).unwrap();
+    let y1 = original.add_gate(GateType::Buf, "y1", &[x]).unwrap();
+    original.mark_output(y0);
+    original.mark_output(y1);
+    (locked, original)
+}
+
+#[test]
+fn the_dip_family_reports_an_error_when_no_key_is_consistent() {
+    let registry = kratt::attack_registry();
+    let (locked, original) = inconsistent_lock();
+    for name in ["sat", "double-dip", "appsat"] {
+        let oracle = Oracle::new(original.clone()).unwrap();
+        let result = registry
+            .build(name)
+            .unwrap()
+            .execute(&AttackRequest::oracle_guided(&locked, &oracle));
+        match result {
+            Err(e) => assert_eq!(
+                e.to_string(),
+                "no key reproduces the oracle's responses",
+                "{name}"
+            ),
+            Ok(run) => panic!(
+                "{name}: claimed {} although no key is consistent",
+                run.outcome.kind()
+            ),
+        }
+    }
 }
 
 #[test]

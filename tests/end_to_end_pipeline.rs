@@ -4,8 +4,8 @@ use kratt::classify::{classify_unit, UnitClass};
 use kratt::extraction::extract_locked_subcircuit;
 use kratt::og::{structural_analysis, StructuralAnalysisConfig, StructuralOutcome};
 use kratt::removal::remove_locking_unit;
-use kratt::{KrattAttack, RemovalArtifacts, ThreatOutcome};
-use kratt_attacks::{score_guess, Oracle};
+use kratt::{KrattAttack, RemovalArtifacts};
+use kratt_attacks::{score_guess, AttackOutcome, Oracle};
 use kratt_benchmarks::arith::{array_multiplier, ripple_carry_adder};
 use kratt_benchmarks::{IscasCircuit, ItcCircuit};
 use kratt_locking::{
@@ -110,7 +110,7 @@ fn kratt_og_breaks_resynthesised_dflts() {
             .attack_oracle_guided(&variant, &oracle)
             .unwrap();
         match &report.outcome {
-            ThreatOutcome::ExactKey(key) => {
+            AttackOutcome::ExactKey(key) => {
                 assert_eq!(
                     key.to_u64(),
                     secret.to_u64(),

@@ -9,8 +9,8 @@ use kratt::extraction::extract_locked_subcircuit;
 use kratt::og::{recover_protected_patterns, StructuralAnalysisConfig};
 use kratt::reconstruct::reconstruct_original_from_patterns;
 use kratt::removal::remove_locking_unit;
-use kratt::{KrattAttack, ThreatOutcome};
-use kratt_attacks::{score_guess, Attack, AttackRequest, FallAttack, Oracle};
+use kratt::KrattAttack;
+use kratt_attacks::{score_guess, Attack, AttackOutcome, AttackRequest, FallAttack, Oracle};
 use kratt_benchmarks::arith::ripple_carry_adder;
 use kratt_benchmarks::small::majority;
 use kratt_locking::metrics::{corruption_profile, exact_corrupted_patterns};
@@ -288,13 +288,12 @@ fn oracle_less_kratt_cannot_recover_hidden_restore_keys() {
         .attack_oracle_less(&locked.circuit)
         .unwrap();
     match report.outcome {
-        ThreatOutcome::PartialGuess(ref guess) => {
+        AttackOutcome::PartialGuess(ref guess) => {
             let (cdk, dk) = score_guess(&locked, guess);
             assert!(dk > 0, "SFLL-Flex: empty guess");
             assert!(cdk <= dk);
         }
-        ThreatOutcome::OutOfTime => {}
-        ThreatOutcome::ExactKey(ref key) => {
+        AttackOutcome::ExactKey(ref key) => {
             let unlocked = kratt_locking::common::apply_key(&locked.circuit, key).unwrap();
             assert!(
                 !check_equivalence(&original, &unlocked)
@@ -303,6 +302,11 @@ fn oracle_less_kratt_cannot_recover_hidden_restore_keys() {
                 "SFLL-Flex keys must not be recoverable oracle-less"
             );
         }
+        ref other => assert!(
+            other.is_out_of_budget(),
+            "SFLL-Flex: unexpected {}",
+            other.kind()
+        ),
     }
 
     // LUT locking: the all-zero key makes the restore LUT constant 0, so the
@@ -314,7 +318,7 @@ fn oracle_less_kratt_cannot_recover_hidden_restore_keys() {
     let report = KrattAttack::new()
         .attack_oracle_less(&locked.circuit)
         .unwrap();
-    if let ThreatOutcome::ExactKey(ref key) = report.outcome {
+    if let AttackOutcome::ExactKey(ref key) = report.outcome {
         let unlocked = kratt_locking::common::apply_key(&locked.circuit, key).unwrap();
         assert!(
             !check_equivalence(&original, &unlocked)
