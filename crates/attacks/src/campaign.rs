@@ -14,7 +14,7 @@
 //!
 //! This is what the paper's evaluation *is* — Tables III–V are campaigns —
 //! and the `kratt-bench` presets (`table3`, `smoke`) are thin instances of
-//! it.
+//! it. [`Campaign::builder`] is the one way to configure a campaign.
 //!
 //! The campaign is a *resumable service*, not a one-shot batch function:
 //!
@@ -24,18 +24,18 @@
 //!   journal replays recorded cells and schedules only the unrecorded ones,
 //!   so a grown matrix attacks its new cells only and a crash mid-sweep
 //!   resumes from the last committed row.
-//! * Cells run through the harness's work-stealing scheduler under one
-//!   global deadline ([`CampaignBuilder::global_budget`]); cells the
-//!   deadline catches still queued become interrupted error cells that a
-//!   resume re-attacks.
+//! * Cells run through the harness's work-stealing scheduler; a halt
+//!   ([`CampaignBuilder::halt_after_cells`]) turns the cells still queued
+//!   into interrupted error cells that a resume re-attacks.
 //! * [`Campaign::run_observed`] streams each verdict-stamped cell to a
-//!   callback the moment it commits — the `--stream` front ends print
-//!   JSON-lines from it, terminated by [`CampaignReport::summary_json`].
+//!   callback the moment it commits — the `campaign` binary's `--stream`
+//!   prints JSON-lines from it, terminated by
+//!   [`CampaignReport::summary_json`].
 
-use crate::engine::{Attack, Budget, Deadline};
+use crate::engine::{Attack, Budget};
 use crate::error::AttackError;
 use crate::harness::{
-    FnCaseSource, Harness, JobTelemetry, MatrixCase, MatrixRow, ScheduleOptions, SchedulerStats,
+    Harness, JobTelemetry, MatrixCase, MatrixRow, ScheduleOptions, SchedulerStats,
 };
 use crate::journal::{cell_fingerprint, instance_fingerprint, CampaignJournal};
 use crate::registry::AttackRegistry;
@@ -101,7 +101,7 @@ pub type PrepareHook =
     Arc<dyn Fn(LockedCircuit) -> Result<LockedCircuit, AttackError> + Send + Sync>;
 
 /// A typed campaign-configuration error, produced by
-/// [`CampaignBuilder::build`], the preset lookup and the journal layer.
+/// [`CampaignBuilder::build`] and the journal layer.
 ///
 /// Old call sites that traffic in [`AttackError`] keep working through the
 /// `From<CampaignError> for AttackError` shim (kept for one release); new
@@ -124,8 +124,6 @@ pub enum CampaignError {
     },
     /// A scheme spec string failed to parse.
     Spec(String),
-    /// No campaign preset with the given name exists.
-    UnknownPreset(String),
     /// The campaign journal could not be opened or read.
     Journal(String),
 }
@@ -140,12 +138,6 @@ impl fmt::Display for CampaignError {
                 write!(f, "campaign {axis} axis names `{name}` more than once")
             }
             CampaignError::Spec(message) => write!(f, "bad scheme spec: {message}"),
-            CampaignError::UnknownPreset(name) => {
-                write!(
-                    f,
-                    "no campaign preset named `{name}` (known: table3, smoke)"
-                )
-            }
             CampaignError::Journal(message) => write!(f, "campaign journal: {message}"),
         }
     }
@@ -471,7 +463,7 @@ impl CampaignReport {
         self.scheduler.jobs - self.scheduler.interrupted
     }
 
-    /// Cells the global deadline (or a halt) caught before they started.
+    /// Cells a halt caught before they started.
     pub fn interrupted(&self) -> usize {
         self.scheduler.interrupted
     }
@@ -484,7 +476,7 @@ impl CampaignReport {
     }
 
     /// Number of exact claims the verification step could not confirm. The
-    /// campaign-smoke CI gate fails when this is non-zero.
+    /// CI `campaign` job fails when this is non-zero.
     pub fn unverified_exact_claims(&self) -> usize {
         self.exact_claims()
             .filter(|cell| cell.verdict != Verdict::Verified)
@@ -634,119 +626,15 @@ pub struct Campaign {
     /// Optional journal path: recorded verdicts replay instead of
     /// re-running, fresh verdicts append.
     pub journal: Option<PathBuf>,
-    /// Optional wall-clock limit for the whole matrix (the scheduler's
-    /// global deadline, on top of the per-cell budget). Cells still queued
-    /// at expiry become interrupted error cells a resume re-attacks.
-    pub global_time_limit: Option<Duration>,
     /// Halt the scheduler after this many executed cells — deterministic
     /// crash injection for the resume tests and the `--halt-after` flag.
     pub halt_after_cells: Option<usize>,
 }
 
 impl Campaign {
-    /// A campaign over the given axes with the default budget.
-    pub fn new(schemes: Vec<SchemeSpec>, hosts: Vec<CampaignHost>, attacks: Vec<String>) -> Self {
-        Campaign {
-            schemes,
-            hosts,
-            attacks,
-            budget: Budget::default(),
-            workers: None,
-            prepare: None,
-            journal: None,
-            global_time_limit: None,
-            halt_after_cells: None,
-        }
-    }
-
-    /// The validating builder — the preferred way to configure a campaign.
+    /// The validating builder — the one way to configure a campaign.
     pub fn builder() -> CampaignBuilder {
         CampaignBuilder::default()
-    }
-
-    /// Installs the persistent journal (builder-style, for presets).
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
-        self
-    }
-
-    /// Halts after N executed cells (builder-style, for presets).
-    pub fn with_halt_after_cells(mut self, cells: usize) -> Self {
-        self.halt_after_cells = Some(cells);
-        self
-    }
-
-    /// Replaces the budget.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Pins the worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Installs a post-lock transform (the tag keys the corpus cache).
-    pub fn with_prepare(mut self, tag: impl Into<String>, hook: PrepareHook) -> Self {
-        self.prepare = Some((tag.into(), hook));
-        self
-    }
-
-    /// The paper's Table III as a campaign: the four table techniques
-    /// (Anti-SAT, SARLock, CAC, TTLock at each host's Table-I key width)
-    /// against the SAT, Double DIP, AppSAT and KRATT attacks.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; propagates spec-parse errors defensively.
-    pub fn table3(hosts: Vec<CampaignHost>, budget: Budget) -> Result<Self, AttackError> {
-        Ok(Campaign::builder()
-            .spec_strs(["antisat", "sarlock", "cac", "ttlock"])
-            .hosts(hosts)
-            .attacks(["sat", "double-dip", "appsat", "kratt"])
-            .budget(budget)
-            .build()?)
-    }
-
-    /// The CI smoke campaign: 2 schemes × 2 attacks, trimmed to the first
-    /// two of the given hosts at 16-bit keys so a tight budget still
-    /// finishes. The host policy lives *here* so every front end (the
-    /// `campaign` binary, `kratt --campaign smoke`, the CI job) runs the
-    /// same grid under the same preset name.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; propagates spec-parse errors defensively.
-    pub fn smoke(hosts: Vec<CampaignHost>, budget: Budget) -> Result<Self, AttackError> {
-        let hosts = hosts.into_iter().take(2).map(|host| CampaignHost {
-            default_key_bits: 16,
-            ..host
-        });
-        Ok(Campaign::builder()
-            .spec_strs(["sarlock", "ttlock"])
-            .hosts(hosts)
-            .attacks(["sat", "kratt"])
-            .budget(budget)
-            .build()?)
-    }
-
-    /// Builds a named preset (`"table3"` or `"smoke"`) over the given hosts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Other`] for an unknown preset name.
-    pub fn preset(
-        name: &str,
-        hosts: Vec<CampaignHost>,
-        budget: Budget,
-    ) -> Result<Self, AttackError> {
-        match name {
-            "table3" => Campaign::table3(hosts, budget),
-            "smoke" => Campaign::smoke(hosts, budget),
-            other => Err(CampaignError::UnknownPreset(other.to_string()).into()),
-        }
     }
 
     /// Number of cells the campaign expands to.
@@ -777,9 +665,9 @@ impl Campaign {
     /// cells first (in matrix order), then fresh cells the moment a worker
     /// finishes scoring them (in completion order, from worker threads —
     /// the callback must be `Sync`). Interrupted cells are *not* streamed;
-    /// they only appear in the final report. The `--stream` front ends
-    /// print [`CampaignCell::to_json_line`] from this callback and
-    /// terminate with [`CampaignReport::summary_json`].
+    /// they only appear in the final report. The `campaign` binary's
+    /// `--stream` prints [`CampaignCell::to_json_line`] from this callback
+    /// and terminates with [`CampaignReport::summary_json`].
     pub fn run_observed(
         &self,
         attack_registry: &AttackRegistry,
@@ -848,7 +736,7 @@ impl Campaign {
         }
         let replayed_count = replayed.iter().flatten().count();
 
-        let source = FnCaseSource::new(names, |index| {
+        let build_case = |index: usize| {
             let (host_index, spec) = &resolved[index];
             let host = &self.hosts[*host_index];
             let instance =
@@ -875,12 +763,11 @@ impl Campaign {
                     None => journal.record_instance(case_fps[index], locked_fp),
                 }
             }
-            Ok(MatrixCase::oracle_guided_shared(
-                format!("{}/{}", host.name, spec),
-                Arc::clone(&instance.shared),
-                Arc::clone(&host.circuit),
-            ))
-        });
+            Ok(MatrixCase {
+                locked: Arc::clone(&instance.shared),
+                oracle: Arc::clone(&host.circuit),
+            })
+        };
 
         let fresh: Mutex<Vec<Option<CampaignCell>>> =
             Mutex::new((0..total).map(|_| None).collect());
@@ -902,7 +789,6 @@ impl Campaign {
             fresh.lock().expect("cell collection lock")[job] = Some(cell);
         };
         let options = ScheduleOptions {
-            deadline: Deadline::started(self.global_time_limit),
             include: Some(&include),
             on_row: Some(&on_row),
             halt_after: self.halt_after_cells,
@@ -912,7 +798,8 @@ impl Campaign {
             Some(workers) => Harness::with_workers(workers),
             None => Harness::new(),
         };
-        let schedule = harness.run_matrix_scheduled(&attacks, &source, &self.budget, &options);
+        let schedule =
+            harness.run_matrix_scheduled(&attacks, &names, &build_case, &self.budget, &options);
 
         let fresh = fresh.into_inner().expect("cell collection lock");
         let mut cells = Vec::with_capacity(total);
@@ -928,7 +815,7 @@ impl Campaign {
                 // in `on_row`), never journaled, so a resume re-attacks it.
                 let row = slot.unwrap_or_else(|| MatrixRow {
                     attack: self.attacks[job % columns].clone(),
-                    case: format!("{}/{}", self.hosts[*host_index].name, spec),
+                    case: names[case].clone(),
                     result: Err(AttackError::Interrupted),
                     telemetry: JobTelemetry::default(),
                 });
@@ -958,7 +845,6 @@ pub struct CampaignBuilder {
     workers: Option<usize>,
     prepare: Option<(String, PrepareHook)>,
     journal: Option<PathBuf>,
-    global_time_limit: Option<Duration>,
     halt_after_cells: Option<usize>,
 }
 
@@ -1024,15 +910,8 @@ impl CampaignBuilder {
         self
     }
 
-    /// Caps the whole matrix's wall clock (the scheduler's global
-    /// deadline), on top of the per-cell budget.
-    pub fn global_budget(mut self, limit: Duration) -> Self {
-        self.global_time_limit = Some(limit);
-        self
-    }
-
     /// Halts the scheduler after N executed cells (crash injection for the
-    /// resume tests).
+    /// resume tests and the `campaign` binary's `--halt-after`).
     pub fn halt_after_cells(mut self, cells: usize) -> Self {
         self.halt_after_cells = Some(cells);
         self
@@ -1070,7 +949,6 @@ impl CampaignBuilder {
             workers: self.workers,
             prepare: self.prepare,
             journal: self.journal,
-            global_time_limit: self.global_time_limit,
             halt_after_cells: self.halt_after_cells,
         })
     }
@@ -1264,18 +1142,18 @@ mod tests {
         c
     }
 
-    fn small_campaign() -> Campaign {
-        let hosts = vec![
-            CampaignHost::new("add4", adder(4, "add4"), 3),
-            CampaignHost::new("add5", adder(5, "add5"), 3),
-        ];
-        let schemes = vec!["sarlock".parse().unwrap(), "ttlock:k=4".parse().unwrap()];
-        Campaign::new(schemes, hosts, vec!["sat".to_string(), "scope".to_string()])
-    }
-
     #[test]
     fn campaign_locks_each_instance_once_and_verifies_sat_keys() {
-        let campaign = small_campaign().with_workers(4);
+        let campaign = Campaign::builder()
+            .spec_strs(["sarlock", "ttlock:k=4"])
+            .hosts([
+                CampaignHost::new("add4", adder(4, "add4"), 3),
+                CampaignHost::new("add5", adder(5, "add5"), 3),
+            ])
+            .attacks(["sat", "scope"])
+            .workers(4)
+            .build()
+            .unwrap();
         let corpus = CorpusCache::new();
         let report = campaign
             .run(
@@ -1335,9 +1213,12 @@ mod tests {
 
     #[test]
     fn failed_locks_become_error_cells_not_panics() {
-        let hosts = vec![CampaignHost::new("tiny", adder(2, "tiny"), 2)];
-        let schemes = vec!["ttlock:k=40".parse().unwrap()];
-        let campaign = Campaign::new(schemes, hosts, vec!["sat".to_string()]);
+        let campaign = Campaign::builder()
+            .spec_strs(["ttlock:k=40"])
+            .hosts([CampaignHost::new("tiny", adder(2, "tiny"), 2)])
+            .attacks(["sat"])
+            .build()
+            .unwrap();
         let report = campaign
             .run(
                 &AttackRegistry::with_baselines(),
@@ -1473,40 +1354,6 @@ mod tests {
     }
 
     #[test]
-    fn smoke_preset_host_policy_is_owned_by_the_preset() {
-        // Every front end passing the full host list gets the same trimmed
-        // grid: first two hosts, 16-bit keys.
-        let hosts = vec![
-            CampaignHost::new("a", adder(4, "a"), 64),
-            CampaignHost::new("b", adder(5, "b"), 128),
-            CampaignHost::new("c", adder(6, "c"), 128),
-        ];
-        let smoke = Campaign::smoke(hosts, Budget::default()).unwrap();
-        assert_eq!(smoke.hosts.len(), 2);
-        assert!(smoke.hosts.iter().all(|h| h.default_key_bits == 16));
-        assert_eq!(smoke.num_cells(), 8);
-    }
-
-    #[test]
-    fn report_json_and_presets_are_well_formed() {
-        let hosts = vec![CampaignHost::new("add4", adder(4, "add4"), 4)];
-        let campaign = Campaign::preset("smoke", hosts, Budget::default()).unwrap();
-        assert_eq!(campaign.schemes.len(), 2);
-        assert_eq!(campaign.attacks, vec!["sat", "kratt"]);
-        let table3 = Campaign::table3(
-            vec![CampaignHost::new("add4", adder(4, "add4"), 4)],
-            Budget::default(),
-        )
-        .unwrap();
-        assert_eq!(table3.schemes.len(), 4);
-        assert_eq!(table3.num_cells(), 16);
-        assert!(matches!(
-            Campaign::preset("nope", Vec::new(), Budget::default()),
-            Err(AttackError::Other(_))
-        ));
-    }
-
-    #[test]
     fn builder_validates_axes_with_typed_errors() {
         let hosts = || vec![CampaignHost::new("add4", adder(4, "add4"), 3)];
         assert!(matches!(
@@ -1546,14 +1393,12 @@ mod tests {
             .attacks(["sat"])
             .budget(Budget::zero())
             .workers(2)
-            .global_budget(Duration::from_secs(30))
             .halt_after_cells(1)
             .journal("unused.jsonl")
             .build()
             .unwrap();
         assert_eq!(built.num_cells(), 1);
         assert_eq!(built.workers, Some(2));
-        assert_eq!(built.global_time_limit, Some(Duration::from_secs(30)));
         assert_eq!(built.halt_after_cells, Some(1));
         assert!(built.journal.is_some());
         // The one-release shim: typed errors still convert for call sites

@@ -47,10 +47,9 @@ pub enum AttackError {
     /// error by the batch harness and campaign pipeline so one impossible
     /// (scheme, host) cell cannot abort a whole matrix.
     Setup(String),
-    /// The job never started: the matrix-wide deadline expired (or the
-    /// scheduler was halted) before a worker picked it up. Interrupted
-    /// rows are never journaled, so a resumed campaign re-attacks exactly
-    /// these cells.
+    /// The job never started: the scheduler was halted before a worker
+    /// picked it up. Interrupted rows are never journaled, so a resumed
+    /// campaign re-attacks exactly these cells.
     Interrupted,
     /// The attack panicked while running inside the batch harness; the
     /// payload is the panic message. Carried as a row error so one
@@ -96,7 +95,7 @@ impl fmt::Display for AttackError {
             AttackError::Interrupted => {
                 write!(
                     f,
-                    "interrupted before the attack started (matrix deadline expired)"
+                    "interrupted before the attack started (the scheduler was halted)"
                 )
             }
             AttackError::Panicked(message) => write!(f, "attack panicked: {message}"),

@@ -4,36 +4,31 @@
 //! This is what the paper's evaluation actually is — every (attack,
 //! locked circuit) pair of Tables II–V driven under one budget. Its one
 //! driver is [`Campaign`](crate::campaign::Campaign), which the `table3` and
-//! `campaign` binaries and `kratt --campaign` run. The harness
-//! owns the fan-out with a **work-stealing scheduler**: heavy solver-bound
-//! jobs (SAT/QBF CEGAR loops, [`CostClass::Heavy`]) are dealt round-robin
-//! across per-worker deques so the long poles start immediately, cheap
-//! structural jobs ([`CostClass::Cheap`] — SCOPE, FALL, removal) wait in a
-//! global injector, and an idle worker drains its own deque front, then the
-//! injector, then steals from the *back* of a victim's deque. Stragglers
-//! therefore never idle the pool: whichever worker frees up first takes the
-//! next job, wherever it was queued. Every job builds its own [`Oracle`]
-//! (oracles count queries through interior mutability and are deliberately
-//! not shared across threads), and rows come back in deterministic job
-//! order regardless of scheduling. This is the harness's only scheduler:
-//! [`Harness::run_matrix`] and [`Harness::run_matrix_lazy`] are views of
-//! [`Harness::run_matrix_scheduled`].
+//! `campaign` binaries run, and [`Harness::run_matrix_scheduled`] is its one
+//! entry point. The harness owns the fan-out with a **work-stealing
+//! scheduler**: heavy solver-bound jobs (SAT/QBF CEGAR loops,
+//! [`CostClass::Heavy`]) are dealt round-robin across per-worker deques so
+//! the long poles start immediately, cheap structural jobs
+//! ([`CostClass::Cheap`] — SCOPE, FALL, removal) wait in a global injector,
+//! and an idle worker drains its own deque front, then the injector, then
+//! steals from the *back* of the first non-empty peer deque in ring order.
+//! Stragglers therefore never idle the pool: whichever worker frees up first
+//! takes the next job, wherever it was queued. Every job builds its own
+//! [`Oracle`] (oracles count queries through interior mutability and are
+//! deliberately not shared across threads), and rows come back in
+//! deterministic job order regardless of scheduling.
 //!
-//! The whole matrix runs under one optional global [`Deadline`]
-//! ([`ScheduleOptions::deadline`]): each job's budget is clamped to the
-//! remaining matrix time, and jobs the deadline catches *before they start*
-//! come back as [`AttackError::Interrupted`] rows — the hook the resumable
-//! campaign journal uses to know which cells still need attacking.
-//!
-//! Cases can be supplied eagerly (a slice, [`Harness::run_matrix`]) or
-//! lazily through a [`CaseSource`] ([`Harness::run_matrix_lazy`]): the
-//! campaign pipeline locks benchmark hosts *on demand* when the first
-//! worker reaches a case, memoised so the other attacks on the same
-//! instance reuse it. A case that fails to materialise (e.g. a locking
+//! Cases are built lazily: the scheduler calls the caller's case closure the
+//! first time a worker reaches one of a case's jobs and memoises the result,
+//! so the campaign locks a benchmark host *on demand* and the other attacks
+//! on the same instance reuse it. A case that fails to build (e.g. a locking
 //! scheme whose key width exceeds the host's protected-input count) becomes
 //! one structured [`AttackError::Setup`] row per attack instead of a panic.
+//! A halt ([`ScheduleOptions::halt_after`]) turns the jobs still queued into
+//! [`AttackError::Interrupted`] rows — the hook the resumable campaign
+//! journal uses to know which cells still need attacking.
 
-use crate::engine::{Attack, AttackRequest, Budget, CostClass, Deadline};
+use crate::engine::{Attack, AttackRequest, Budget, CostClass};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
 use crate::report::AttackRun;
@@ -43,127 +38,18 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// One benchmark instance of the matrix: a locked netlist plus, when the
-/// scenario grants oracle access, the original circuit the oracle simulates.
+/// One benchmark instance of the matrix: a locked netlist plus the original
+/// circuit its oracle simulates (every campaign case is oracle-guided).
 ///
 /// The circuits are shared behind [`Arc`]s, so a case is cheap to clone —
-/// which is what lets lazy [`CaseSource`]s hand the same instance to many
-/// attack jobs without re-materialising it.
+/// which is what lets the scheduler hand one memoised instance to many
+/// attack jobs without rebuilding it.
 #[derive(Debug, Clone)]
 pub struct MatrixCase {
-    /// Display name of the case (`"c2670/SARLock"`, ...).
-    pub name: String,
     /// The locked netlist under attack.
     pub locked: Arc<Circuit>,
-    /// The original circuit behind the oracle; `None` runs the case under
-    /// the oracle-less threat model.
-    pub oracle: Option<Arc<Circuit>>,
-}
-
-impl MatrixCase {
-    /// An oracle-less case.
-    pub fn oracle_less(name: impl Into<String>, locked: Circuit) -> Self {
-        MatrixCase {
-            name: name.into(),
-            locked: Arc::new(locked),
-            oracle: None,
-        }
-    }
-
-    /// An oracle-guided case.
-    pub fn oracle_guided(name: impl Into<String>, locked: Circuit, original: Circuit) -> Self {
-        MatrixCase {
-            name: name.into(),
-            locked: Arc::new(locked),
-            oracle: Some(Arc::new(original)),
-        }
-    }
-
-    /// An oracle-guided case over already-shared circuits.
-    pub fn oracle_guided_shared(
-        name: impl Into<String>,
-        locked: Arc<Circuit>,
-        original: Arc<Circuit>,
-    ) -> Self {
-        MatrixCase {
-            name: name.into(),
-            locked,
-            oracle: Some(original),
-        }
-    }
-}
-
-/// A lazy producer of matrix cases: the harness asks for case `index` the
-/// first time a worker reaches one of its jobs. Implementations must be
-/// idempotent per index (workers may race on the first access) — memoise
-/// expensive materialisation (the campaign corpus cache does).
-pub trait CaseSource: Sync {
-    /// Number of cases the source provides.
-    fn num_cases(&self) -> usize;
-
-    /// Display name of case `index`, available even when the case itself
-    /// cannot be materialised (failed cases still need labelled rows).
-    fn case_name(&self, index: usize) -> String;
-
-    /// Materialises case `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error every attack row of this case will carry —
-    /// typically [`AttackError::Setup`] when the scenario cannot be built.
-    fn case(&self, index: usize) -> Result<MatrixCase, AttackError>;
-}
-
-/// The eager adapter: a pre-built slice of cases is a trivially lazy source.
-impl CaseSource for [MatrixCase] {
-    fn num_cases(&self) -> usize {
-        self.len()
-    }
-
-    fn case_name(&self, index: usize) -> String {
-        self[index].name.clone()
-    }
-
-    fn case(&self, index: usize) -> Result<MatrixCase, AttackError> {
-        Ok(self[index].clone())
-    }
-}
-
-/// A [`CaseSource`] built from a closure plus a name list; the closure runs
-/// at most once per index (concurrent first accesses block on the winner),
-/// so expensive case materialisation is never duplicated.
-pub struct FnCaseSource<F> {
-    names: Vec<String>,
-    build: F,
-    memo: Vec<OnceLock<Result<MatrixCase, AttackError>>>,
-}
-
-impl<F> FnCaseSource<F>
-where
-    F: Fn(usize) -> Result<MatrixCase, AttackError> + Sync,
-{
-    /// A source producing one case per name through `build`.
-    pub fn new(names: Vec<String>, build: F) -> Self {
-        let memo = (0..names.len()).map(|_| OnceLock::new()).collect();
-        FnCaseSource { names, build, memo }
-    }
-}
-
-impl<F> CaseSource for FnCaseSource<F>
-where
-    F: Fn(usize) -> Result<MatrixCase, AttackError> + Sync,
-{
-    fn num_cases(&self) -> usize {
-        self.names.len()
-    }
-
-    fn case_name(&self, index: usize) -> String {
-        self.names[index].clone()
-    }
-
-    fn case(&self, index: usize) -> Result<MatrixCase, AttackError> {
-        self.memo[index].get_or_init(|| (self.build)(index)).clone()
-    }
+    /// The original circuit behind the oracle.
+    pub oracle: Arc<Circuit>,
 }
 
 /// Per-job scheduler telemetry, carried on every [`MatrixRow`] and on the
@@ -187,7 +73,7 @@ pub struct SchedulerStats {
     pub workers: usize,
     /// Successful steals from another worker's deque.
     pub steals: usize,
-    /// Jobs the global deadline (or a halt) caught before they started.
+    /// Jobs a halt caught before they started.
     pub interrupted: usize,
     /// Wall-clock time from scheduler start to the last worker joining.
     pub makespan: Duration,
@@ -217,14 +103,10 @@ impl MatrixRow {
 /// The per-row streaming/journaling hook of [`ScheduleOptions`].
 pub type RowHook<'a> = &'a (dyn Fn(usize, &MatrixRow) + Sync);
 
-/// Knobs for one scheduled matrix run. `Default` runs everything, without
-/// a global deadline, callbacks or halt — i.e. [`Harness::run_matrix_lazy`]
-/// semantics.
+/// Knobs for one scheduled matrix run. `Default` runs every job, without
+/// callbacks or halt.
+#[derive(Default)]
 pub struct ScheduleOptions<'a> {
-    /// One global wall-clock deadline over the whole matrix. Per-job budgets
-    /// are clamped to the remaining matrix time; jobs caught before they
-    /// start become [`AttackError::Interrupted`] rows.
-    pub deadline: Deadline,
     /// Which (case index, attack index) jobs to schedule; `None` schedules
     /// all. Filtered-out jobs return `None` rows — the campaign journal
     /// replays those cells from disk instead.
@@ -236,17 +118,6 @@ pub struct ScheduleOptions<'a> {
     /// Halt the scheduler after this many executed jobs: remaining jobs come
     /// back interrupted. Deterministic crash injection for resume tests.
     pub halt_after: Option<usize>,
-}
-
-impl Default for ScheduleOptions<'_> {
-    fn default() -> Self {
-        ScheduleOptions {
-            deadline: Deadline::unlimited(),
-            include: None,
-            on_row: None,
-            halt_after: None,
-        }
-    }
 }
 
 /// The result of a scheduled matrix run: rows in job order (`None` where the
@@ -288,48 +159,26 @@ impl Harness {
         }
     }
 
-    /// Runs every attack on every case under the shared budget and returns
-    /// one row per (case, attack) pair, case-major — i.e.
-    /// `rows[i * attacks.len() + j]` is attack `j` on case `i` — regardless
-    /// of which worker finished first.
-    pub fn run_matrix(
-        &self,
-        attacks: &[Box<dyn Attack>],
-        cases: &[MatrixCase],
-        budget: &Budget,
-    ) -> Vec<MatrixRow> {
-        self.run_matrix_lazy(attacks, cases, budget)
-    }
-
-    /// The lazy batch driver behind [`Harness::run_matrix`]: cases come from
-    /// a [`CaseSource`] and are materialised only when a worker first needs
-    /// them. A case whose materialisation fails yields one error row per
-    /// attack (carrying the source's error) instead of aborting the matrix.
-    pub fn run_matrix_lazy(
-        &self,
-        attacks: &[Box<dyn Attack>],
-        source: &(impl CaseSource + ?Sized),
-        budget: &Budget,
-    ) -> Vec<MatrixRow> {
-        self.run_matrix_scheduled(attacks, source, budget, &ScheduleOptions::default())
-            .rows
-            .into_iter()
-            .map(|slot| slot.expect("no include filter, so every job was scheduled"))
-            .collect()
-    }
-
-    /// The full work-stealing driver (see the module documentation for the
-    /// queue discipline). Returns rows in job order — `None` where the
-    /// include filter skipped the job — plus scheduler telemetry.
+    /// Runs every attack on every case under the shared budget with the
+    /// work-stealing scheduler (see the module documentation for the queue
+    /// discipline). `case_names` labels the cases; `build_case(i)` builds
+    /// case `i` the first time a worker needs it, at most once per case
+    /// (concurrent first accesses block on the winner), and its error
+    /// becomes the row error of every attack on that case.
+    ///
+    /// Returns one slot per (case, attack) job, case-major — i.e.
+    /// `rows[i * attacks.len() + j]` is attack `j` on case `i`, `None`
+    /// where the include filter skipped the job — plus scheduler telemetry.
     pub fn run_matrix_scheduled(
         &self,
         attacks: &[Box<dyn Attack>],
-        source: &(impl CaseSource + ?Sized),
+        case_names: &[String],
+        build_case: &(dyn Fn(usize) -> Result<MatrixCase, AttackError> + Sync),
         budget: &Budget,
         options: &ScheduleOptions<'_>,
     ) -> ScheduleReport {
         let num_attacks = attacks.len();
-        let total = num_attacks * source.num_cases();
+        let total = num_attacks * case_names.len();
         let mut heavy: Vec<usize> = Vec::new();
         let mut cheap: Vec<usize> = Vec::new();
         for job in 0..total {
@@ -360,6 +209,8 @@ impl Harness {
         }
         let injector: Mutex<VecDeque<usize>> = Mutex::new(cheap.into_iter().collect());
 
+        let cases: Vec<OnceLock<Result<MatrixCase, AttackError>>> =
+            case_names.iter().map(|_| OnceLock::new()).collect();
         let slots: Mutex<Vec<Option<MatrixRow>>> = Mutex::new((0..total).map(|_| None).collect());
         let steals = AtomicUsize::new(0);
         let interrupted = AtomicUsize::new(0);
@@ -378,6 +229,7 @@ impl Harness {
             for worker in 0..workers {
                 let deques = &deques;
                 let injector = &injector;
+                let cases = &cases;
                 let slots = &slots;
                 let steals = &steals;
                 let interrupted = &interrupted;
@@ -393,19 +245,19 @@ impl Harness {
                     let queue_wait = start.elapsed();
                     let case_index = job / num_attacks;
                     let attack = &attacks[job % num_attacks];
-                    let cancelled = options.deadline.expired() || halted.load(Ordering::Acquire);
+                    let cancelled = halted.load(Ordering::Acquire);
                     let result = if cancelled {
                         interrupted.fetch_add(1, Ordering::Relaxed);
                         Err(AttackError::Interrupted)
                     } else {
-                        let effective = budget_under_deadline(budget, &options.deadline);
-                        source
-                            .case(case_index)
-                            .and_then(|case| run_one_caught(attack.as_ref(), &case, &effective))
+                        cases[case_index]
+                            .get_or_init(|| build_case(case_index))
+                            .clone()
+                            .and_then(|case| run_one_caught(attack.as_ref(), &case, budget))
                     };
                     let row = MatrixRow {
                         attack: attack.name().to_string(),
-                        case: source.case_name(case_index),
+                        case: case_names[case_index].clone(),
                         result,
                         telemetry: JobTelemetry {
                             worker,
@@ -476,19 +328,6 @@ fn next_job(
     None
 }
 
-/// Clamps a per-job budget to the time remaining on the matrix deadline, so
-/// one straggler cannot run past the global limit.
-fn budget_under_deadline(budget: &Budget, deadline: &Deadline) -> Budget {
-    let mut effective = budget.clone();
-    if let Some(remaining) = deadline.remaining() {
-        effective.time_limit = Some(match effective.time_limit {
-            Some(limit) => limit.min(remaining),
-            None => remaining,
-        });
-    }
-    effective
-}
-
 /// Swaps the process panic hook for a no-op and restores the original on
 /// drop. Matrix workers catch their panics and report them as rows, so the
 /// default stderr report would only be noise.
@@ -538,31 +377,21 @@ fn run_one_caught(
     })
 }
 
-/// Runs one attack on one case: builds the case's private oracle (when the
-/// case grants one) and executes the request under the shared budget.
+/// Runs one attack on one case: builds the case's private oracle and
+/// executes the request under the shared budget.
 fn run_one(
     attack: &dyn Attack,
     case: &MatrixCase,
     budget: &Budget,
 ) -> Result<AttackRun, AttackError> {
-    let oracle = match &case.oracle {
-        Some(original) => {
-            Some(Oracle::new(original.as_ref().clone()).map_err(AttackError::Netlist)?)
-        }
-        None => None,
-    };
-    let request = AttackRequest {
-        locked: &case.locked,
-        oracle: oracle.as_ref(),
-        budget: budget.clone(),
-        cancel: None,
-    };
-    attack.execute(&request)
+    let oracle = Oracle::new(case.oracle.as_ref().clone()).map_err(AttackError::Netlist)?;
+    attack.execute(&AttackRequest::oracle_guided(&case.locked, &oracle).with_budget(budget.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ThreatModel;
     use crate::registry::AttackRegistry;
     use kratt_locking::{LockingTechnique, SarLock, SecretKey};
     use kratt_netlist::{GateType, NetId};
@@ -598,22 +427,56 @@ mod tests {
         c
     }
 
+    /// `count` SARLock-3 locks of the 4-bit adder named `case{i}`, case `i`
+    /// planted with the secret `base ^ i`.
+    fn sarlock_cases(count: u64, base: u64) -> (Vec<String>, Vec<MatrixCase>) {
+        let original = Arc::new(adder4());
+        (0..count)
+            .map(|i| {
+                let secret = SecretKey::from_u64(base ^ i, 3);
+                let locked = SarLock::new(3).lock(&original, &secret).unwrap();
+                let case = MatrixCase {
+                    locked: Arc::new(locked.circuit),
+                    oracle: Arc::clone(&original),
+                };
+                (format!("case{i}"), case)
+            })
+            .unzip()
+    }
+
+    /// Runs every job under the default options; with no include filter,
+    /// every job has a row.
+    fn run_all(
+        harness: &Harness,
+        attacks: &[Box<dyn Attack>],
+        names: &[String],
+        build_case: &(dyn Fn(usize) -> Result<MatrixCase, AttackError> + Sync),
+    ) -> Vec<MatrixRow> {
+        harness
+            .run_matrix_scheduled(
+                attacks,
+                names,
+                build_case,
+                &Budget::default(),
+                &ScheduleOptions::default(),
+            )
+            .rows
+            .into_iter()
+            .map(|slot| slot.expect("no include filter, so every job was scheduled"))
+            .collect()
+    }
+
     #[test]
     fn matrix_rows_come_back_in_job_order() {
-        let original = adder4();
         let registry = AttackRegistry::with_baselines();
         let attacks = vec![
             registry.build("sat").unwrap(),
             registry.build("scope").unwrap(),
         ];
-        let cases: Vec<MatrixCase> = (0..3)
-            .map(|i| {
-                let secret = SecretKey::from_u64(0b101 ^ i, 3);
-                let locked = SarLock::new(3).lock(&original, &secret).unwrap();
-                MatrixCase::oracle_guided(format!("case{i}"), locked.circuit, original.clone())
-            })
-            .collect();
-        let rows = Harness::with_workers(4).run_matrix(&attacks, &cases, &Budget::default());
+        let (names, cases) = sarlock_cases(3, 0b101);
+        let rows = run_all(&Harness::with_workers(4), &attacks, &names, &|i| {
+            Ok(cases[i].clone())
+        });
         assert_eq!(rows.len(), 6);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.case, format!("case{}", i / 2));
@@ -628,15 +491,31 @@ mod tests {
         }
     }
 
+    /// An attack whose `execute` always reports an error.
+    struct RefusingAttack;
+
+    impl Attack for RefusingAttack {
+        fn name(&self) -> &'static str {
+            "refuser"
+        }
+        fn supports(&self, _model: ThreatModel) -> bool {
+            false
+        }
+        fn execute(&self, request: &AttackRequest<'_>) -> Result<AttackRun, AttackError> {
+            Err(AttackError::Unsupported {
+                attack: self.name().to_string(),
+                model: request.threat_model(),
+            })
+        }
+    }
+
     #[test]
     fn unsupported_pairs_surface_as_row_errors() {
-        let original = adder4();
-        let secret = SecretKey::from_u64(0b110, 3);
-        let locked = SarLock::new(3).lock(&original, &secret).unwrap();
-        let registry = AttackRegistry::with_baselines();
-        let attacks = vec![registry.build("sat").unwrap()];
-        let cases = vec![MatrixCase::oracle_less("ol", locked.circuit)];
-        let rows = Harness::with_workers(1).run_matrix(&attacks, &cases, &Budget::default());
+        let (names, cases) = sarlock_cases(1, 0b110);
+        let attacks: Vec<Box<dyn Attack>> = vec![Box::new(RefusingAttack)];
+        let rows = run_all(&Harness::with_workers(1), &attacks, &names, &|i| {
+            Ok(cases[i].clone())
+        });
         assert!(matches!(
             rows[0].result,
             Err(AttackError::Unsupported { .. })
@@ -652,36 +531,28 @@ mod tests {
 
     #[test]
     fn lazy_sources_materialise_each_case_once_and_setup_failures_become_rows() {
-        let original = adder4();
         let registry = AttackRegistry::with_baselines();
         let attacks = vec![
             registry.build("sat").unwrap(),
             registry.build("scope").unwrap(),
         ];
+        let (_, good) = sarlock_cases(1, 0b010);
         let builds = AtomicUsize::new(0);
-        let source = FnCaseSource::new(
-            vec!["good".to_string(), "impossible".to_string()],
-            |index| {
-                builds.fetch_add(1, Ordering::Relaxed);
-                if index == 0 {
-                    let secret = SecretKey::from_u64(0b010, 3);
-                    let locked = SarLock::new(3).lock(&original, &secret).unwrap();
-                    Ok(MatrixCase::oracle_guided(
-                        "good",
-                        locked.circuit,
-                        original.clone(),
-                    ))
-                } else {
-                    // A scheme whose key width exceeds the host's inputs.
-                    Err(AttackError::from(
-                        kratt_locking::scheme::scheme_registry()
-                            .lock(&"ttlock:k=64".parse().unwrap(), &original)
-                            .unwrap_err(),
-                    ))
-                }
-            },
-        );
-        let rows = Harness::with_workers(4).run_matrix_lazy(&attacks, &source, &Budget::default());
+        let build_case = |index: usize| {
+            builds.fetch_add(1, Ordering::Relaxed);
+            if index == 0 {
+                Ok(good[0].clone())
+            } else {
+                // A scheme whose key width exceeds the host's inputs.
+                Err(AttackError::from(
+                    kratt_locking::scheme::scheme_registry()
+                        .lock(&"ttlock:k=64".parse().unwrap(), &good[0].oracle)
+                        .unwrap_err(),
+                ))
+            }
+        };
+        let names = ["good".to_string(), "impossible".to_string()];
+        let rows = run_all(&Harness::with_workers(4), &attacks, &names, &build_case);
         assert_eq!(rows.len(), 4);
         // Both attacks on the good case ran; the case was built exactly once
         // even though two jobs raced for it. The failed case was *attempted*
@@ -706,7 +577,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "panicker"
         }
-        fn supports(&self, _model: crate::engine::ThreatModel) -> bool {
+        fn supports(&self, _model: ThreatModel) -> bool {
             true
         }
         fn execute(&self, _request: &AttackRequest<'_>) -> Result<AttackRun, AttackError> {
@@ -716,14 +587,13 @@ mod tests {
 
     #[test]
     fn panicking_attack_becomes_a_row_error_not_an_abort() {
-        let original = adder4();
-        let secret = SecretKey::from_u64(0b011, 3);
-        let locked = SarLock::new(3).lock(&original, &secret).unwrap();
+        let (names, cases) = sarlock_cases(1, 0b011);
         let registry = AttackRegistry::with_baselines();
         let attacks: Vec<Box<dyn Attack>> =
             vec![Box::new(PanickingAttack), registry.build("scope").unwrap()];
-        let cases = vec![MatrixCase::oracle_guided("case0", locked.circuit, original)];
-        let rows = Harness::with_workers(2).run_matrix(&attacks, &cases, &Budget::default());
+        let rows = run_all(&Harness::with_workers(2), &attacks, &names, &|i| {
+            Ok(cases[i].clone())
+        });
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].attack, "panicker");
         match &rows[0].result {
@@ -737,60 +607,21 @@ mod tests {
     }
 
     #[test]
-    fn expired_global_deadline_interrupts_every_job() {
-        let original = adder4();
-        let registry = AttackRegistry::with_baselines();
-        let attacks = vec![
-            registry.build("sat").unwrap(),
-            registry.build("scope").unwrap(),
-        ];
-        let secret = SecretKey::from_u64(0b100, 3);
-        let locked = SarLock::new(3).lock(&original, &secret).unwrap();
-        let cases = [MatrixCase::oracle_guided(
-            "case0",
-            locked.circuit,
-            original.clone(),
-        )];
-        let options = ScheduleOptions {
-            deadline: Budget::zero().start(),
-            ..ScheduleOptions::default()
-        };
-        let report = Harness::with_workers(2).run_matrix_scheduled(
-            &attacks,
-            &cases[..],
-            &Budget::default(),
-            &options,
-        );
-        assert_eq!(report.stats.jobs, 2);
-        assert_eq!(report.stats.interrupted, 2);
-        for slot in &report.rows {
-            let row = slot.as_ref().expect("no filter");
-            assert!(matches!(row.result, Err(AttackError::Interrupted)));
-        }
-    }
-
-    #[test]
     fn halt_after_executes_exactly_that_many_jobs() {
-        let original = adder4();
         let registry = AttackRegistry::with_baselines();
         let attacks = vec![
             registry.build("scope").unwrap(),
             registry.build("fall").unwrap(),
         ];
-        let cases: Vec<MatrixCase> = (0..3)
-            .map(|i| {
-                let secret = SecretKey::from_u64(i, 3);
-                let locked = SarLock::new(3).lock(&original, &secret).unwrap();
-                MatrixCase::oracle_guided(format!("case{i}"), locked.circuit, original.clone())
-            })
-            .collect();
+        let (names, cases) = sarlock_cases(3, 0);
         let options = ScheduleOptions {
             halt_after: Some(2),
             ..ScheduleOptions::default()
         };
         let report = Harness::with_workers(1).run_matrix_scheduled(
             &attacks,
-            &cases[..],
+            &names,
+            &|i| Ok(cases[i].clone()),
             &Budget::default(),
             &options,
         );
@@ -806,23 +637,13 @@ mod tests {
 
     #[test]
     fn include_filter_skips_jobs_and_leaves_empty_slots() {
-        let original = adder4();
         let registry = AttackRegistry::with_baselines();
         let attacks = vec![
             registry.build("sat").unwrap(),
             registry.build("scope").unwrap(),
         ];
-        let secret = SecretKey::from_u64(0b010, 3);
-        let locked = SarLock::new(3).lock(&original, &secret).unwrap();
-        let cases: Vec<MatrixCase> = (0..2)
-            .map(|i| {
-                MatrixCase::oracle_guided(
-                    format!("case{i}"),
-                    locked.circuit.clone(),
-                    original.clone(),
-                )
-            })
-            .collect();
+        let (_, locked) = sarlock_cases(1, 0b010);
+        let names = ["case0".to_string(), "case1".to_string()];
         let seen = Mutex::new(Vec::new());
         let include = |case: usize, attack: usize| !(case == 0 && attack == 0);
         let on_row = |job: usize, row: &MatrixRow| {
@@ -835,7 +656,8 @@ mod tests {
         };
         let report = Harness::with_workers(2).run_matrix_scheduled(
             &attacks,
-            &cases[..],
+            &names,
+            &|_| Ok(locked[0].clone()),
             &Budget::default(),
             &options,
         );
@@ -853,30 +675,23 @@ mod tests {
 
     #[test]
     fn work_stealing_matches_the_static_split_rows() {
-        let original = adder4();
         let registry = AttackRegistry::with_baselines();
         let attacks = vec![
             registry.build("sat").unwrap(),
             registry.build("scope").unwrap(),
         ];
-        let cases: Vec<MatrixCase> = (0..2)
-            .map(|i| {
-                let secret = SecretKey::from_u64(0b011 ^ i, 3);
-                let locked = SarLock::new(3).lock(&original, &secret).unwrap();
-                MatrixCase::oracle_guided(format!("case{i}"), locked.circuit, original.clone())
-            })
-            .collect();
-        let budget = Budget::default();
-        let stealing = Harness::with_workers(3).run_matrix_lazy(&attacks, &cases[..], &budget);
+        let (names, cases) = sarlock_cases(2, 0b011);
+        let stealing = run_all(&Harness::with_workers(3), &attacks, &names, &|i| {
+            Ok(cases[i].clone())
+        });
         // The rows of a one-worker static split: the same jobs one after
         // another, in job order (case-major).
         let mut sequential = Vec::new();
-        for case in &cases {
+        for (name, case) in names.iter().zip(&cases) {
             for attack in &attacks {
-                let oracle = Oracle::new(original.clone()).unwrap();
-                let request =
-                    AttackRequest::oracle_guided(&case.locked, &oracle).with_budget(budget.clone());
-                sequential.push((case.name.clone(), attack.execute(&request).unwrap()));
+                let oracle = Oracle::new(case.oracle.as_ref().clone()).unwrap();
+                let request = AttackRequest::oracle_guided(&case.locked, &oracle);
+                sequential.push((name.clone(), attack.execute(&request).unwrap()));
             }
         }
         assert_eq!(stealing.len(), sequential.len());

@@ -35,25 +35,25 @@
 //! * [`AttackRegistry`] — name-based construction (`"sat"`,
 //!   `"double-dip"`, `"appsat"`, `"fall"`, `"removal"`, `"scope"`; the
 //!   `kratt` crate adds `"kratt"`).
-//! * [`Harness`] — the parallel attacks × benchmarks batch driver, fed
-//!   eagerly (a case slice) or lazily through a [`CaseSource`]. Only
-//!   [`Campaign`] drives it: the `table3` and `campaign` binaries and
-//!   `kratt --campaign` run through a campaign.
+//! * [`Harness`] — the parallel attacks × benchmarks scheduler, which
+//!   builds each case lazily, once, when a worker first needs it. Only
+//!   [`Campaign`] drives it: the `table3` and `campaign` binaries run
+//!   through a campaign.
 //! * [`Campaign`] — the end-to-end lock → attack → verify pipeline: scheme
 //!   specs × hosts × attacks expanded into harness jobs, locked instances
 //!   memoised in a content-addressed [`CorpusCache`], every claimed key
-//!   verified against the planted secret. Built through the validating
-//!   [`CampaignBuilder`] (typed [`CampaignError`]s for empty or
+//!   verified against the planted secret. Configured only through the
+//!   validating [`CampaignBuilder`] (typed [`CampaignError`]s for empty or
 //!   contradictory axes), and runnable as a *service*: a persistent
 //!   [`CampaignJournal`] replays recorded verdicts so re-runs attack only
 //!   unrecorded cells, and [`Campaign::run_observed`] streams each verdict
 //!   as it commits.
-//! * The [`Harness`] schedules jobs with per-worker work-stealing deques:
-//!   [`CostClass::Heavy`] solver jobs are dealt across workers first,
-//!   [`CostClass::Cheap`] structural jobs interleave through a global
-//!   injector, all under one global [`Deadline`]
-//!   ([`Harness::run_matrix_scheduled`], with [`SchedulerStats`] and
-//!   per-row [`JobTelemetry`]).
+//! * The [`Harness`] schedules jobs with per-worker work-stealing deques
+//!   through its one entry point, [`Harness::run_matrix_scheduled`]:
+//!   [`CostClass::Heavy`] solver jobs are dealt round-robin across the
+//!   workers' deques, [`CostClass::Cheap`] structural jobs wait in a global
+//!   injector, and an idle worker steals from the back of the first
+//!   non-empty peer deque ([`SchedulerStats`], per-row [`JobTelemetry`]).
 //!
 //! The unified attack API is the *only* entry point: the legacy per-attack
 //! inherent `run` methods were removed, callers go through
@@ -90,8 +90,8 @@ pub use engine::{Attack, AttackRequest, Budget, CostClass, Deadline, ThreatModel
 pub use error::AttackError;
 pub use fall::{FallAttack, FallConfig};
 pub use harness::{
-    CaseSource, FnCaseSource, Harness, JobTelemetry, MatrixCase, MatrixRow, RowHook,
-    ScheduleOptions, ScheduleReport, SchedulerStats,
+    Harness, JobTelemetry, MatrixCase, MatrixRow, RowHook, ScheduleOptions, ScheduleReport,
+    SchedulerStats,
 };
 pub use journal::CampaignJournal;
 pub use oracle::Oracle;

@@ -35,10 +35,6 @@ use std::time::{Duration, Instant};
 /// oracle-guided baselines of Table I.
 pub const DEFAULT_MEMBERS: &[&str] = &["kratt", "sat", "appsat"];
 
-/// Environment variable overriding the default member list
-/// (comma-separated registry names, e.g. `kratt,sat,double-dip`).
-pub const MEMBERS_ENV: &str = "KRATT_PORTFOLIO_MEMBERS";
-
 /// How often the collector thread polls the caller's cancellation flag
 /// while waiting for member results.
 const COLLECT_POLL: Duration = Duration::from_millis(25);
@@ -103,15 +99,6 @@ impl PortfolioAttack {
             members.push((name.clone(), registry.build(name)?));
         }
         PortfolioAttack::new(members)
-    }
-
-    /// The member list selected by [`MEMBERS_ENV`], falling back to
-    /// [`DEFAULT_MEMBERS`].
-    pub fn members_from_env() -> Vec<String> {
-        match std::env::var(MEMBERS_ENV) {
-            Ok(spec) if !parse_member_spec(&spec).is_empty() => parse_member_spec(&spec),
-            _ => DEFAULT_MEMBERS.iter().map(|s| s.to_string()).collect(),
-        }
     }
 
     /// The member names, in racing order.

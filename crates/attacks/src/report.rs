@@ -527,7 +527,6 @@ pub fn score_guess(locked: &LockedCircuit, guess: &KeyGuess) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Budget;
     use kratt_locking::{LockingTechnique, SarLock};
     use kratt_netlist::GateType;
     use std::time::Duration;
@@ -602,14 +601,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(back.to_u64(), key.to_u64());
-    }
-
-    #[test]
-    fn budget_default_has_a_time_limit() {
-        let budget = Budget::default();
-        assert!(budget.time_limit.is_some());
-        let custom = Budget::with_time_limit(Duration::from_secs(5));
-        assert_eq!(custom.time_limit, Some(Duration::from_secs(5)));
     }
 
     #[test]

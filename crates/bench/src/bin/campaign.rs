@@ -10,13 +10,15 @@
 //!     --preset smoke --journal run.jsonl --stream   # resumable, streaming
 //! ```
 //!
+//! This is the suite's one campaign front end; presets, spec files and the
+//! streaming output live in `kratt_bench::campaign`.
+//!
 //! Exits non-zero when any attack claimed an exact key (or recovered
 //! circuit) that the verification step could not confirm against the
-//! planted secret — the contract the `campaign-smoke` CI job gates on.
+//! planted secret — the contract the CI `campaign` job gates on.
 //! `KRATT_SCALE`, `KRATT_BUDGET_SECS` and `KRATT_WORKERS` scale the run as
 //! for every other experiment binary.
 
-use kratt_bench::CAMPAIGN_PRESETS;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -96,47 +98,32 @@ fn main() -> ExitCode {
     }
 
     let options = kratt_bench::options_from_env();
-    // A path on disk is a spec file (its own budget/workers/journal policy,
-    // no resynthesis hook); anything else resolves as a preset with the
-    // paper's resynthesis step.
-    let campaign = if std::path::Path::new(&preset).is_file() {
-        let budget = kratt_attacks::Budget {
-            time_limit: Some(options.baseline_budget),
-            max_iterations: 10_000,
-            ..kratt_attacks::Budget::default()
-        };
-        match kratt::cli::resolve_campaign(&preset, kratt_bench::campaign_hosts(&options), budget) {
-            Ok(campaign) => campaign,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        match kratt_bench::build_campaign(&preset, &options) {
-            Ok(campaign) => campaign,
-            Err(e) => {
-                eprintln!(
-                    "error: {e} (known presets: {}; or pass a spec-file path)",
-                    CAMPAIGN_PRESETS.join(", ")
-                );
-                return ExitCode::from(2);
-            }
+    let mut builder = match kratt_bench::resolve_campaign(&preset, &options) {
+        Ok(builder) => builder,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
         }
     };
-    let mut campaign = match std::env::var("KRATT_WORKERS")
+    if let Some(workers) = std::env::var("KRATT_WORKERS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
     {
-        Some(workers) => campaign.with_workers(workers),
-        None => campaign,
-    };
+        builder = builder.workers(workers);
+    }
     if let Some(path) = journal {
-        campaign = campaign.with_journal(path);
+        builder = builder.journal(path);
     }
     if let Some(cells) = halt_after {
-        campaign = campaign.with_halt_after_cells(cells);
+        builder = builder.halt_after_cells(cells);
     }
+    let campaign = match builder.build() {
+        Ok(campaign) => campaign,
+        Err(e) => {
+            eprintln!("error: {preset}: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if !json && !stream {
         println!(
             "KRATT campaign `{preset}`: {} schemes x {} hosts x {} attacks = {} cells (scale {:.2}, budget {:?})\n",
@@ -145,11 +132,11 @@ fn main() -> ExitCode {
             campaign.attacks.len(),
             campaign.num_cells(),
             options.scale,
-            options.baseline_budget,
+            campaign.budget.time_limit.unwrap_or_default(),
         );
     }
 
-    let report = match kratt::cli::run_campaign_with_output(&campaign, stream) {
+    let report = match kratt_bench::run_campaign_with_output(&campaign, stream) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");

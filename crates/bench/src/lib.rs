@@ -17,7 +17,8 @@ pub mod experiments;
 pub mod table;
 
 pub use campaign::{
-    build_campaign, campaign_hosts, resynthesis_prepare, run_campaign_preset, CAMPAIGN_PRESETS,
+    build_campaign, campaign_hosts, resolve_campaign, resynthesis_prepare, run_campaign_preset,
+    run_campaign_with_output, CAMPAIGN_PRESETS,
 };
 pub use experiments::{
     run_corruption_study, run_fig6, run_table1, run_table2, run_table3, run_table4, run_table5,

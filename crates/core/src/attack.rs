@@ -8,6 +8,7 @@ use crate::ol::{attack_subcircuit_with_scope, attack_unit_with_scope};
 use crate::qbf_attack::{solve_unit_qbf, QbfStepOutcome};
 use crate::removal::remove_locking_unit;
 use crate::{KrattError, RemovalArtifacts};
+use kratt_attacks::portfolio::DEFAULT_MEMBERS;
 use kratt_attacks::registry::AttackRegistry;
 use kratt_attacks::{
     Attack, AttackError, AttackOutcome, AttackRequest, AttackRun, Budget, Deadline, KeyGuess,
@@ -313,8 +314,8 @@ impl Attack for KrattAttack {
 /// The full attack registry of the suite: every baseline of
 /// `kratt-attacks` (`"sat"`, `"double-dip"`, `"appsat"`, `"fall"`,
 /// `"removal"`, `"scope"`) plus `"kratt"` itself and the `"portfolio"`
-/// racer (member list from `KRATT_PORTFOLIO_MEMBERS`, default
-/// `kratt,sat,appsat`; members are instantiated from this same registry).
+/// racer over [`DEFAULT_MEMBERS`] (`kratt,sat,appsat`; members are
+/// instantiated from this same registry).
 pub fn attack_registry() -> AttackRegistry {
     let mut registry = AttackRegistry::with_baselines();
     registry.register("kratt", || Box::new(KrattAttack::new()));
@@ -323,14 +324,10 @@ pub fn attack_registry() -> AttackRegistry {
         // so the member list cannot recurse.
         let mut base = AttackRegistry::with_baselines();
         base.register("kratt", || Box::new(KrattAttack::new()));
-        let members = PortfolioAttack::members_from_env();
+        let members: Vec<String> = DEFAULT_MEMBERS.iter().map(|s| s.to_string()).collect();
         Box::new(
-            PortfolioAttack::from_registry(&base, &members).unwrap_or_else(|e| {
-                panic!(
-                    "KRATT_PORTFOLIO_MEMBERS `{}` is invalid: {e}",
-                    members.join(",")
-                )
-            }),
+            PortfolioAttack::from_registry(&base, &members)
+                .expect("every default member is registered"),
         )
     });
     registry

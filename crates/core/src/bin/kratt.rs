@@ -11,20 +11,23 @@
 //!       --reconstruct rebuilt.bench                  # §V original-circuit reconstruction
 //! kratt --locked original.bench --scheme antisat:k=16,seed=7
 //!                                                    # lock on the fly, attack, verify
-//! kratt --campaign table3                            # preset campaign on Table-I hosts
 //! kratt --list-attacks / --list-schemes              # enumerate both registries
 //! kratt --locked locked.bench --lint                 # static lint instead of an attack
 //! kratt --locked locked.bench --analyze unateness    # dump per-output dataflow facts
 //! ```
 //!
 //! Netlist formats are chosen by file extension: `.v`/`.verilog` is parsed as
-//! structural Verilog, everything else as ISCAS `.bench`.
+//! structural Verilog, everything else as ISCAS `.bench`. Campaigns (lock →
+//! attack → verify matrices) run through the `kratt-bench` `campaign` binary.
 
 use kratt::og::{recover_protected_patterns, StructuralAnalysisConfig};
 use kratt::reconstruct::reconstruct_original_from_patterns;
 use kratt::removal::remove_locking_unit;
 use kratt_attacks::campaign::equivalent_to;
-use kratt_attacks::{AttackOutcome, AttackRequest, Budget, CampaignHost, Oracle};
+use kratt_attacks::portfolio::parse_member_spec;
+use kratt_attacks::{
+    Attack, AttackError, AttackOutcome, AttackRequest, Budget, Oracle, PortfolioAttack,
+};
 use kratt_dataflow::ternary::cofactors;
 use kratt_dataflow::{
     lit_value, propagate, KeySupport, ObservabilityAnalysis, ProbabilityAnalysis, Ternary,
@@ -43,9 +46,8 @@ struct CliOptions {
     locked: Option<PathBuf>,
     oracle: Option<PathBuf>,
     attack: String,
-    portfolio_members: Option<String>,
+    portfolio_members: Option<Vec<String>>,
     scheme: Option<String>,
-    campaign: Option<String>,
     list_attacks: bool,
     list_schemes: bool,
     qdimacs: Option<PathBuf>,
@@ -55,7 +57,6 @@ struct CliOptions {
     analyze: Option<String>,
     list_domains: bool,
     json: bool,
-    stream: bool,
     help: bool,
 }
 
@@ -67,7 +68,6 @@ impl Default for CliOptions {
             attack: "kratt".to_string(),
             portfolio_members: None,
             scheme: None,
-            campaign: None,
             list_attacks: false,
             list_schemes: false,
             qdimacs: None,
@@ -77,7 +77,6 @@ impl Default for CliOptions {
             analyze: None,
             list_domains: false,
             json: false,
-            stream: false,
             help: false,
         }
     }
@@ -86,11 +85,7 @@ impl Default for CliOptions {
 impl CliOptions {
     /// Whether the invocation runs without a `--locked` netlist.
     fn is_standalone(&self) -> bool {
-        self.help
-            || self.list_attacks
-            || self.list_schemes
-            || self.list_domains
-            || self.campaign.is_some()
+        self.help || self.list_attacks || self.list_schemes || self.list_domains
     }
 }
 
@@ -99,7 +94,7 @@ KRATT — QBF-assisted removal and structural analysis attack against logic lock
 
 USAGE:
     kratt --locked <NETLIST> [OPTIONS]
-    kratt --campaign <PRESET|SPEC-FILE> | --list-attacks | --list-schemes
+    kratt --list-attacks | --list-schemes | --list-domains
 
 OPTIONS:
     --locked <PATH>        locked netlist (.bench, or .v for structural Verilog); with
@@ -111,16 +106,10 @@ OPTIONS:
                            (race several engines, first SAT-verified exact key wins)
     --portfolio-members <LIST>
                            comma-separated member engines of --attack portfolio
-                           (default kratt,sat,appsat; sets KRATT_PORTFOLIO_MEMBERS)
+                           (default kratt,sat,appsat)
     --scheme <SPEC>        lock the input with a scheme spec (e.g. antisat:k=16,seed=7),
                            attack the planted instance oracle-guided, and verify any
                            claimed key against the planted secret
-    --campaign <VALUE>     run a campaign on the Table-I hosts: a preset name (table3,
-                           smoke) or a path to a campaign spec file (scheme/host/attack/
-                           budget-secs/workers/journal directives, one per line);
-                           KRATT_SCALE scales the hosts (default 0.05)
-    --stream               with --campaign: print each verdict cell as a JSON line the
-                           moment it commits, closed by one summary record
     --list-attacks         print the attack registry and exit
     --list-schemes         print the scheme registry (with spec grammar) and exit
     --json                 print the attack run as a machine-readable JSON report
@@ -164,25 +153,13 @@ where
                 let value = iter
                     .next()
                     .ok_or("--portfolio-members expects a comma-separated list".to_string())?;
-                if kratt_attacks::portfolio::parse_member_spec(&value).is_empty() {
-                    return Err(format!(
-                        "--portfolio-members expects registry names like kratt,sat, got `{value}`"
-                    ));
-                }
-                options.portfolio_members = Some(value);
+                options.portfolio_members = Some(parse_member_spec(&value));
             }
             "--scheme" => {
                 options.scheme = Some(iter.next().ok_or(
                     "--scheme expects a spec like technique:k=<bits>,seed=<n>".to_string(),
                 )?);
             }
-            "--campaign" => {
-                options.campaign = Some(
-                    iter.next()
-                        .ok_or("--campaign expects a preset name or spec file".to_string())?,
-                );
-            }
-            "--stream" => options.stream = true,
             "--list-attacks" => options.list_attacks = true,
             "--list-schemes" => options.list_schemes = true,
             "--qdimacs" => options.qdimacs = Some(path_value("--qdimacs")?),
@@ -219,8 +196,11 @@ where
                 .to_string(),
         );
     }
-    if options.stream && options.campaign.is_none() {
-        return Err("--stream streams campaign verdicts; it requires --campaign".to_string());
+    if options.portfolio_members.is_some() && options.attack != "portfolio" {
+        return Err(
+            "--portfolio-members names the members of --attack portfolio; it requires it"
+                .to_string(),
+        );
     }
     if options.reconstruct.is_some() && options.oracle.is_none() {
         return Err(
@@ -228,10 +208,7 @@ where
         );
     }
     if options.lint
-        && (options.scheme.is_some()
-            || options.campaign.is_some()
-            || options.qdimacs.is_some()
-            || options.reconstruct.is_some())
+        && (options.scheme.is_some() || options.qdimacs.is_some() || options.reconstruct.is_some())
     {
         return Err("--lint runs no attack; it combines only with --oracle and --json".to_string());
     }
@@ -239,7 +216,6 @@ where
         && (options.lint
             || options.oracle.is_some()
             || options.scheme.is_some()
-            || options.campaign.is_some()
             || options.qdimacs.is_some()
             || options.reconstruct.is_some())
     {
@@ -330,37 +306,21 @@ fn list_registries(options: &CliOptions) {
     }
 }
 
-/// Runs a campaign (`--campaign <PRESET|SPEC-FILE>`) on the Table-I hosts.
-/// Unlike the `kratt-bench` campaign binary this path skips the resynthesis
-/// step (the CLI carries no synthesis dependency); `KRATT_SCALE` scales the
-/// generated hosts.
-fn run_campaign(options: &CliOptions, value: &str) -> Result<(), String> {
-    let scale = std::env::var("KRATT_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.05)
-        .clamp(0.01, 1.0);
-    let hosts: Vec<CampaignHost> = kratt_benchmarks::table1_circuits(scale)
-        .into_iter()
-        .map(|row| CampaignHost::new(row.name, row.circuit, row.key_bits))
-        .collect();
-    let budget = Budget::with_time_limit(Duration::from_secs(options.time_limit.unwrap_or(5)));
-    let campaign = kratt::cli::resolve_campaign(value, hosts, budget)?;
-    let report = kratt::cli::run_campaign_with_output(&campaign, options.stream)?;
-    if !options.stream {
-        if options.json {
-            println!("{}", report.to_json());
-        } else {
-            println!("{}", report.render());
-        }
+/// The attack to run: `--attack` resolved through the registry, or, with
+/// `--portfolio-members`, a portfolio racing exactly those members.
+///
+/// # Errors
+///
+/// An unknown `--attack` name, or a member list the portfolio rejects
+/// (empty, an unknown or duplicate name, or `portfolio` itself).
+fn build_attack(options: &CliOptions) -> Result<Box<dyn Attack>, AttackError> {
+    let registry = kratt::attack_registry();
+    match &options.portfolio_members {
+        Some(members) => Ok(Box::new(PortfolioAttack::from_registry(
+            &registry, members,
+        )?)),
+        None => registry.build(&options.attack),
     }
-    let unverified = report.unverified_exact_claims();
-    if unverified > 0 {
-        return Err(format!(
-            "{unverified} exact claim(s) failed verification against the planted secret"
-        ));
-    }
-    Ok(())
 }
 
 /// Runs the static linter on the input netlist instead of an attack
@@ -647,7 +607,7 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn run(options: &CliOptions) -> Result<(), String> {
+fn run(options: &CliOptions, attack: &dyn Attack) -> Result<(), String> {
     let locked_path = options.locked.as_ref().expect("validated by parse_args");
     let input = read_netlist(locked_path)?;
     let quiet = options.json;
@@ -700,10 +660,6 @@ fn run(options: &CliOptions) -> Result<(), String> {
         }
     }
 
-    let registry = kratt::attack_registry();
-    let attack = registry
-        .build(&options.attack)
-        .map_err(|e| format!("{e} (known attacks: {})", registry.names().join(", ")))?;
     let oracle = match (&options.oracle, &planted) {
         // --scheme runs oracle-guided against the design it just locked.
         (None, Some(_)) => Some(Oracle::new(input.clone()).map_err(|e| e.to_string())?),
@@ -846,37 +802,26 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    // The portfolio picks its member list up from the environment at
-    // construction time, so one flag covers direct runs and campaigns alike.
-    // It is validated here, because the registry constructs the portfolio
-    // eagerly and an unknown member would otherwise surface as a panic
-    // instead of a usage error.
-    if let Some(members) = &options.portfolio_members {
-        let registry = kratt::attack_registry();
-        for name in kratt_attacks::portfolio::parse_member_spec(members) {
-            if name == "portfolio" || !registry.contains(&name) {
-                eprintln!(
-                    "error: --portfolio-members: `{name}` is not a raceable attack \
-                     (members are non-portfolio registry names: kratt, sat, double-dip, \
-                     appsat, fall, removal, scope)"
-                );
-                return ExitCode::from(2);
-            }
-        }
-        std::env::set_var("KRATT_PORTFOLIO_MEMBERS", members);
-    }
     if options.list_attacks || options.list_schemes || options.list_domains {
         list_registries(&options);
         return ExitCode::SUCCESS;
     }
     let result = if options.lint {
         run_lint(&options)
-    } else if let Some(domain) = options.analyze.clone() {
-        run_analyze(&options, &domain)
+    } else if let Some(domain) = &options.analyze {
+        run_analyze(&options, domain)
     } else {
-        match &options.campaign {
-            Some(preset) => run_campaign(&options, preset),
-            None => run(&options),
+        match build_attack(&options) {
+            Ok(attack) => run(&options, attack.as_ref()),
+            // A member list the portfolio rejects is a usage error.
+            Err(e) if options.portfolio_members.is_some() => {
+                eprintln!("error: --portfolio-members: {e}\n\n{USAGE}");
+                return ExitCode::from(2);
+            }
+            Err(e) => Err(format!(
+                "{e} (known attacks: {})",
+                kratt::attack_registry().names().join(", ")
+            )),
         }
     };
     match result {
@@ -959,18 +904,18 @@ mod tests {
         let options = parse_args(["--locked", "orig.bench", "--scheme", "antisat:k=16"]).unwrap();
         assert_eq!(options.scheme.as_deref(), Some("antisat:k=16"));
 
+        // Campaigns run through the kratt-bench `campaign` binary, so
+        // `--campaign` and `--stream` are unknown options here.
+        for args in [
+            &["--campaign", "smoke"][..],
+            &["--locked", "l.bench", "--stream"],
+        ] {
+            let message = parse_args(args.iter().copied()).unwrap_err();
+            assert!(message.contains("unknown option"), "{message}");
+        }
         // The standalone modes need no --locked netlist.
-        let options = parse_args(["--campaign", "table3"]).unwrap();
-        assert_eq!(options.campaign.as_deref(), Some("table3"));
-        assert!(options.is_standalone());
-        assert!(
-            parse_args(["--campaign", "smoke", "--stream"])
-                .unwrap()
-                .stream
-        );
-        // --stream is a campaign output mode; alone it is an error.
-        assert!(parse_args(["--locked", "l.bench", "--stream"]).is_err());
-        assert!(parse_args(["--list-attacks"]).unwrap().list_attacks);
+        let options = parse_args(["--list-attacks"]).unwrap();
+        assert!(options.list_attacks && options.is_standalone());
         assert!(parse_args(["--list-schemes"]).unwrap().list_schemes);
 
         // --scheme still needs an input design and supplies its own oracle.
@@ -984,7 +929,6 @@ mod tests {
             "orig.bench"
         ])
         .is_err());
-        assert!(parse_args(["--campaign"]).is_err());
     }
 
     #[test]
@@ -993,32 +937,8 @@ mod tests {
         for name in ["antisat", "sarlock", "ttlock"] {
             assert!(registry.contains(name), "`{name}` must be registered");
         }
-        for flag in [
-            "--scheme",
-            "--campaign",
-            "--list-attacks",
-            "--list-schemes",
-            "--lint",
-        ] {
+        for flag in ["--scheme", "--list-attacks", "--list-schemes", "--lint"] {
             assert!(USAGE.contains(flag), "usage text must document `{flag}`");
-        }
-        // The preset names the usage text promises resolve (presets now
-        // build through the validating builder, so they need a real host).
-        let host = || {
-            let mut c = kratt_netlist::Circuit::new("tiny");
-            let a = c.add_input("a").unwrap();
-            let b = c.add_input("b").unwrap();
-            let g = c
-                .add_gate(kratt_netlist::GateType::And, "g", &[a, b])
-                .unwrap();
-            c.mark_output(g);
-            vec![CampaignHost::new("tiny", c, 4)]
-        };
-        for preset in ["table3", "smoke"] {
-            assert!(
-                kratt_attacks::Campaign::preset(preset, host(), Budget::default()).is_ok(),
-                "`{preset}` must build"
-            );
         }
     }
 
@@ -1043,7 +963,8 @@ mod tests {
             "--json",
         ])
         .unwrap();
-        run(&options).unwrap();
+        let attack = build_attack(&options).unwrap();
+        run(&options, attack.as_ref()).unwrap();
         // A malformed spec surfaces as a structured error.
         let options = parse_args([
             "--locked",
@@ -1052,7 +973,7 @@ mod tests {
             "sarlock:k=99",
         ])
         .unwrap();
-        let message = run(&options).unwrap_err();
+        let message = run(&options, attack.as_ref()).unwrap_err();
         assert!(message.contains("data inputs"), "{message}");
     }
 
@@ -1227,12 +1148,37 @@ mod tests {
             "kratt,sat",
         ])
         .unwrap();
-        assert_eq!(options.portfolio_members.as_deref(), Some("kratt,sat"));
+        assert_eq!(
+            options.portfolio_members,
+            Some(vec!["kratt".to_string(), "sat".to_string()])
+        );
+        assert_eq!(
+            build_attack(&options).unwrap().name(),
+            "portfolio",
+            "the flag builds the portfolio attack"
+        );
         assert!(USAGE.contains("--portfolio-members"));
-        // A list that parses to nothing is a usage error, not a late panic.
+        // Member lists the portfolio rejects are errors of `build_attack`
+        // (a usage exit in `main`), not a late panic.
+        for members in [" , ,", "kratt,nope", "sat,sat", "kratt,portfolio"] {
+            let options = parse_args([
+                "--locked",
+                "l.bench",
+                "--attack",
+                "portfolio",
+                "--portfolio-members",
+                members,
+            ])
+            .unwrap();
+            assert!(
+                build_attack(&options).is_err(),
+                "`{members}` must be rejected"
+            );
+        }
+        // The flag only configures --attack portfolio.
         let message =
-            parse_args(["--locked", "l.bench", "--portfolio-members", " , ,"]).unwrap_err();
-        assert!(message.contains("--portfolio-members"), "{message}");
+            parse_args(["--locked", "l.bench", "--portfolio-members", "kratt,sat"]).unwrap_err();
+        assert!(message.contains("--attack portfolio"), "{message}");
         assert!(parse_args(["--locked", "l.bench", "--portfolio-members"]).is_err());
     }
 

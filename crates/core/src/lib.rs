@@ -63,7 +63,6 @@
 
 pub mod attack;
 pub mod classify;
-pub mod cli;
 pub mod error;
 pub mod extraction;
 pub mod og;

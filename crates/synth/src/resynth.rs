@@ -112,13 +112,6 @@ impl Default for ResynthesisOptions {
     }
 }
 
-/// Whether resynthesis prints before/after AIG statistics to stderr
-/// (`KRATT_RESYNTH_DEBUG=1`), so rewriting gains are observable without a
-/// bench run.
-fn resynth_debug() -> bool {
-    std::env::var("KRATT_RESYNTH_DEBUG").is_ok_and(|v| v == "1")
-}
-
 /// Produces a functionally equivalent, structurally different variant of
 /// `circuit`. The primary interface (input/output names and order) is
 /// preserved, so locked circuits stay locked with the same key.
@@ -132,7 +125,6 @@ pub fn resynthesize(
 ) -> Result<Circuit, SynthError> {
     let mut rng = StdRng::seed_from_u64(options.seed);
     let aig = Aig::from_circuit(circuit)?;
-    let before = aig.stats();
     // High effort swaps the shuffle-balance scrambler for cut rewriting:
     // NPN-canonical replacement of whole 4-input cones both shrinks the
     // netlist and erases the textbook shape of a locking unit far more
@@ -141,23 +133,6 @@ pub fn resynthesize(
         Effort::High => aig.rewrite(),
         Effort::Low | Effort::Medium => shuffle_balance(&aig, &mut rng, options.balanced_trees),
     };
-    if resynth_debug() {
-        let after = aig.stats();
-        eprintln!(
-            "resynthesize[{}] {}: ands {} -> {}, levels {} -> {}, max-fanout {} -> {}",
-            match options.effort {
-                Effort::High => "rewrite",
-                _ => "shuffle-balance",
-            },
-            circuit.name(),
-            before.ands,
-            after.ands,
-            before.levels,
-            after.levels,
-            before.max_fanout,
-            after.max_fanout,
-        );
-    }
     // Debug builds verify the restructured AIG still honours the core IR's
     // structural invariants (fanin order, strash consistency) before it is
     // raised — the same contract the `kratt-lint` AIG rules check statically.

@@ -6,7 +6,7 @@
 //! `supports` claims.
 
 use kratt_attacks::{
-    score_guess, AttackError, AttackOutcome, AttackRequest, AttackRun, Budget, Oracle, ThreatModel,
+    score_guess, AttackError, AttackRequest, AttackRun, Budget, Oracle, ThreatModel,
 };
 use kratt_benchmarks::arith::ripple_carry_adder;
 use kratt_locking::{LockedCircuit, LockingTechnique, SarLock, SecretKey, TtLock};
@@ -356,39 +356,57 @@ fn the_dip_family_reports_an_error_when_no_key_is_consistent() {
 fn the_matrix_harness_reproduces_the_comparative_shape() {
     // A miniature Table III: on a wider point function the SAT family runs
     // out of a tiny budget while KRATT's QBF path still pins the key —
-    // reproduced here through the parallel harness.
-    use kratt_attacks::{Harness, MatrixCase};
+    // reproduced here through a campaign on the parallel harness.
+    use kratt_attacks::{Campaign, CampaignHost, CorpusCache, Verdict};
+    use kratt_locking::scheme_registry;
     use std::time::Duration;
 
-    let original = ripple_carry_adder(4).unwrap();
-    let secret = SecretKey::from_u64(0x16b & 0x1ff, 9);
-    let locked = SarLock::new(9).lock(&original, &secret).unwrap();
-    let registry = kratt::attack_registry();
-    let attacks = vec![
-        registry.build("sat").unwrap(),
-        registry.build("kratt").unwrap(),
-    ];
-    let cases = vec![MatrixCase::oracle_guided(
-        "adder/SARLock-9",
-        locked.circuit,
-        original,
-    )];
-    let budget = Budget {
-        time_limit: Some(Duration::from_secs(2)),
-        max_iterations: 6,
-        ..Budget::default()
-    };
-    let rows = Harness::with_workers(2).run_matrix(&attacks, &cases, &budget);
-    assert_eq!(rows.len(), 2);
-    let sat = rows[0].run().expect("sat executes");
-    let kratt_run = rows[1].run().expect("kratt executes");
-    assert!(
-        sat.outcome.is_out_of_budget(),
+    let host = ripple_carry_adder(4).unwrap();
+    let spec = "sarlock:k=9";
+    let planted = scheme_registry()
+        .lock(&spec.parse().unwrap(), &host)
+        .unwrap()
+        .secret;
+    let campaign = Campaign::builder()
+        .spec_strs([spec])
+        .hosts([CampaignHost::new("adder", host, 9)])
+        .attacks(["sat", "kratt"])
+        .budget(Budget {
+            time_limit: Some(Duration::from_secs(2)),
+            max_iterations: 6,
+            ..Budget::default()
+        })
+        .workers(2)
+        .build()
+        .unwrap();
+    let report = campaign
+        .run(
+            &kratt::attack_registry(),
+            &scheme_registry(),
+            &CorpusCache::new(),
+        )
+        .unwrap();
+    assert_eq!(report.cells.len(), 2);
+    let (sat, kratt_cell) = (&report.cells[0], &report.cells[1]);
+    assert_eq!(
+        (sat.attack.as_str(), kratt_cell.attack.as_str()),
+        ("sat", "kratt")
+    );
+    assert_eq!(
+        sat.outcome,
+        Some("out-of-budget"),
         "the SAT attack must run out of 6 iterations on a 9-bit point function"
     );
-    assert!(
-        matches!(kratt_run.outcome, AttackOutcome::ExactKey(_)),
+    assert_eq!(
+        kratt_cell.outcome,
+        Some("exact-key"),
         "KRATT's QBF path must still pin the key"
     );
-    assert_eq!(kratt_run.exact_key().unwrap().to_u64(), 0x16b & 0x1ff);
+    assert_eq!(
+        kratt_cell.verdict,
+        Verdict::Verified,
+        "{:?}",
+        kratt_cell.error
+    );
+    assert_eq!(kratt_cell.key, Some(planted.to_hex()));
 }
