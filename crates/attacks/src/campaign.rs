@@ -720,8 +720,13 @@ impl Campaign {
             .collect();
         let columns = attacks.len();
         let total = resolved.len() * columns;
-        let fp_of =
-            |job: usize| cell_fingerprint(case_fps[job / columns], &self.attacks[job % columns]);
+        let fp_of = |job: usize| {
+            cell_fingerprint(
+                case_fps[job / columns],
+                &self.attacks[job % columns],
+                &self.budget,
+            )
+        };
 
         // Replay recorded verdicts up front; only the holes get scheduled.
         let mut replayed: Vec<Option<CampaignCell>> = (0..total).map(|_| None).collect();
@@ -1460,6 +1465,44 @@ mod tests {
             assert_eq!(a.verdict, b.verdict);
             assert_eq!(a.key, b.key);
             assert_eq!((a.cdk, a.dk), (b.cdk, b.dk));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_replays_a_verdict_only_under_its_own_budget() {
+        let path = std::env::temp_dir().join(format!(
+            "kratt-campaign-budget-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let run_at = |budget: Budget| {
+            Campaign::builder()
+                .spec_strs(["sarlock"])
+                .hosts([CampaignHost::new("add4", adder(4, "add4"), 3)])
+                .attacks(["sat", "scope"])
+                .budget(budget)
+                .journal(&path)
+                .build()
+                .unwrap()
+                .run(
+                    &AttackRegistry::with_baselines(),
+                    &scheme_registry(),
+                    &CorpusCache::new(),
+                )
+                .unwrap()
+        };
+        let short = Budget::with_time_limit(Duration::from_secs(1));
+        let long = Budget::with_time_limit(Duration::from_secs(3));
+        let first = run_at(short.clone());
+        assert_eq!((first.replayed, first.attacked()), (0, 2));
+        // Another budget: every cell is attacked again.
+        let other = run_at(long.clone());
+        assert_eq!((other.replayed, other.attacked()), (0, 2));
+        // The same budget again, either one: every cell replays.
+        for budget in [short, long] {
+            let same = run_at(budget);
+            assert_eq!((same.replayed, same.attacked()), (2, 0));
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -26,6 +26,9 @@ pub enum AttackError {
     },
     /// No attack with the given name is registered.
     UnknownAttack(String),
+    /// A portfolio's member list is unusable: it is empty, names a member
+    /// twice, or names the portfolio itself.
+    BadPortfolioMembers(String),
     /// A DIP-loop attack ran out of distinguishing inputs, but no key
     /// reproduces every oracle response it observed: the oracle computes a
     /// function the locked netlist takes under no key, so there is no key
@@ -83,6 +86,9 @@ impl fmt::Display for AttackError {
             }
             AttackError::UnknownAttack(name) => {
                 write!(f, "no attack named `{name}` is registered")
+            }
+            AttackError::BadPortfolioMembers(message) => {
+                write!(f, "bad portfolio member list: {message}")
             }
             AttackError::NoConsistentKey => {
                 write!(f, "no key reproduces the oracle's responses")

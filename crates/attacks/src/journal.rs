@@ -5,7 +5,10 @@
 //! stamped — never an [`AttackError::Interrupted`](crate::AttackError) row)
 //! is appended as one flat JSON object keyed by the cell fingerprint:
 //! a hash of (host-netlist fingerprint, resolved scheme spec, prepare tag,
-//! attack name). Re-running a campaign against the same journal replays
+//! attack name, budget). A verdict is only replayed under the budget it was
+//! reached under: a re-run with another wall clock, iteration cap,
+//! conflict limit or query cap re-attacks every cell. Re-running a
+//! campaign against the same journal replays
 //! recorded cells from disk and schedules only the cells with no recorded
 //! verdict, so a grown matrix attacks its new cells only and a crash
 //! mid-sweep resumes from the last committed row.
@@ -30,6 +33,7 @@
 //! malformed, so a truncated tail costs exactly one re-attacked cell.
 
 use crate::campaign::{cell_from_pairs, cell_json_body, CampaignCell, CampaignError};
+use crate::engine::Budget;
 use crate::report::{json_str, parse_flat_object, JsonScalar};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -50,13 +54,23 @@ pub fn instance_fingerprint(host_fp: u64, spec: &str, prepare_tag: &str) -> u64 
     hasher.finish()
 }
 
-/// The fingerprint of one campaign cell: its instance address plus the
-/// attack name.
-pub fn cell_fingerprint(instance_fp: u64, attack: &str) -> u64 {
+/// The fingerprint of one campaign cell: its instance address, the attack
+/// name and every field of the budget the attack runs under.
+pub fn cell_fingerprint(instance_fp: u64, attack: &str, budget: &Budget) -> u64 {
     use std::hash::{Hash, Hasher};
+    let Budget {
+        time_limit,
+        max_iterations,
+        sat_conflict_limit,
+        max_oracle_queries,
+    } = budget;
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     instance_fp.hash(&mut hasher);
     attack.hash(&mut hasher);
+    time_limit.hash(&mut hasher);
+    max_iterations.hash(&mut hasher);
+    sat_conflict_limit.hash(&mut hasher);
+    max_oracle_queries.hash(&mut hasher);
     hasher.finish()
 }
 
@@ -283,7 +297,32 @@ mod tests {
         assert_ne!(a, instance_fingerprint(2, "sarlock:k=3", ""));
         assert_ne!(a, instance_fingerprint(1, "sarlock:k=4", ""));
         assert_ne!(a, instance_fingerprint(1, "sarlock:k=3", "resynth"));
-        assert_ne!(cell_fingerprint(a, "sat"), cell_fingerprint(a, "scope"));
+        let budget = Budget::default();
+        let fp = cell_fingerprint(a, "sat", &budget);
+        assert_eq!(fp, cell_fingerprint(a, "sat", &budget));
+        assert_ne!(fp, cell_fingerprint(a, "scope", &budget));
+        // Every budget field is part of the key.
+        let variants = [
+            Budget {
+                time_limit: Some(Duration::from_secs(3)),
+                ..Budget::default()
+            },
+            Budget {
+                max_iterations: 7,
+                ..Budget::default()
+            },
+            Budget {
+                sat_conflict_limit: Some(100),
+                ..Budget::default()
+            },
+            Budget {
+                max_oracle_queries: Some(100),
+                ..Budget::default()
+            },
+        ];
+        for variant in &variants {
+            assert_ne!(fp, cell_fingerprint(a, "sat", variant), "{variant:?}");
+        }
     }
 
     #[test]
@@ -291,7 +330,11 @@ mod tests {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
         let cell = sample_cell();
-        let fp = cell_fingerprint(instance_fingerprint(42, "sarlock:k=3", ""), "sat");
+        let fp = cell_fingerprint(
+            instance_fingerprint(42, "sarlock:k=3", ""),
+            "sat",
+            &Budget::default(),
+        );
         {
             let journal = CampaignJournal::open(&path).unwrap();
             assert!(journal.is_empty());

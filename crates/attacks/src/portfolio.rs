@@ -68,10 +68,11 @@ impl PortfolioAttack {
     ///
     /// # Errors
     ///
-    /// Returns [`AttackError::Setup`] for an empty member list.
+    /// Returns [`AttackError::BadPortfolioMembers`] for an empty member
+    /// list.
     pub fn new(members: Vec<(String, Box<dyn Attack>)>) -> Result<Self, AttackError> {
         if members.is_empty() {
-            return Err(AttackError::Setup("portfolio member list is empty".into()));
+            return Err(AttackError::BadPortfolioMembers("it is empty".into()));
         }
         Ok(PortfolioAttack { members })
     }
@@ -80,20 +81,20 @@ impl PortfolioAttack {
     ///
     /// # Errors
     ///
-    /// Returns [`AttackError::Setup`] for an empty list, a duplicate
-    /// member, or a `"portfolio"` entry (a portfolio cannot race itself),
-    /// and [`AttackError::UnknownAttack`] for an unregistered name.
+    /// Returns [`AttackError::BadPortfolioMembers`] for an empty list, a
+    /// duplicate member, or a `"portfolio"` entry (a portfolio cannot race
+    /// itself), and [`AttackError::UnknownAttack`] for an unregistered name.
     pub fn from_registry(registry: &AttackRegistry, names: &[String]) -> Result<Self, AttackError> {
         let mut members = Vec::with_capacity(names.len());
         for name in names {
             if name == "portfolio" {
-                return Err(AttackError::Setup(
+                return Err(AttackError::BadPortfolioMembers(
                     "the portfolio cannot be its own member".into(),
                 ));
             }
             if members.iter().any(|(existing, _)| existing == name) {
-                return Err(AttackError::Setup(format!(
-                    "duplicate portfolio member `{name}`"
+                return Err(AttackError::BadPortfolioMembers(format!(
+                    "`{name}` is listed twice"
                 )));
             }
             members.push((name.clone(), registry.build(name)?));
@@ -390,12 +391,23 @@ mod tests {
             let names: Vec<String> = names.iter().map(|s| s.to_string()).collect();
             PortfolioAttack::from_registry(&registry, &names)
         };
-        assert!(matches!(build(&[]), Err(AttackError::Setup(_))));
-        assert!(matches!(
-            build(&["sat", "portfolio"]),
-            Err(AttackError::Setup(_))
-        ));
-        assert!(matches!(build(&["sat", "sat"]), Err(AttackError::Setup(_))));
+        for bad in [&[][..], &["sat", "portfolio"], &["sat", "sat"]] {
+            let Err(error) = build(bad) else {
+                panic!("{bad:?}: a bad member list must be rejected");
+            };
+            assert!(
+                matches!(error, AttackError::BadPortfolioMembers(_)),
+                "{bad:?}: {error:?}"
+            );
+            // The message names the member list, not a scenario set-up.
+            let message = error.to_string();
+            assert!(message.contains("portfolio member list"), "{message}");
+            assert!(!message.contains("setup"), "{message}");
+        }
+        let Err(duplicate) = build(&["sat", "sat"]) else {
+            panic!("a duplicate member must be rejected");
+        };
+        assert!(duplicate.to_string().contains("`sat`"));
         assert!(matches!(
             build(&["no-such-engine"]),
             Err(AttackError::UnknownAttack(_))

@@ -80,7 +80,7 @@ impl ScopeAttack {
         }
         // One plan (one topological sort) serves every cofactor run of the
         // key sweep.
-        let plan = ScopePlan::new(locked)?;
+        let mut plan = ScopePlan::new(locked)?;
         let mut guess = KeyGuess::new();
         let mut analysed = 0usize;
         for &key in &key_inputs {
@@ -88,7 +88,7 @@ impl ScopeAttack {
                 break;
             }
             analysed += 1;
-            if let Some(value) = self.decide(&plan, key) {
+            if let Some(value) = self.decide(&mut plan, key) {
                 guess.set(locked.net_name(key), value);
             }
         }
@@ -97,7 +97,7 @@ impl ScopeAttack {
 
     /// The guess the margin-aware comparison makes from the key bit's
     /// cofactor pair.
-    fn decide(&self, plan: &ScopePlan<'_>, key: NetId) -> Option<bool> {
+    fn decide(&self, plan: &mut ScopePlan<'_>, key: NetId) -> Option<bool> {
         let features0 = plan.features(&[(key, false)]);
         let features1 = plan.features(&[(key, true)]);
         if features0 == features1 {

@@ -26,6 +26,14 @@
 //!    final reachability prune — on integer node records instead of a
 //!    real circuit.
 //!
+//! The replay runs `2 × key_bits` times per SCOPE sweep, 256 times on a
+//! 128-bit key, so it allocates nothing per gate and nothing per call
+//! after the first: the [`ScopePlan`] owns the node records and the
+//! per-net buffers, and each call clears them. Fanins are stored flat —
+//! one `Vec<u32>` plus a start offset per node — and a gate's live fanins
+//! are pushed while its level is computed; a gate that collapses to an
+//! alias pops them again. Only the ternary run returns a fresh vector.
+//!
 //! Name bookkeeping is replayed per *original net* rather than per string:
 //! inside the gate loop a simplified gate always receives its original
 //! output-net name (net names are unique, so the name cannot have been
@@ -43,26 +51,28 @@ use kratt_dataflow::{CircuitAnalysis, Ternary};
 use kratt_netlist::{Circuit, GateType, NetId, NetlistError};
 
 /// A reusable SCOPE analysis plan over one locked circuit: the topological
-/// order is shared by all `2 × key_bits` cofactor runs.
+/// order is shared by all `2 × key_bits` cofactor runs, and so are the
+/// replay's buffers, which every run clears instead of allocating.
 pub struct ScopePlan<'c> {
     circuit: &'c Circuit,
     analysis: CircuitAnalysis,
+    scratch: Scratch,
 }
 
 /// The virtual image of the simplified circuit: one record per node the
 /// rebuild would create (primary inputs, emitted gates, keeper buffers,
 /// materialised constants), carrying exactly the fields the feature vector
-/// needs.
+/// needs. Every node but a primary input counts as a gate, with one literal
+/// per fanin.
 #[derive(Default)]
 struct Virtual {
     /// Logic level (primary inputs 0, gates 1 + max over fanins).
     level: Vec<usize>,
-    /// Number of gate input pins (0 for inputs and constants).
-    arity: Vec<usize>,
-    /// Whether the node is a gate (counts toward the gate/literal totals).
-    gate: Vec<bool>,
-    /// Fanin node ids, for the reachability prune.
-    fanin: Vec<Vec<u32>>,
+    /// Fanin node ids of every node, flat: node `v`'s fanins are
+    /// `fanin[start[v]..start[v + 1]]`.
+    fanin: Vec<u32>,
+    /// Start offset of each node's fanins in `fanin`, plus the end.
+    start: Vec<u32>,
     /// The original net whose *name* this node carries, if any.
     name_of: Vec<Option<usize>>,
     /// Whether the node is a primary input of the result.
@@ -72,24 +82,69 @@ struct Virtual {
 }
 
 impl Virtual {
-    fn push(
-        &mut self,
-        level: usize,
-        arity: usize,
-        gate: bool,
-        fanin: Vec<u32>,
-        name_of: Option<usize>,
-        input: bool,
-    ) -> u32 {
+    fn clear(&mut self) {
+        self.level.clear();
+        self.fanin.clear();
+        self.start.clear();
+        self.start.push(0);
+        self.name_of.clear();
+        self.input.clear();
+        self.output.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.level.len()
+    }
+
+    /// Closes a node over the fanins pushed onto `fanin` since the last
+    /// node.
+    fn push(&mut self, level: usize, name_of: Option<usize>, input: bool) -> u32 {
         let id = self.level.len() as u32;
         self.level.push(level);
-        self.arity.push(arity);
-        self.gate.push(gate);
-        self.fanin.push(fanin);
+        self.start.push(self.fanin.len() as u32);
         self.name_of.push(name_of);
         self.input.push(input);
         self.output.push(false);
         id
+    }
+
+    fn fanins(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.fanin[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+}
+
+/// The buffers of one replay. The plan owns them and every call clears
+/// them, so the cofactor runs after the first allocate nothing.
+#[derive(Default)]
+struct Scratch {
+    nodes: Virtual,
+    /// Whether each original net is pinned to a constant.
+    pinned: Vec<bool>,
+    /// How each original net is represented: a virtual node, or `None` for
+    /// a folded constant (pinned inputs included).
+    repr: Vec<Option<u32>>,
+    /// Whether the original net's name exists in the virtual result.
+    claimed: Vec<bool>,
+    /// The finalised output nodes, in output order.
+    finalised: Vec<u32>,
+    /// Whether each virtual node reaches a finalised output.
+    reachable: Vec<bool>,
+    stack: Vec<u32>,
+}
+
+impl Scratch {
+    fn clear(&mut self, n_nets: usize) {
+        self.nodes.clear();
+        for buffer in [&mut self.pinned, &mut self.claimed] {
+            buffer.clear();
+            buffer.resize(n_nets, false);
+        }
+        self.repr.clear();
+        self.repr.resize(n_nets, None);
+        self.finalised.clear();
+        self.reachable.clear();
+        self.stack.clear();
     }
 }
 
@@ -103,37 +158,41 @@ impl<'c> ScopePlan<'c> {
         Ok(ScopePlan {
             circuit,
             analysis: CircuitAnalysis::new(circuit)?,
+            scratch: Scratch::default(),
         })
     }
 
     /// The SCOPE feature vector of the circuit with the given inputs tied
     /// to constants — equal, field for field, to
     /// `stats(&set_inputs_constant(circuit, pins)?)`.
-    pub fn features(&self, pins: &[(NetId, bool)]) -> ScopeFeatures {
+    pub fn features(&mut self, pins: &[(NetId, bool)]) -> ScopeFeatures {
         let ternary = self.analysis.ternary(self.circuit, pins);
         self.replay(&ternary, pins)
     }
 
     /// Replays `rebuild_simplified` + `prune_dangling` + `stats` virtually.
-    fn replay(&self, ternary: &[Ternary], pins: &[(NetId, bool)]) -> ScopeFeatures {
+    fn replay(&mut self, ternary: &[Ternary], pins: &[(NetId, bool)]) -> ScopeFeatures {
         let circuit = self.circuit;
-        let n_nets = circuit.num_nets();
-        let mut pinned = vec![false; n_nets];
+        let scratch = &mut self.scratch;
+        scratch.clear(circuit.num_nets());
+        let Scratch {
+            nodes: vn,
+            pinned,
+            repr,
+            claimed,
+            finalised,
+            reachable,
+            stack,
+        } = scratch;
         for &(net, _) in pins {
             pinned[net.index()] = true;
         }
-        let mut vn = Virtual::default();
-        // How each original net is represented: a virtual node, or `None`
-        // for a folded constant (pinned inputs included).
-        let mut repr: Vec<Option<u32>> = vec![None; n_nets];
-        // Whether the original net's name exists in the virtual result.
-        let mut claimed = vec![false; n_nets];
 
         for &pi in circuit.inputs() {
             if pinned[pi.index()] {
                 continue;
             }
-            let v = vn.push(0, 0, false, Vec::new(), Some(pi.index()), true);
+            let v = vn.push(0, Some(pi.index()), true);
             repr[pi.index()] = Some(v);
             claimed[pi.index()] = true;
         }
@@ -146,16 +205,11 @@ impl<'c> ScopePlan<'c> {
                 // constant representation, see the module docs).
                 continue;
             }
-            let live: Vec<u32> = gate.inputs.iter().filter_map(|n| repr[n.index()]).collect();
-            // With a non-constant output, BUF aliases and NOT emits; the
-            // other types reduce over their live inputs with the XOR parity
-            // flip deciding the single-input collapse direction.
+            // With a non-constant output, the gate reduces over its live
+            // inputs, with the XOR parity flip deciding the single-input
+            // collapse direction: a non-inverting gate over one live input
+            // (BUF included) aliases it, anything else is emitted.
             let effective = match gate.ty {
-                GateType::Buf => {
-                    repr[out] = Some(live[0]);
-                    continue;
-                }
-                GateType::Not => GateType::Not,
                 GateType::Xor | GateType::Xnor => {
                     let ones = gate
                         .inputs
@@ -170,17 +224,20 @@ impl<'c> ScopePlan<'c> {
                 }
                 other => other,
             };
-            if live.len() == 1 && !effective.is_inverting() {
-                repr[out] = Some(live[0]);
+            let mark = vn.fanin.len();
+            let mut level = 0;
+            for net in &gate.inputs {
+                if let Some(v) = repr[net.index()] {
+                    vn.fanin.push(v);
+                    level = level.max(vn.level[v as usize]);
+                }
+            }
+            if vn.fanin.len() - mark == 1 && !effective.is_inverting() {
+                repr[out] = Some(vn.fanin[mark]);
+                vn.fanin.truncate(mark);
                 continue;
             }
-            let level = 1 + live
-                .iter()
-                .map(|&v| vn.level[v as usize])
-                .max()
-                .unwrap_or(0);
-            let arity = live.len();
-            let v = vn.push(level, arity, true, live, Some(out), false);
+            let v = vn.push(level + 1, Some(out), false);
             claimed[out] = true;
             repr[out] = Some(v);
         }
@@ -188,14 +245,13 @@ impl<'c> ScopePlan<'c> {
         // Output finalisation: materialise constants, restore the original
         // output names by rename or keeper buffer — the same decision tree
         // as the rebuild, driven by the per-net `claimed` bookkeeping.
-        let mut finalised: Vec<u32> = Vec::with_capacity(circuit.outputs().len());
         for &o in circuit.outputs() {
             let oi = o.index();
             let mapped = match repr[oi] {
                 Some(v) => v,
                 None => {
                     let named = !claimed[oi];
-                    let v = vn.push(1, 0, true, Vec::new(), named.then_some(oi), false);
+                    let v = vn.push(1, named.then_some(oi), false);
                     if named {
                         claimed[oi] = true;
                     }
@@ -217,7 +273,8 @@ impl<'c> ScopePlan<'c> {
                 // Keeper buffer.
                 let named = !claimed[oi];
                 let level = vn.level[mapped as usize] + 1;
-                let v = vn.push(level, 1, true, vec![mapped], named.then_some(oi), false);
+                vn.fanin.push(mapped);
+                let v = vn.push(level, named.then_some(oi), false);
                 if named {
                     claimed[oi] = true;
                 }
@@ -228,16 +285,15 @@ impl<'c> ScopePlan<'c> {
         }
 
         // The dangling prune: only nodes reaching a finalised output count.
-        let mut reachable = vec![false; vn.level.len()];
-        let mut stack: Vec<u32> = Vec::new();
-        for &f in &finalised {
+        reachable.resize(vn.len(), false);
+        for &f in finalised.iter() {
             if !reachable[f as usize] {
                 reachable[f as usize] = true;
                 stack.push(f);
             }
         }
         while let Some(v) = stack.pop() {
-            for &f in &vn.fanin[v as usize] {
+            for &f in vn.fanins(v) {
                 if !reachable[f as usize] {
                     reachable[f as usize] = true;
                     stack.push(f);
@@ -248,9 +304,9 @@ impl<'c> ScopePlan<'c> {
         let mut gates = 0usize;
         let mut literals = 0usize;
         for (v, &alive) in reachable.iter().enumerate() {
-            if alive && vn.gate[v] {
+            if alive && !vn.input[v] {
                 gates += 1;
-                literals += vn.arity[v];
+                literals += vn.fanins(v as u32).len();
             }
         }
         let depth = finalised
@@ -275,7 +331,7 @@ mod tests {
 
     /// Replay vs real resynthesis over every single-input cofactor.
     fn assert_replay_matches(circuit: &Circuit) {
-        let plan = ScopePlan::new(circuit).unwrap();
+        let mut plan = ScopePlan::new(circuit).unwrap();
         for &pi in circuit.inputs() {
             for value in [false, true] {
                 let real = set_inputs_constant(circuit, &[(pi, value)]).unwrap();
@@ -326,6 +382,98 @@ mod tests {
         c.mark_output(h);
         c.mark_output(g);
         assert_replay_matches(&c);
+    }
+
+    /// A random gate soup over four to six inputs — every gate type,
+    /// constants, an output aliasing an input, a repeated output — locked
+    /// by one of five schemes with two to four key bits.
+    fn random_locked(seed: u64) -> Circuit {
+        use kratt_locking::{AntiSat, Cac, LockingTechnique, RandomXorLocking, SarLock};
+        use kratt_locking::{SecretKey, TtLock};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_inputs = rng.gen_range(4..7usize);
+        let mut c = Circuit::new(format!("host{seed}"));
+        let mut nets: Vec<NetId> = (0..n_inputs)
+            .map(|i| c.add_input(format!("i{i}")).unwrap())
+            .collect();
+        if seed.is_multiple_of(4) {
+            nets.push(c.add_gate(GateType::Const1, "one", &[]).unwrap());
+            nets.push(c.add_gate(GateType::Const0, "zero", &[]).unwrap());
+        }
+        const TYPES: [GateType; 8] = [
+            GateType::And,
+            GateType::Or,
+            GateType::Nand,
+            GateType::Nor,
+            GateType::Xor,
+            GateType::Xnor,
+            GateType::Not,
+            GateType::Buf,
+        ];
+        let first_gate = nets.len();
+        for g in 0..rng.gen_range(8..18usize) {
+            let ty = TYPES[rng.gen_range(0..TYPES.len())];
+            let arity = match ty {
+                GateType::Not | GateType::Buf => 1,
+                _ => rng.gen_range(2..4usize),
+            };
+            let ins: Vec<NetId> = (0..arity)
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            nets.push(c.add_gate(ty, format!("g{g}"), &ins).unwrap());
+        }
+        for _ in 0..rng.gen_range(1..4usize) {
+            c.mark_output(nets[rng.gen_range(first_gate..nets.len())]);
+        }
+        if seed.is_multiple_of(3) {
+            c.mark_output(nets[rng.gen_range(0..n_inputs)]);
+            c.mark_output(*nets.last().unwrap());
+        }
+        // Anti-SAT splits its key into two equal halves.
+        let key_bits = if seed % 5 == 4 {
+            4
+        } else {
+            rng.gen_range(2..5usize)
+        };
+        let technique: Box<dyn LockingTechnique> = match seed % 5 {
+            0 => Box::new(RandomXorLocking::new(key_bits, seed)),
+            1 => Box::new(SarLock::new(key_bits)),
+            2 => Box::new(TtLock::new(key_bits)),
+            3 => Box::new(Cac::new(key_bits)),
+            _ => Box::new(AntiSat::new(key_bits)),
+        };
+        let secret = SecretKey::random(&mut rng, key_bits);
+        technique.lock(&c, &secret).unwrap().circuit
+    }
+
+    proptest::proptest! {
+        /// One plan answers every key cofactor of a random locked circuit
+        /// with the features of the real rebuild. The cofactors come in
+        /// shuffled order, so a buffer one call leaves dirty shows up in a
+        /// later one.
+        #[test]
+        fn prop_one_plan_matches_resynthesis_on_every_cofactor(seed in 0u64..1024) {
+            use rand::rngs::StdRng;
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let locked = random_locked(seed);
+            let mut cofactors: Vec<(NetId, bool)> = locked
+                .key_inputs()
+                .into_iter()
+                .flat_map(|key| [(key, false), (key, true)])
+                .collect();
+            cofactors.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5c09e));
+            let mut plan = ScopePlan::new(&locked).unwrap();
+            for pin in cofactors {
+                let real = set_inputs_constant(&locked, &[pin]).unwrap();
+                proptest::prop_assert_eq!(
+                    plan.features(&[pin]),
+                    ScopeFeatures::from(stats(&real).unwrap())
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,18 @@
 //! * For DFLTs, each protected primary input of the locked subcircuit is
 //!   replaced by its associated key input, moving the information the FSC
 //!   carries about the protected pattern onto the key inputs, and SCOPE
-//!   analyses the modified subcircuit.
+//!   analyses the modified subcircuit. All substitutions happen in one
+//!   rebuild of the subcircuit ([`substitute_inputs`]), which costs one
+//!   pass however many protected inputs there are (32 to 128 on the
+//!   Table-I hosts).
+//!
+//! SCOPE itself runs through [`ScopeAttack`], whose plan replays each key
+//! cofactor's constant propagation over reused buffers (see
+//! [`kratt_attacks::scope_replay`]).
 
 use crate::{KrattError, RemovalArtifacts};
 use kratt_attacks::{Attack, AttackRequest, Budget, KeyGuess, ScopeAttack};
-use kratt_netlist::transform::{set_inputs_constant, substitute_input};
+use kratt_netlist::transform::{set_inputs_constant, substitute_inputs};
 use kratt_netlist::{Circuit, NetId};
 
 /// Circuit modification for SFLT units: ties every protected primary input of
@@ -30,29 +37,33 @@ pub fn modified_unit(artifacts: &RemovalArtifacts) -> Result<Circuit, KrattError
 }
 
 /// Circuit modification for DFLT subcircuits: substitutes every protected
-/// primary input by its associated key input.
+/// primary input by its associated key input, in one rebuild of the
+/// subcircuit ([`substitute_inputs`]) over the single-key associations whose
+/// protected input is an input of the subcircuit. A subcircuit with no such
+/// association is returned unchanged.
 ///
 /// # Errors
 ///
-/// Propagates netlist errors from the substitutions.
+/// Propagates netlist errors from the substitution.
 pub fn modified_subcircuit(
     artifacts: &RemovalArtifacts,
     subcircuit: &Circuit,
 ) -> Result<Circuit, KrattError> {
-    let mut modified = subcircuit.clone();
-    for (ppi, keys) in &artifacts.associations {
-        if keys.len() != 1 {
-            continue;
-        }
-        let present = modified
-            .find_net(ppi)
-            .map(|n| modified.is_input(n))
-            .unwrap_or(false);
-        if present {
-            modified = substitute_input(&modified, ppi, &keys[0])?;
-        }
+    let pairs: Vec<(&str, &str)> = artifacts
+        .associations
+        .iter()
+        .filter(|(ppi, keys)| {
+            keys.len() == 1
+                && subcircuit
+                    .find_net(ppi)
+                    .is_some_and(|n| subcircuit.is_input(n))
+        })
+        .map(|(ppi, keys)| (ppi.as_str(), keys[0].as_str()))
+        .collect();
+    if pairs.is_empty() {
+        return Ok(subcircuit.clone());
     }
-    Ok(modified)
+    Ok(substitute_inputs(subcircuit, &pairs)?)
 }
 
 /// Runs SCOPE on the modified unit (the SFLT oracle-less path).
@@ -101,11 +112,13 @@ fn scope_guess(scope: &ScopeAttack, modified: &Circuit) -> Result<KeyGuess, Krat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::classify_unit;
     use crate::extraction::extract_locked_subcircuit;
     use crate::removal::remove_locking_unit;
     use kratt_attacks::score_guess;
     use kratt_benchmarks::arith::ripple_carry_adder;
     use kratt_locking::{GenAntiSat, LockingTechnique, SecretKey, TtLock};
+    use kratt_netlist::GateType;
 
     #[test]
     fn modified_unit_drops_protected_inputs() {
@@ -136,6 +149,55 @@ mod tests {
             );
         }
         assert_eq!(modified.key_inputs().len(), 4);
+    }
+
+    /// Input names in order, each gate's type, output name and fanin names
+    /// in gate order, and the output names in order.
+    #[allow(clippy::type_complexity)]
+    fn structure(c: &Circuit) -> (Vec<&str>, Vec<(GateType, &str, Vec<&str>)>, Vec<&str>) {
+        let names = |nets: &[NetId]| nets.iter().map(|&n| c.net_name(n)).collect::<Vec<_>>();
+        let gates = c
+            .gates()
+            .map(|(_, gate)| (gate.ty, c.net_name(gate.output), names(&gate.inputs)))
+            .collect();
+        (names(c.inputs()), gates, names(c.outputs()))
+    }
+
+    #[test]
+    fn one_rebuild_modification_matches_the_fold_on_every_scheme_and_host() {
+        // Every registry scheme on every Table-I host at scale 0.05 whose
+        // unit is a restore unit: the modified subcircuit equals the one
+        // substituting each single-key association in turn builds, with
+        // presence checked on the partly modified circuit.
+        let registry = kratt_locking::scheme_registry();
+        let mut restore_units = 0;
+        for row in kratt_benchmarks::table1_circuits(0.05) {
+            for name in registry.names() {
+                let spec = kratt_locking::SchemeSpec::new(name)
+                    .unwrap()
+                    .with_param("k", row.key_bits as u64)
+                    .with_param("seed", 0xa55c);
+                let locked = registry.lock(&spec, &row.circuit).unwrap();
+                let Ok(artifacts) = remove_locking_unit(&locked.circuit) else {
+                    continue;
+                };
+                if !classify_unit(&artifacts).unwrap().is_restore_unit() {
+                    continue;
+                }
+                restore_units += 1;
+                let subcircuit = extract_locked_subcircuit(&artifacts).unwrap();
+                let mut folded = subcircuit.clone();
+                for (ppi, keys) in &artifacts.associations {
+                    let present = folded.find_net(ppi).is_some_and(|n| folded.is_input(n));
+                    if keys.len() == 1 && present {
+                        folded = substitute_inputs(&folded, &[(ppi, &keys[0])]).unwrap();
+                    }
+                }
+                let once = modified_subcircuit(&artifacts, &subcircuit).unwrap();
+                assert_eq!(structure(&once), structure(&folded), "{}/{spec}", row.name);
+            }
+        }
+        assert!(restore_units > 0);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! propagation analysis. They all construct new [`Circuit`]s and preserve net
 //! names wherever possible so that nets (in particular protected primary
 //! inputs and key inputs) can be correlated across the transformed circuits.
+//!
+//! The circuit modification, [`substitute_inputs`], substitutes every
+//! protected input in one rebuild — one topological sort, one pass over the
+//! gates, the net map a `Vec` indexed by [`NetId`] — so its cost does not
+//! grow with the number of substituted inputs.
 
 use crate::analysis::{self, fanin_cone_gates};
 use crate::circuit::{Circuit, GateId, NetId};
@@ -166,44 +171,84 @@ pub fn remove_cone(circuit: &Circuit, cut: NetId) -> Result<Circuit, NetlistErro
     Ok(usc)
 }
 
-/// Replaces every use of the primary input named `from` with a primary input
-/// named `to`, removing `from` from the interface. If `to` does not exist yet
-/// it is created (appended after the existing inputs). This is KRATT's
-/// circuit-modification step for DFLTs, where each protected primary input is
-/// replaced by its associated key input inside the locked subcircuit.
+/// Replaces every use of each primary input `from` with a primary input
+/// `to`, for every `(from, to)` pair, removing the `from` inputs from the
+/// interface. This is KRATT's circuit-modification step for DFLTs, where
+/// each protected primary input is replaced by its associated key input
+/// inside the locked subcircuit.
+///
+/// The result is built in one rebuild: one topological sort and one pass
+/// over the gates, with the net map a `Vec` indexed by [`NetId`]. Its
+/// inputs are the kept inputs in their order, followed by each `to` that is
+/// not an input yet, in pair order (a `to` named by several pairs is
+/// created once) — the circuit that substituting the pairs one at a time,
+/// in order, would build.
 ///
 /// # Errors
 ///
-/// Returns an error if `from` is not a primary input of the circuit.
-pub fn substitute_input(circuit: &Circuit, from: &str, to: &str) -> Result<Circuit, NetlistError> {
-    let from_id = circuit
-        .find_net(from)
-        .filter(|&n| circuit.is_input(n))
-        .ok_or_else(|| NetlistError::Transform(format!("`{from}` is not a primary input")))?;
+/// Returns an error if a `from` is not a primary input, if two pairs name
+/// the same `from`, if a `to` is also some pair's `from`, or if the circuit
+/// is cyclic.
+pub fn substitute_inputs(
+    circuit: &Circuit,
+    pairs: &[(&str, &str)],
+) -> Result<Circuit, NetlistError> {
+    let mut replaced = vec![false; circuit.num_nets()];
+    let mut froms: Vec<NetId> = Vec::with_capacity(pairs.len());
+    for &(from, _) in pairs {
+        let from_id = circuit
+            .find_net(from)
+            .filter(|&n| circuit.is_input(n))
+            .ok_or_else(|| NetlistError::Transform(format!("`{from}` is not a primary input")))?;
+        if std::mem::replace(&mut replaced[from_id.index()], true) {
+            return Err(NetlistError::Transform(format!(
+                "`{from}` is substituted twice"
+            )));
+        }
+        froms.push(from_id);
+    }
+    let existing_to = |to: &str| circuit.find_net(to).filter(|&n| circuit.is_input(n));
+    for &(_, to) in pairs {
+        if existing_to(to).is_some_and(|n| replaced[n.index()]) {
+            return Err(NetlistError::Transform(format!(
+                "`{to}` is both substituted and a substitute"
+            )));
+        }
+    }
 
     let mut result = Circuit::new(circuit.name().to_string());
-    let mut map: HashMap<NetId, NetId> = HashMap::new();
+    let mut map: Vec<Option<NetId>> = vec![None; circuit.num_nets()];
     for &pi in circuit.inputs() {
-        if pi == from_id {
-            continue;
+        if !replaced[pi.index()] {
+            map[pi.index()] = Some(result.add_input(circuit.net_name(pi))?);
         }
-        let new = result.add_input(circuit.net_name(pi))?;
-        map.insert(pi, new);
     }
-    let to_id = match circuit.find_net(to).filter(|&n| circuit.is_input(n)) {
-        Some(existing) => map[&existing],
-        None => result.add_input(to)?,
-    };
-    map.insert(from_id, to_id);
+    for (&(_, to), &from_id) in pairs.iter().zip(&froms) {
+        let to_id = match existing_to(to) {
+            Some(existing) => map[existing.index()].expect("kept inputs are mapped"),
+            None => match result.find_net(to) {
+                Some(created) => created,
+                None => result.add_input(to)?,
+            },
+        };
+        map[from_id.index()] = Some(to_id);
+    }
 
+    let undriven = |net: NetId| {
+        NetlistError::Transform(format!("net `{}` is undriven", circuit.net_name(net)))
+    };
+    let mut inputs: Vec<NetId> = Vec::new();
     for gid in analysis::topological_order(circuit)? {
         let gate = circuit.gate(gid);
-        let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
+        inputs.clear();
+        for &net in &gate.inputs {
+            inputs.push(map[net.index()].ok_or_else(|| undriven(net))?);
+        }
         let out = result.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
-        map.insert(gate.output, out);
+        map[gate.output.index()] = Some(out);
     }
     for &o in circuit.outputs() {
-        result.mark_output(map[&o]);
+        result.mark_output(map[o.index()].ok_or_else(|| undriven(o))?);
     }
     Ok(result)
 }
@@ -529,7 +574,7 @@ mod tests {
     #[test]
     fn substitute_input_replaces_uses() {
         let c = locked_toy();
-        let modified = substitute_input(&c, "a", "keyinput0").unwrap();
+        let modified = substitute_inputs(&c, &[("a", "keyinput0")]).unwrap();
         // `a` is gone; x = XOR(keyinput0, keyinput0) which is constant 0 after
         // propagation, but substitution itself does not simplify.
         assert!(modified.find_net("a").is_none());
@@ -542,9 +587,13 @@ mod tests {
     #[test]
     fn substitute_input_can_introduce_fresh_input() {
         let c = locked_toy();
-        let modified = substitute_input(&c, "a", "brand_new").unwrap();
-        assert!(modified.find_net("brand_new").is_some());
-        assert_eq!(modified.num_inputs(), 3);
+        let modified = substitute_inputs(&c, &[("a", "brand_new"), ("b", "brand_new")]).unwrap();
+        let names: Vec<&str> = modified
+            .inputs()
+            .iter()
+            .map(|&n| modified.net_name(n))
+            .collect();
+        assert_eq!(names, vec!["keyinput0", "brand_new"]);
     }
 
     #[test]
@@ -632,8 +681,11 @@ mod tests {
     fn errors_on_bad_arguments() {
         let c = locked_toy();
         let y1 = c.find_net("y1").unwrap();
-        assert!(substitute_input(&c, "y1", "a").is_err());
-        assert!(substitute_input(&c, "ghost", "a").is_err());
+        assert!(substitute_inputs(&c, &[("y1", "a")]).is_err());
+        assert!(substitute_inputs(&c, &[("ghost", "a")]).is_err());
+        assert!(substitute_inputs(&c, &[("a", "k"), ("a", "j")]).is_err());
+        assert!(substitute_inputs(&c, &[("a", "b"), ("b", "k")]).is_err());
+        assert!(substitute_inputs(&c, &[("a", "a")]).is_err());
         assert!(set_inputs_constant(&c, &[(y1, true)]).is_err());
     }
 
@@ -663,6 +715,127 @@ mod tests {
                 proptest::prop_assert_eq!(sim_orig.run(&full).unwrap(), sim_pin.run(&rest).unwrap());
             }
         }
+
+        /// One rebuild for all pairs builds the circuit that substituting
+        /// them one at a time builds: into existing inputs, into fresh
+        /// names, and into a `to` an earlier pair already named.
+        #[test]
+        fn prop_substitute_inputs_matches_the_fold(seed in 0u64..1000) {
+            let (c, pairs) = random_substitution(seed);
+            let pairs: Vec<(&str, &str)> =
+                pairs.iter().map(|(f, t)| (f.as_str(), t.as_str())).collect();
+            let mut folded = c.clone();
+            for &(from, to) in &pairs {
+                folded = substitute_input_reference(&folded, from, to).unwrap();
+            }
+            let once = substitute_inputs(&c, &pairs).unwrap();
+            proptest::prop_assert_eq!(structure(&once), structure(&folded));
+        }
+    }
+
+    /// The single-pair rebuild that [`substitute_inputs`] replaces: one
+    /// topological sort and one rebuild through a name-keyed map per
+    /// substituted input. Folding it over the pairs is the reference.
+    fn substitute_input_reference(
+        circuit: &Circuit,
+        from: &str,
+        to: &str,
+    ) -> Result<Circuit, NetlistError> {
+        let from_id = circuit
+            .find_net(from)
+            .filter(|&n| circuit.is_input(n))
+            .ok_or_else(|| NetlistError::Transform(format!("`{from}` is not a primary input")))?;
+        let mut result = Circuit::new(circuit.name().to_string());
+        let mut map: HashMap<NetId, NetId> = HashMap::new();
+        for &pi in circuit.inputs() {
+            if pi == from_id {
+                continue;
+            }
+            let new = result.add_input(circuit.net_name(pi))?;
+            map.insert(pi, new);
+        }
+        let to_id = match circuit.find_net(to).filter(|&n| circuit.is_input(n)) {
+            Some(existing) => map[&existing],
+            None => result.add_input(to)?,
+        };
+        map.insert(from_id, to_id);
+        for gid in analysis::topological_order(circuit)? {
+            let gate = circuit.gate(gid);
+            let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
+            let out = result.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
+            map.insert(gate.output, out);
+        }
+        for &o in circuit.outputs() {
+            result.mark_output(map[&o]);
+        }
+        Ok(result)
+    }
+
+    /// Input names in order, each gate's type, output name and fanin names
+    /// in gate order, and the output names in order.
+    #[allow(clippy::type_complexity)]
+    fn structure(c: &Circuit) -> (Vec<&str>, Vec<(GateType, &str, Vec<&str>)>, Vec<&str>) {
+        let names = |nets: &[NetId]| nets.iter().map(|&n| c.net_name(n)).collect::<Vec<_>>();
+        let gates = c
+            .gates()
+            .map(|(_, gate)| (gate.ty, c.net_name(gate.output), names(&gate.inputs)))
+            .collect();
+        (names(c.inputs()), gates, names(c.outputs()))
+    }
+
+    /// A random gate soup over six inputs (one of them also an output) and
+    /// one to four substitution pairs: each `from` a distinct input, each
+    /// `to` an input no pair replaces, one of two fresh names, or the `to`
+    /// of an earlier pair.
+    fn random_substitution(seed: u64) -> (Circuit, Vec<(String, String)>) {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Circuit::new(format!("subst{seed}"));
+        let inputs: Vec<NetId> = (0..6)
+            .map(|i| c.add_input(format!("i{i}")).unwrap())
+            .collect();
+        let mut nets = inputs.clone();
+        let types = [
+            GateType::And,
+            GateType::Nand,
+            GateType::Or,
+            GateType::Nor,
+            GateType::Xor,
+            GateType::Xnor,
+            GateType::Not,
+            GateType::Buf,
+        ];
+        for g in 0..14 {
+            let ty = types[rng.gen_range(0..types.len())];
+            let arity = match ty {
+                GateType::Not | GateType::Buf => 1,
+                _ => rng.gen_range(2..4),
+            };
+            let fanin: Vec<NetId> = (0..arity)
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            nets.push(c.add_gate(ty, format!("g{g}"), &fanin).unwrap());
+        }
+        for _ in 0..3 {
+            c.mark_output(nets[rng.gen_range(6..nets.len())]);
+        }
+        c.mark_output(inputs[rng.gen_range(0..inputs.len())]);
+
+        let mut order: Vec<usize> = (0..6).collect();
+        order.shuffle(&mut rng);
+        let (froms, kept) = order.split_at(rng.gen_range(1..5));
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for &from in froms {
+            let to = match rng.gen_range(0..3) {
+                0 if !pairs.is_empty() => pairs[rng.gen_range(0..pairs.len())].1.clone(),
+                1 => format!("i{}", kept[rng.gen_range(0..kept.len())]),
+                _ => format!("fresh{}", rng.gen_range(0..2)),
+            };
+            pairs.push((format!("i{from}"), to));
+        }
+        (c, pairs)
     }
 
     /// Small deterministic pseudo-random circuit for property tests.

@@ -10,9 +10,61 @@
 //! `∃K ∀PPI unit = const` reduces to one universal quantification followed by
 //! a satisfying-path lookup. A configurable node budget keeps the engine
 //! safe: if the BDD blows up, the caller falls back to CEGAR.
+//!
+//! An SFLL-HD unit builds about 100k nodes, so the tables' cost per lookup
+//! is the engine's cost. The unique table and the apply cache are hash maps
+//! over a multiply-rotate hasher (`FastHasher`): their keys are a few
+//! node references and variable indices the manager issues itself, never
+//! input from outside the program, so SipHash's resistance to crafted
+//! collisions buys nothing. The not-cache and the `forall` memo are
+//! vectors indexed by node, and [`BddManager::build_circuit_output`] keeps
+//! net values in a vector indexed by net. Which nodes exist, in which
+//! order, does not depend on the tables, so every BDD, witness and
+//! classification is the same under any of them.
 
 use kratt_netlist::{Circuit, GateType, NetId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiply-rotate hasher for the manager's tables, whose keys are a few
+/// small integers: each word costs one add and one multiply, and the finish
+/// rotates the well-mixed high bits down to the low bits the table indexes
+/// by, where SipHash runs a keyed permutation per key.
+#[derive(Default)]
+struct FastHasher(u64);
+
+impl FastHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A hash map over [`FastHasher`].
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Reference to a BDD node (terminals are `ZERO` and `ONE`).
 pub type Ref = u32;
@@ -52,9 +104,11 @@ enum Op {
 #[derive(Debug)]
 pub struct BddManager {
     nodes: Vec<Node>,
-    unique: HashMap<Node, Ref>,
-    apply_cache: HashMap<(Op, Ref, Ref), Ref>,
-    not_cache: HashMap<Ref, Ref>,
+    unique: FastMap<Node, Ref>,
+    apply_cache: FastMap<(Op, Ref, Ref), Ref>,
+    /// `not(f)` by node, `ZERO` where not yet computed (the negation of a
+    /// non-terminal is never a terminal).
+    not_cache: Vec<Ref>,
     node_limit: usize,
 }
 
@@ -69,9 +123,9 @@ impl BddManager {
         BddManager {
             // Slots 0 and 1 are the terminals; their contents are never read.
             nodes: vec![terminal, terminal],
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: FastMap::default(),
+            apply_cache: FastMap::default(),
+            not_cache: Vec::new(),
             node_limit,
         }
     }
@@ -86,16 +140,18 @@ impl BddManager {
             return Ok(low);
         }
         let node = Node { var, low, high };
-        if let Some(&existing) = self.unique.get(&node) {
-            return Ok(existing);
+        match self.unique.entry(node) {
+            Entry::Occupied(existing) => Ok(*existing.get()),
+            Entry::Vacant(slot) => {
+                if self.nodes.len() >= self.node_limit {
+                    return Err(NodeLimitExceeded);
+                }
+                let index = self.nodes.len() as Ref;
+                self.nodes.push(node);
+                slot.insert(index);
+                Ok(index)
+            }
         }
-        if self.nodes.len() >= self.node_limit {
-            return Err(NodeLimitExceeded);
-        }
-        let index = self.nodes.len() as Ref;
-        self.nodes.push(node);
-        self.unique.insert(node, index);
-        Ok(index)
     }
 
     fn var_of(&self, f: Ref) -> u32 {
@@ -118,14 +174,20 @@ impl BddManager {
             ONE => return Ok(ZERO),
             _ => {}
         }
-        if let Some(&cached) = self.not_cache.get(&f) {
-            return Ok(cached);
+        match self.not_cache.get(f as usize) {
+            Some(&cached) if cached != ZERO => return Ok(cached),
+            _ => {}
         }
         let node = self.nodes[f as usize];
         let low = self.not(node.low)?;
         let high = self.not(node.high)?;
         let result = self.mk(node.var, low, high)?;
-        self.not_cache.insert(f, result);
+        if self.not_cache.len() < self.nodes.len() {
+            self.not_cache.resize(self.nodes.len(), ZERO);
+        }
+        // Negation is an involution: the pair answers both directions.
+        self.not_cache[f as usize] = result;
+        self.not_cache[result as usize] = f;
         Ok(result)
     }
 
@@ -191,7 +253,8 @@ impl BddManager {
     /// Universal quantification of every variable for which `quantified`
     /// returns `true`.
     pub fn forall(&mut self, f: Ref, quantified: &[bool]) -> Result<Ref, NodeLimitExceeded> {
-        let mut memo: HashMap<Ref, Ref> = HashMap::new();
+        // The result of each node of `f`, by node; `Ref::MAX` where unvisited.
+        let mut memo: Vec<Ref> = vec![Ref::MAX; self.nodes.len()];
         self.forall_rec(f, quantified, &mut memo)
     }
 
@@ -199,13 +262,13 @@ impl BddManager {
         &mut self,
         f: Ref,
         quantified: &[bool],
-        memo: &mut HashMap<Ref, Ref>,
+        memo: &mut [Ref],
     ) -> Result<Ref, NodeLimitExceeded> {
         if f <= 1 {
             return Ok(f);
         }
-        if let Some(&cached) = memo.get(&f) {
-            return Ok(cached);
+        if memo[f as usize] != Ref::MAX {
+            return Ok(memo[f as usize]);
         }
         let node = self.nodes[f as usize];
         let low = self.forall_rec(node.low, quantified, memo)?;
@@ -215,7 +278,7 @@ impl BddManager {
         } else {
             self.mk(node.var, low, high)?
         };
-        memo.insert(f, result);
+        memo[f as usize] = result;
         Ok(result)
     }
 
@@ -242,7 +305,8 @@ impl BddManager {
     }
 
     /// Builds the BDD of one circuit output given a mapping from primary
-    /// inputs to BDD variable indices.
+    /// inputs to BDD variable indices. Net values live in a `Vec` indexed by
+    /// net, and each gate folds its fanins' values straight from it.
     ///
     /// A net without a variable that no gate drives reads as constant 0, so
     /// every primary input the output depends on must be in `var_of_input`.
@@ -259,22 +323,17 @@ impl BddManager {
     ) -> Result<Ref, NodeLimitExceeded> {
         let order =
             kratt_netlist::analysis::topological_order(circuit).expect("locking units are acyclic");
-        let mut value: HashMap<NetId, Ref> = HashMap::new();
+        let mut value: Vec<Ref> = vec![ZERO; circuit.num_nets()];
         for (&net, &var) in var_of_input {
-            let bdd = self.variable(var)?;
-            value.insert(net, bdd);
+            value[net.index()] = self.variable(var)?;
         }
         for gid in order {
             let gate = circuit.gate(gid);
-            let inputs: Vec<Ref> = gate
-                .inputs
-                .iter()
-                .map(|n| value.get(n).copied().unwrap_or(ZERO))
-                .collect();
+            let fanin = gate.inputs.iter().map(|n| value[n.index()]);
             let result = match gate.ty {
                 GateType::And | GateType::Nand => {
                     let mut acc = ONE;
-                    for &input in &inputs {
+                    for input in fanin {
                         acc = self.and(acc, input)?;
                     }
                     if gate.ty == GateType::Nand {
@@ -285,7 +344,7 @@ impl BddManager {
                 }
                 GateType::Or | GateType::Nor => {
                     let mut acc = ZERO;
-                    for &input in &inputs {
+                    for input in fanin {
                         acc = self.or(acc, input)?;
                     }
                     if gate.ty == GateType::Nor {
@@ -296,7 +355,7 @@ impl BddManager {
                 }
                 GateType::Xor | GateType::Xnor => {
                     let mut acc = ZERO;
-                    for &input in &inputs {
+                    for input in fanin {
                         acc = self.xor(acc, input)?;
                     }
                     if gate.ty == GateType::Xnor {
@@ -305,14 +364,14 @@ impl BddManager {
                         acc
                     }
                 }
-                GateType::Not => self.not(inputs[0])?,
-                GateType::Buf => inputs[0],
+                GateType::Not => self.not(value[gate.inputs[0].index()])?,
+                GateType::Buf => value[gate.inputs[0].index()],
                 GateType::Const0 => ZERO,
                 GateType::Const1 => ONE,
             };
-            value.insert(gate.output, result);
+            value[gate.output.index()] = result;
         }
-        Ok(value.get(&output).copied().unwrap_or(ZERO))
+        Ok(value[output.index()])
     }
 }
 
@@ -322,16 +381,16 @@ impl BddManager {
 /// locking-unit structures want).
 pub fn interleaved_input_order(circuit: &Circuit) -> HashMap<NetId, u32> {
     let order = kratt_netlist::analysis::topological_order(circuit).unwrap_or_default();
-    let mut first_use: HashMap<NetId, usize> = HashMap::new();
+    let mut first_use = vec![usize::MAX; circuit.num_nets()];
     for (position, &gid) in order.iter().enumerate() {
         for &input in &circuit.gate(gid).inputs {
-            if circuit.is_input(input) {
-                first_use.entry(input).or_insert(position);
+            if circuit.is_input(input) && first_use[input.index()] == usize::MAX {
+                first_use[input.index()] = position;
             }
         }
     }
     let mut inputs: Vec<NetId> = circuit.inputs().to_vec();
-    inputs.sort_by_key(|n| (first_use.get(n).copied().unwrap_or(usize::MAX), n.index()));
+    inputs.sort_by_key(|n| (first_use[n.index()], n.index()));
     inputs
         .into_iter()
         .enumerate()
@@ -356,7 +415,7 @@ pub fn paired_input_order(
     existential: &[NetId],
     universal: &[NetId],
 ) -> HashMap<NetId, u32> {
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::VecDeque;
 
     let base = interleaved_input_order(circuit);
     if existential.is_empty() || universal.is_empty() {
@@ -365,11 +424,11 @@ pub fn paired_input_order(
     let rank = |n: NetId| base.get(&n).copied().unwrap_or(u32::MAX);
 
     // Undirected net adjacency through gates (input <-> output edges).
-    let mut adjacency: HashMap<NetId, Vec<NetId>> = HashMap::new();
+    let mut adjacency: Vec<Vec<NetId>> = vec![Vec::new(); circuit.num_nets()];
     for (_, gate) in circuit.gates() {
         for &input in &gate.inputs {
-            adjacency.entry(input).or_default().push(gate.output);
-            adjacency.entry(gate.output).or_default().push(input);
+            adjacency[input.index()].push(gate.output);
+            adjacency[gate.output.index()].push(input);
         }
     }
 
@@ -378,26 +437,26 @@ pub fn paired_input_order(
     // with its label (its nearest universal). Keys the BFS never reaches are
     // disconnected from every universal and fall through to the trailing
     // first-use order below.
-    let mut source_of: HashMap<NetId, NetId> = HashMap::new();
+    let mut source_of: Vec<Option<NetId>> = vec![None; circuit.num_nets()];
     let mut queue: VecDeque<NetId> = VecDeque::new();
     for &u in universal {
-        source_of.entry(u).or_insert(u);
+        source_of[u.index()].get_or_insert(u);
         queue.push_back(u);
     }
     while let Some(net) = queue.pop_front() {
-        let source = source_of[&net];
-        for &next in adjacency.get(&net).map(Vec::as_slice).unwrap_or(&[]) {
-            source_of.entry(next).or_insert_with(|| {
+        let source = source_of[net.index()];
+        for &next in &adjacency[net.index()] {
+            if source_of[next.index()].is_none() {
+                source_of[next.index()] = source;
                 queue.push_back(next);
-                source
-            });
+            }
         }
     }
-    let mut keys_of: HashMap<NetId, Vec<NetId>> = HashMap::new();
+    let mut keys_of: Vec<Vec<NetId>> = vec![Vec::new(); circuit.num_nets()];
     for &key in existential {
-        if let Some(&u) = source_of.get(&key) {
+        if let Some(u) = source_of[key.index()] {
             if u != key {
-                keys_of.entry(u).or_default().push(key);
+                keys_of[u.index()].push(key);
             }
         }
     }
@@ -408,17 +467,19 @@ pub fn paired_input_order(
     let mut ordered: Vec<NetId> = Vec::with_capacity(circuit.inputs().len());
     for u in universals {
         ordered.push(u);
-        if let Some(mut keys) = keys_of.remove(&u) {
-            keys.sort_by_key(|&n| rank(n));
-            ordered.append(&mut keys);
-        }
+        let mut keys = std::mem::take(&mut keys_of[u.index()]);
+        keys.sort_by_key(|&n| rank(n));
+        ordered.append(&mut keys);
     }
-    let placed: HashSet<NetId> = ordered.iter().copied().collect();
+    let mut placed = vec![false; circuit.num_nets()];
+    for &n in &ordered {
+        placed[n.index()] = true;
+    }
     let mut rest: Vec<NetId> = circuit
         .inputs()
         .iter()
         .copied()
-        .filter(|n| !placed.contains(n))
+        .filter(|n| !placed[n.index()])
         .collect();
     rest.sort_by_key(|&n| rank(n));
     ordered.extend(rest);

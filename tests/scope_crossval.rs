@@ -66,7 +66,7 @@ fn scope_kernels_agree_on_every_table1_host_and_scheme() {
     for row in table1_circuits(0.05) {
         for spec in SPECS {
             let locked = lock(spec, &row.circuit);
-            let plan = ScopePlan::new(&locked.circuit).unwrap();
+            let mut plan = ScopePlan::new(&locked.circuit).unwrap();
             let mut expected = KeyGuess::new();
             for &key in &locked.circuit.key_inputs() {
                 let [features0, features1] = [false, true].map(|value| {
