@@ -8,11 +8,14 @@
 //!   accepts and [`Attack::execute`] rejects the others with
 //!   [`AttackError::Unsupported`].
 //! * [`Budget`] is the one shared resource budget (wall clock, iterations,
-//!   SAT conflicts, oracle queries). [`Budget::start`] turns it into a
-//!   [`Deadline`] — an absolute point in time that is threaded down into the
-//!   SAT and QBF solver loops so every component of an attack honours the
-//!   same wall-clock limit cooperatively instead of restarting its own
-//!   timer per solver call.
+//!   SAT conflicts, oracle queries). [`AttackRequest::deadline`] starts its
+//!   clock as a [`Deadline`] (defined in `kratt-sat`, re-exported here)
+//!   carrying the request's cancellation flag. That one value is the only
+//!   stop condition below the request: the SAT solvers, the QBF CEGAR
+//!   loop, KRATT's structural analysis and every attack loop hold a clone
+//!   of it, so every component honours the same wall-clock limit — and a
+//!   portfolio race's cancellation — instead of restarting its own timer
+//!   per solver call.
 //! * [`AttackRequest`] bundles the three inputs; the unified
 //!   [`AttackRun`] result covers the outcomes of
 //!   all attacks (exact key, partial guess, recovered circuit, out of
@@ -22,11 +25,9 @@ use crate::error::AttackError;
 use crate::oracle::Oracle;
 use crate::report::AttackRun;
 use kratt_netlist::Circuit;
-pub use kratt_sat::CancelFlag;
+pub use kratt_sat::{CancelFlag, Deadline};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The scheduling cost class of an attack.
 ///
@@ -69,11 +70,12 @@ impl fmt::Display for ThreatModel {
     }
 }
 
-/// The one shared resource budget of an attack run. Replaces the previously
-/// scattered per-attack knobs (per-attack budget fields,
-/// `QbfConfig::time_limit`, the structural-analysis timeouts): a request
-/// carries a single `Budget` and every engine derives its solver limits
-/// from it.
+/// The one shared resource budget of an attack run. A request carries a
+/// single `Budget` and every engine derives its limits from it. Its wall
+/// clock becomes the run's one [`Deadline`], and that deadline is the only
+/// stop condition the SAT solvers, the QBF CEGAR loop and KRATT's
+/// structural analysis consult: none of their configs has a relative time
+/// limit, a raw deadline instant or a separate cancel flag.
 ///
 /// The paper gives the baseline attacks a two-day limit on a 32-core server;
 /// this reproduction scales the limits down but keeps the semantics: an
@@ -159,125 +161,6 @@ impl Budget {
             sat_conflict_limit: self.sat_conflict_limit,
             max_oracle_queries: self.max_oracle_queries.map(|q| q.div_ceil(n as u64)),
         }
-    }
-}
-
-/// An absolute wall-clock deadline plus the instant the attack started,
-/// plus a shared cooperative [`CancelFlag`].
-///
-/// The deadline is cheap to clone (clones share the cancellation flag and
-/// the expiry latch) and is handed down (as a raw [`Instant`] via
-/// [`Deadline::instant`], and as a [`CancelFlag`] via
-/// [`Deadline::cancel_flag`]) into `kratt-sat`'s `SolverConfig` and
-/// `kratt-qbf`'s `QbfConfig`, so a long-running SAT or CEGAR loop aborts at
-/// the *attack's* deadline — or the instant a portfolio sibling wins the
-/// race — rather than restarting a fresh per-call timer.
-///
-/// [`Deadline::expired`] sits on hot loops (the DIP loop, FALL's per-node
-/// scan, removal's cone walk), so it reads the clock only every
-/// [`CLOCK_CHECK_INTERVAL`] calls and latches the first expiry it sees;
-/// between clock reads it costs two relaxed atomic loads. The very first
-/// call always reads the clock, so an already-spent budget is still
-/// reported immediately.
-#[derive(Debug, Clone)]
-pub struct Deadline {
-    start: Instant,
-    end: Option<Instant>,
-    cancel: CancelFlag,
-    gate: Arc<ExpiryGate>,
-}
-
-/// How many [`Deadline::expired`] calls share one `Instant::now` read.
-pub const CLOCK_CHECK_INTERVAL: u32 = 64;
-
-/// Shared expiry state: once the clock has been observed past the end
-/// instant the latch stays set, so clones agree and later calls skip the
-/// syscall entirely.
-#[derive(Debug, Default)]
-struct ExpiryGate {
-    latched: AtomicBool,
-    calls: AtomicU32,
-}
-
-impl Deadline {
-    /// A deadline `limit` from now (`None` = unlimited).
-    pub fn started(limit: Option<Duration>) -> Self {
-        let start = Instant::now();
-        Deadline {
-            start,
-            end: limit.map(|l| start + l),
-            cancel: CancelFlag::default(),
-            gate: Arc::new(ExpiryGate::default()),
-        }
-    }
-
-    /// A deadline that never expires.
-    pub fn unlimited() -> Self {
-        Deadline::started(None)
-    }
-
-    /// Replaces the cancellation flag with an externally shared one (the
-    /// portfolio hands every member the same race flag this way).
-    pub fn with_cancel(mut self, cancel: CancelFlag) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Whether the deadline has passed or the run was cancelled.
-    pub fn expired(&self) -> bool {
-        if self.is_cancelled() || self.gate.latched.load(Ordering::Relaxed) {
-            return true;
-        }
-        let Some(end) = self.end else {
-            return false;
-        };
-        // `fetch_add` returns the pre-increment value, so call 0 — the
-        // entry check every engine performs — always reads the clock.
-        let calls = self.gate.calls.fetch_add(1, Ordering::Relaxed);
-        if !calls.is_multiple_of(CLOCK_CHECK_INTERVAL) {
-            return false;
-        }
-        if Instant::now() >= end {
-            self.gate.latched.store(true, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Raises the cancellation flag: every holder of this deadline (or of
-    /// its [`cancel_flag`](Deadline::cancel_flag)) observes `expired() ==
-    /// true` from its next check onwards.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the cancellation flag has been raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-
-    /// The shared cancellation flag, in the form `SolverConfig::cancel` and
-    /// `QbfConfig::cancel` take.
-    pub fn cancel_flag(&self) -> CancelFlag {
-        self.cancel.clone()
-    }
-
-    /// Wall-clock time since the attack started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Time left before expiry; `None` means unlimited. Always reads the
-    /// clock — budget-splitting callers need the exact value.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.end
-            .map(|end| end.saturating_duration_since(Instant::now()))
-    }
-
-    /// The absolute expiry instant, in the form the solver configs take.
-    pub fn instant(&self) -> Option<Instant> {
-        self.end
     }
 }
 
@@ -400,6 +283,7 @@ pub trait Attack: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn budget_default_has_a_time_limit() {
@@ -414,45 +298,8 @@ mod tests {
     fn zero_budget_expires_immediately() {
         let deadline = Budget::zero().start();
         assert!(deadline.expired());
-        assert_eq!(deadline.remaining(), Some(Duration::ZERO));
         assert!(deadline.instant().is_some());
         assert!(Budget::zero().oracle_queries_exhausted(0));
-    }
-
-    #[test]
-    fn unlimited_deadline_never_expires() {
-        let deadline = Deadline::unlimited();
-        assert!(!deadline.expired());
-        assert!(deadline.remaining().is_none());
-        assert!(deadline.instant().is_none());
-    }
-
-    #[test]
-    fn cancellation_makes_a_deadline_expire() {
-        let deadline = Deadline::unlimited();
-        assert!(!deadline.expired());
-        let clone = deadline.clone();
-        deadline.cancel();
-        assert!(clone.expired());
-        assert!(clone.is_cancelled());
-        // The flag propagates into deadlines built around the same token.
-        let other = Deadline::unlimited().with_cancel(deadline.cancel_flag());
-        assert!(other.expired());
-    }
-
-    #[test]
-    fn expiry_latches_and_interval_gates_the_clock() {
-        // Already expired at call 0: the entry check latches, so every
-        // later call — including the clock-gated ones — stays true.
-        let deadline = Deadline::started(Some(Duration::ZERO));
-        for _ in 0..(CLOCK_CHECK_INTERVAL * 2) {
-            assert!(deadline.expired());
-        }
-        // A live deadline stays false through the gated calls.
-        let live = Deadline::started(Some(Duration::from_secs(3600)));
-        for _ in 0..(CLOCK_CHECK_INTERVAL * 2) {
-            assert!(!live.expired());
-        }
     }
 
     #[test]

@@ -290,8 +290,7 @@ impl FallAttack {
         }
         let mut solver = Solver::with_config(SolverConfig {
             conflict_limit: self.config.sat_conflict_limit,
-            deadline: deadline.instant(),
-            cancel: Some(deadline.cancel_flag()),
+            deadline: deadline.clone(),
             ..Default::default()
         });
         let encoding = encode_aig(&mut solver, &aig, &HashMap::new());

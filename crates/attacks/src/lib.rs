@@ -58,8 +58,9 @@
 //! The unified attack API is the *only* entry point: the legacy per-attack
 //! inherent `run` methods were removed, callers go through
 //! [`Attack::execute`] or the [`AttackRegistry`]. Budgets are unified in
-//! the request's [`Budget`], and its [`Deadline`] is threaded into the
-//! SAT/QBF loops so every component of an attack honours one wall clock
+//! the request's [`Budget`], and the [`Deadline`] it starts (carrying the
+//! request's cancellation flag) is the only stop condition of the SAT/QBF
+//! loops, so every component of an attack honours one wall clock
 //! cooperatively.
 
 pub mod appsat;

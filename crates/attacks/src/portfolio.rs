@@ -9,10 +9,10 @@
 //! first *SAT-verified* exact-key claim: a claimant applies its key and
 //! proves the unlocked circuit equivalent to the oracle's with the
 //! campaign's complete equivalence kernel, then raises the shared
-//! [`CancelFlag`] so the losers — whose SAT propagate loops, QBF CEGAR
-//! refinement, DIP loops and structural scans all poll the flag wherever
-//! they already poll their deadline — stop promptly instead of running
-//! their slices dry.
+//! [`CancelFlag`]. Every member's request carries that flag, so it reaches
+//! the one [`Deadline`](crate::Deadline) the member's SAT solvers, QBF
+//! CEGAR loop, DIP loop and structural search stop on: the losers stop
+//! promptly instead of running their slices dry.
 //!
 //! The merged [`AttackRun`] carries the winner's outcome, the portfolio's
 //! total wall clock, the summed oracle queries of every member, and one
@@ -26,7 +26,7 @@ use crate::registry::AttackRegistry;
 use crate::report::{AttackOutcome, AttackRun, MemberRun, StepTiming};
 use kratt_locking::SecretKey;
 use kratt_netlist::Circuit;
-use kratt_sat::{cancel_requested, CancelFlag};
+use kratt_sat::CancelFlag;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -248,13 +248,13 @@ impl Attack for PortfolioAttack {
                 });
             }
             drop(tx);
-            // Collect in arrival order, relaying the caller's own
-            // cancellation (and the portfolio-wide deadline) into the race.
+            // Collect in arrival order, relaying the portfolio's deadline —
+            // which carries the caller's own cancellation — into the race.
             while arrivals.len() < runnable.len() {
                 match rx.recv_timeout(COLLECT_POLL) {
                     Ok(result) => arrivals.push(result),
                     Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if cancel_requested(&request.cancel) || deadline.expired() {
+                        if deadline.expired() {
                             race.store(true, Ordering::Relaxed);
                         }
                     }

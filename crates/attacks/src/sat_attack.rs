@@ -134,12 +134,11 @@ impl<'a> DipEngine<'a> {
             })
             .collect::<Result<Vec<usize>, AttackError>>()?;
 
-        // The attack's one absolute deadline bounds every SAT call; no
-        // per-call time limit, which would restart the clock per DIP.
+        // The attack's one deadline bounds every SAT call; no per-call
+        // time limit, which would restart the clock per DIP.
         let mut solver = Solver::with_config(SolverConfig {
             conflict_limit: budget.sat_conflict_limit,
-            deadline: deadline.instant(),
-            cancel: Some(deadline.cancel_flag()),
+            deadline: deadline.clone(),
             ..Default::default()
         });
         // Both key copies live in one structurally hashed AIG: copy A keeps

@@ -17,78 +17,42 @@ use kratt_attacks::{
 use kratt_locking::SecretKey;
 use kratt_netlist::Circuit;
 use kratt_qbf::QbfConfig;
-use kratt_sat::CancelFlag;
 use std::time::{Duration, Instant};
 
 /// Configuration of the whole pipeline.
-#[derive(Debug, Clone)]
+///
+/// The wall clock is not a field of its own: [`KrattConfig::apply_budget`]
+/// hands a request's one [`Deadline`] to both engine configs, and the
+/// orchestrator checks that same deadline after the QBF step. The paper's
+/// one-minute limit is [`Budget::default`], which [`Attack::execute`] and
+/// the direct entry points ([`KrattAttack::attack_oracle_less`],
+/// [`KrattAttack::attack_oracle_guided`]) start.
+#[derive(Debug, Clone, Default)]
 pub struct KrattConfig {
-    /// Budget of the CEGAR 2QBF solver (the paper uses a one-minute limit).
+    /// Limits of the 2QBF solver (BDD node budget, CEGAR iterations, SAT
+    /// conflicts, deadline).
     pub qbf: QbfConfig,
     /// Decision margin of the SCOPE component.
     pub scope_margin: usize,
     /// Budget and heuristics of the oracle-guided structural analysis.
     pub structural: StructuralAnalysisConfig,
-    /// Absolute deadline of the whole run; checked between pipeline steps
-    /// (and inherited by the QBF / structural-analysis engines through
-    /// [`KrattConfig::apply_budget`]).
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag of the whole run; checked wherever the
-    /// deadline is and inherited by the engines the same way.
-    pub cancel: Option<CancelFlag>,
-}
-
-impl Default for KrattConfig {
-    fn default() -> Self {
-        KrattConfig {
-            qbf: QbfConfig {
-                time_limit: Some(Duration::from_secs(60)),
-                ..Default::default()
-            },
-            scope_margin: 0,
-            structural: StructuralAnalysisConfig::default(),
-            deadline: None,
-            cancel: None,
-        }
-    }
 }
 
 impl KrattConfig {
     /// Overlays a shared [`Budget`] and its started [`Deadline`] onto this
-    /// configuration: the wall-clock and conflict limits of the QBF and
-    /// structural-analysis engines are replaced, and the deadline's
-    /// cancellation flag is threaded into both, so the whole pipeline
-    /// honours the one budget (and a portfolio race's cancellation)
-    /// cooperatively.
+    /// configuration: both engines get the one deadline (with its
+    /// cancellation flag), the QBF solver the budget's per-call conflict
+    /// limit and the structural analysis its oracle-query cap, so the whole
+    /// pipeline honours the one budget (and a portfolio race's
+    /// cancellation) cooperatively.
     pub fn apply_budget(mut self, budget: &Budget, deadline: &Deadline) -> Self {
-        self.qbf.time_limit = budget.time_limit;
-        self.qbf.deadline = deadline.instant();
+        self.qbf.deadline = deadline.clone();
         self.qbf.sat_conflict_limit = budget.sat_conflict_limit;
-        self.qbf.cancel = Some(deadline.cancel_flag());
-        self.structural.time_limit = budget.time_limit;
-        self.structural.deadline = deadline.instant();
-        self.structural.cancel = Some(deadline.cancel_flag());
+        self.structural.deadline = deadline.clone();
         if let Some(cap) = budget.max_oracle_queries {
             self.structural.max_oracle_queries = cap;
         }
-        self.deadline = deadline.instant();
-        self.cancel = Some(deadline.cancel_flag());
         self
-    }
-
-    /// Whether the run's deadline has passed or the run was cancelled.
-    fn deadline_expired(&self) -> bool {
-        self.deadline.map(|d| Instant::now() >= d).unwrap_or(false)
-            || kratt_sat::cancel_requested(&self.cancel)
-    }
-}
-
-/// A shared [`Budget`] is a complete KRATT configuration: default heuristics
-/// with every engine limit derived from the budget.
-impl From<Budget> for KrattConfig {
-    fn from(budget: Budget) -> Self {
-        let deadline = Deadline::unlimited();
-        KrattConfig::default().apply_budget(&budget, &deadline)
     }
 }
 
@@ -140,8 +104,7 @@ pub struct KrattAttack {
 }
 
 impl KrattAttack {
-    /// KRATT with the default configuration (one-minute QBF limit, default
-    /// structural-analysis budget).
+    /// KRATT with the default configuration.
     pub fn new() -> Self {
         KrattAttack::default()
     }
@@ -151,18 +114,22 @@ impl KrattAttack {
         KrattAttack { config }
     }
 
-    /// Runs KRATT under the oracle-less threat model (steps 1–5 of Fig. 4).
+    /// Runs KRATT under the oracle-less threat model (steps 1–5 of Fig. 4),
+    /// within [`Budget::default`]'s one-minute clock started now — what
+    /// [`Attack::execute`] gives an [`AttackRequest::oracle_less`] request.
     ///
     /// # Errors
     ///
     /// Returns an error if the netlist is not a single-merge-point locked
     /// design (no key inputs, or no critical signal).
     pub fn attack_oracle_less(&self, locked: &Circuit) -> Result<KrattReport, KrattError> {
-        self.run(locked, None)
+        self.on_default_clock().run(locked, None)
     }
 
     /// Runs KRATT under the oracle-guided threat model (steps 1–3 and 6–7 of
-    /// Fig. 4). Steps 6–7 run only on a unit classified as a DFLT restore
+    /// Fig. 4), within [`Budget::default`]'s one-minute clock started now —
+    /// what [`Attack::execute`] gives an [`AttackRequest::oracle_guided`]
+    /// request. Steps 6–7 run only on a unit classified as a DFLT restore
     /// unit; any other unit ends in the oracle-less step-5 branch of its
     /// class with a partial guess.
     ///
@@ -175,7 +142,17 @@ impl KrattAttack {
         locked: &Circuit,
         oracle: &Oracle,
     ) -> Result<KrattReport, KrattError> {
-        self.run(locked, Some(oracle))
+        self.on_default_clock().run(locked, Some(oracle))
+    }
+
+    /// This attack with both engines on one [`Budget::default`] deadline
+    /// started now; every other setting is kept.
+    fn on_default_clock(&self) -> KrattAttack {
+        let deadline = Budget::default().start();
+        let mut config = self.config.clone();
+        config.qbf.deadline = deadline.clone();
+        config.structural.deadline = deadline;
+        KrattAttack { config }
     }
 
     /// The flow of Fig. 4. Steps 1–3 (logic removal, QBF, classification)
@@ -196,7 +173,7 @@ impl KrattAttack {
                 AttackOutcome::ExactKey(self.guess_to_key(locked, &guess)),
                 KrattPath::Qbf,
             )
-        } else if self.config.deadline_expired() {
+        } else if self.config.qbf.deadline.expired() {
             (AttackOutcome::OutOfBudget, KrattPath::Qbf)
         } else {
             let class = timed(&mut steps, "classification", || classify_unit(&artifacts))?;

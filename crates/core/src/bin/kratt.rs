@@ -115,7 +115,8 @@ OPTIONS:
     --json                 print the attack run as a machine-readable JSON report
     --qdimacs <PATH>       write the extracted locking unit's \u{2203}K \u{2200}PPI instance in QDIMACS
     --reconstruct <PATH>   recover the protected patterns with the oracle and write the
-                           reconstructed original circuit as .bench (requires --oracle)
+                           reconstructed original circuit as .bench (requires --oracle;
+                           the recovery runs on a --time-limit clock of its own)
     --lint                 run the kratt-lint static rule catalogue on the netlist instead
                            of an attack and exit nonzero on error-level findings; with
                            --oracle, also check interface drift against that original
@@ -758,13 +759,13 @@ fn run(options: &CliOptions, attack: &dyn Attack) -> Result<(), String> {
         let artifacts = remove_locking_unit(&locked).map_err(|e| e.to_string())?;
         let subcircuit =
             kratt::extraction::extract_locked_subcircuit(&artifacts).map_err(|e| e.to_string())?;
-        let patterns = recover_protected_patterns(
-            &artifacts,
-            &subcircuit,
-            &oracle,
-            &StructuralAnalysisConfig::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        // The recovery gets a `--time-limit` clock of its own, started now.
+        let config = StructuralAnalysisConfig {
+            deadline: budget(options.time_limit).start(),
+            ..Default::default()
+        };
+        let patterns = recover_protected_patterns(&artifacts, &subcircuit, &oracle, &config)
+            .map_err(|e| e.to_string())?;
         if !quiet {
             println!("protected pats : {} recovered", patterns.len());
         }

@@ -25,11 +25,10 @@ use kratt_attacks::{KeyGuess, Oracle};
 use kratt_dataflow::{CircuitAnalysis, SupportDomain};
 use kratt_netlist::sim::Simulator;
 use kratt_netlist::{Aig, Circuit, NetId};
-use kratt_sat::{cancel_requested, encode_aig, CancelFlag, SatResult, Solver};
+use kratt_sat::{encode_aig, Deadline, SatResult, Solver};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::time::{Duration, Instant};
 
 /// Budget and heuristics of the structural-analysis search.
 #[derive(Debug, Clone)]
@@ -42,16 +41,10 @@ pub struct StructuralAnalysisConfig {
     pub max_expansion_bits: u32,
     /// Overall cap on oracle queries.
     pub max_oracle_queries: u64,
-    /// Wall-clock budget for the search.
-    pub time_limit: Option<Duration>,
-    /// Absolute deadline shared with the rest of the attack; the effective
-    /// limit is the earlier of `time_limit` (relative to the start of the
-    /// search) and this instant.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag shared with the attack: checked in the
-    /// pattern-expansion loop wherever the deadline is, and handed to the
-    /// cone-justifying SAT solver.
-    pub cancel: Option<CancelFlag>,
+    /// The deadline of the attack that runs the search (unlimited by
+    /// default): checked at entry and before every oracle query, and handed
+    /// to the cone-justifying SAT solver.
+    pub deadline: Deadline,
 }
 
 impl Default for StructuralAnalysisConfig {
@@ -60,20 +53,7 @@ impl Default for StructuralAnalysisConfig {
             max_cones: 1024,
             max_expansion_bits: 16,
             max_oracle_queries: 2_000_000,
-            time_limit: Some(Duration::from_secs(120)),
-            deadline: None,
-            cancel: None,
-        }
-    }
-}
-
-impl StructuralAnalysisConfig {
-    /// The effective absolute deadline of a search starting now.
-    fn effective_deadline(&self) -> Option<Instant> {
-        let per_call = self.time_limit.map(|limit| Instant::now() + limit);
-        match (per_call, self.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+            deadline: Deadline::unlimited(),
         }
     }
 }
@@ -226,19 +206,18 @@ fn subcircuit_ppis(artifacts: &RemovalArtifacts, subcircuit: &Circuit) -> Vec<St
 /// Step 4, shared by both searches: expands the unspecified bits of every
 /// promising pattern (most specific first) and hands each fresh, fully
 /// specified candidate to `check` — one oracle query each — until `check`
-/// breaks with a result, the candidates run out, or the deadline, the
-/// cancel flag or the query cap stops the search (both `None`).
+/// breaks with a result, the candidates run out, or the deadline or the
+/// query cap stops the search (both `None`).
 fn expand_candidates<T>(
     subcircuit: &Circuit,
     ppi_names: &[String],
     config: &StructuralAnalysisConfig,
     mut check: impl FnMut(&[bool]) -> Result<ControlFlow<T>, KrattError>,
 ) -> Result<Option<T>, KrattError> {
-    if ppi_names.is_empty() {
+    if ppi_names.is_empty() || config.deadline.expired() {
         return Ok(None);
     }
-    let deadline = config.effective_deadline();
-    let patterns = promising_patterns(subcircuit, ppi_names, config, deadline)?;
+    let patterns = promising_patterns(subcircuit, ppi_names, config)?;
     let mut tried: HashSet<Vec<bool>> = HashSet::new();
     let mut queries = 0u64;
     for pattern in &patterns {
@@ -249,10 +228,7 @@ fn expand_candidates<T>(
             continue;
         }
         for completion in 0u64..(1u64 << unspecified.len()) {
-            if deadline.is_some_and(|deadline| Instant::now() >= deadline)
-                || cancel_requested(&config.cancel)
-                || queries >= config.max_oracle_queries
-            {
+            if config.deadline.expired() || queries >= config.max_oracle_queries {
                 return Ok(None);
             }
             let mut candidate: Vec<bool> = pattern.iter().map(|b| b.unwrap_or(false)).collect();
@@ -279,7 +255,6 @@ fn promising_patterns(
     subcircuit: &Circuit,
     ppi_names: &[String],
     config: &StructuralAnalysisConfig,
-    deadline: Option<Instant>,
 ) -> Result<Vec<PartialPattern>, KrattError> {
     let ppi_positions: Vec<usize> = ppi_names
         .iter()
@@ -294,7 +269,7 @@ fn promising_patterns(
 
     // --- Step 2: two promising patterns per cone (output = 0 and 1). ------
     let mut patterns: Vec<PartialPattern> =
-        justify_cones(subcircuit, &ppi_positions, &cones, config, deadline)?
+        justify_cones(subcircuit, &ppi_positions, &cones, config)?
             .into_iter()
             .flatten()
             .flatten()
@@ -421,14 +396,12 @@ fn ppi_only_cones(
 /// PPI-only cones ignore) justifies every pair some lane hits. The rest go
 /// to SAT: the subcircuit is lowered into an AIG once, each missed pair's
 /// root edge, in the pair's polarity, is registered as an output, and each
-/// output is assumed in turn, bounded by the search's deadline and cancel
-/// flag.
+/// output is assumed in turn, bounded by the search's deadline.
 fn justify_cones(
     subcircuit: &Circuit,
     ppi_positions: &[usize],
     cones: &[Cone],
     config: &StructuralAnalysisConfig,
-    deadline: Option<Instant>,
 ) -> Result<Vec<[Option<PartialPattern>; 2]>, KrattError> {
     let num_ppis = ppi_positions.len();
     let mut witnesses: Vec<[Option<PartialPattern>; 2]> = vec![[None, None]; cones.len()];
@@ -470,8 +443,7 @@ fn justify_cones(
             aig.add_output(subcircuit.net_name(net), lits[net.index()].when(target));
         }
         let mut solver = Solver::with_config(kratt_sat::SolverConfig {
-            deadline,
-            cancel: config.cancel.clone(),
+            deadline: config.deadline.clone(),
             ..Default::default()
         });
         // Inputs are declared in the subcircuit's order, so a PPI's input
@@ -678,6 +650,27 @@ mod tests {
         );
     }
 
+    #[test]
+    fn cancelled_deadline_stops_the_search_before_any_oracle_query() {
+        let original = ripple_carry_adder(4).unwrap();
+        let secret = SecretKey::from_u64(0b1100, 4);
+        let locked = TtLock::new(4).lock(&original, &secret).unwrap();
+        let artifacts = remove_locking_unit(&locked.circuit).unwrap();
+        let subcircuit = extract_locked_subcircuit(&artifacts).unwrap();
+        let oracle = Oracle::new(original).unwrap();
+        let config = StructuralAnalysisConfig::default();
+        config.deadline.cancel();
+        assert_eq!(
+            structural_analysis(&artifacts, &subcircuit, &locked.circuit, &oracle, &config)
+                .unwrap(),
+            StructuralOutcome::OutOfTime
+        );
+        assert_eq!(oracle.queries(), 0);
+        let patterns = recover_protected_patterns(&artifacts, &subcircuit, &oracle, &config);
+        assert!(patterns.unwrap().is_empty());
+        assert_eq!(oracle.queries(), 0);
+    }
+
     /// The per-gate reference scan: one `support()` and one
     /// `fanin_cone_gates` walk per gate, ranked frontier first, then wide
     /// support, then small cones, then net id. Returns each kept cone with
@@ -862,7 +855,7 @@ mod tests {
             let circuit = random_circuit(&mut rng, inputs, gates);
             let ppis = random_ppis(&mut rng, &circuit);
             let cones = ppi_only_cones(&circuit, &ppis, usize::MAX).unwrap();
-            let witnesses = justify_cones(&circuit, &ppis, &cones, &config, None).unwrap();
+            let witnesses = justify_cones(&circuit, &ppis, &cones, &config).unwrap();
             let sim = Simulator::new(&circuit).unwrap();
             // Which polarities each net reaches over all inputs (< 2^9).
             let mut reached = vec![[false; 2]; circuit.num_nets()];
@@ -922,14 +915,8 @@ mod tests {
         c.mark_output(o);
         let ppis = [c.input_position(p).unwrap()];
         let cones = ppi_only_cones(&c, &ppis, usize::MAX).unwrap();
-        let witnesses = justify_cones(
-            &c,
-            &ppis,
-            &cones,
-            &StructuralAnalysisConfig::default(),
-            None,
-        )
-        .unwrap();
+        let witnesses =
+            justify_cones(&c, &ppis, &cones, &StructuralAnalysisConfig::default()).unwrap();
         let of = |net: NetId| {
             let index = cones.iter().position(|cone| cone.net == net).unwrap();
             witnesses[index].clone()

@@ -47,59 +47,35 @@ pub mod qdimacs;
 
 use kratt_netlist::aig::{Aig, AigLit};
 use kratt_netlist::{Circuit, NetId};
-use kratt_sat::{
-    cancel_requested, encode_aig, AigEncoding, CancelFlag, Lit, SatResult, Solver, Var,
-};
+use kratt_sat::{encode_aig, AigEncoding, Deadline, Lit, SatResult, Solver, Var};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 /// Configuration of the 2QBF solver.
 #[derive(Debug, Clone)]
 pub struct QbfConfig {
     /// Maximum number of CEGAR refinement iterations before giving up.
     pub max_iterations: usize,
-    /// Wall-clock budget for the whole solve.
-    pub time_limit: Option<Duration>,
-    /// Absolute deadline shared with the rest of the attack that issued the
-    /// solve. The effective limit is the earlier of `time_limit` (relative
-    /// to the start of the solve) and this instant; it is also handed to
-    /// the underlying SAT solvers so a single stuck SAT call cannot
-    /// overshoot the attack's wall-clock budget.
-    pub deadline: Option<Instant>,
+    /// The deadline of the attack that issued the solve (unlimited by
+    /// default): checked at solve entry and on each CEGAR iteration, and
+    /// handed to both underlying SAT solvers, so neither a long loop nor a
+    /// single stuck SAT call overshoots the attack's wall-clock budget, and
+    /// a portfolio sibling's win stops a running loop promptly.
+    pub deadline: Deadline,
     /// Conflict budget handed to each underlying SAT call.
     pub sat_conflict_limit: Option<u64>,
     /// Node budget of the BDD fast path that is tried before CEGAR (0
     /// disables it). Locking-unit functions have compact BDDs under an
     /// interleaved order, which is what makes 64–128-bit keys tractable.
     pub bdd_node_limit: usize,
-    /// Cooperative cancellation flag shared with the attack that issued the
-    /// solve: checked wherever the deadline is (solve entry and each CEGAR
-    /// iteration) and handed to the underlying SAT solvers, so a portfolio
-    /// sibling's win stops a running CEGAR loop promptly.
-    pub cancel: Option<CancelFlag>,
 }
 
 impl Default for QbfConfig {
     fn default() -> Self {
         QbfConfig {
             max_iterations: 10_000,
-            time_limit: Some(Duration::from_secs(60)),
-            deadline: None,
+            deadline: Deadline::unlimited(),
             sat_conflict_limit: None,
             bdd_node_limit: 1 << 21,
-            cancel: None,
-        }
-    }
-}
-
-impl QbfConfig {
-    /// The effective absolute deadline of a solve starting now: the earlier
-    /// of the relative `time_limit` and the shared `deadline`.
-    fn effective_deadline(&self) -> Option<Instant> {
-        let per_call = self.time_limit.map(|limit| Instant::now() + limit);
-        match (per_call, self.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
         }
     }
 }
@@ -235,13 +211,7 @@ impl<'a> ExistsForallSolver<'a> {
     /// keys); if its node budget is exceeded, the complete CEGAR loop takes
     /// over.
     pub fn solve_with_stats(&self) -> (QbfResult, QbfStats) {
-        if self
-            .config
-            .effective_deadline()
-            .map(|d| Instant::now() >= d)
-            .unwrap_or(false)
-            || cancel_requested(&self.config.cancel)
-        {
+        if self.config.deadline.expired() {
             return (QbfResult::Unknown, QbfStats::default());
         }
         if self.config.bdd_node_limit > 0 {
@@ -268,13 +238,7 @@ impl<'a> ExistsForallSolver<'a> {
     /// key-confirmation question.
     pub fn solve_targets_with_stats(&self, targets: &[bool]) -> (MultiTargetResult, QbfStats) {
         let mut stats = QbfStats::default();
-        if self
-            .config
-            .effective_deadline()
-            .map(|d| Instant::now() >= d)
-            .unwrap_or(false)
-            || cancel_requested(&self.config.cancel)
-        {
+        if self.config.deadline.expired() {
             return (MultiTargetResult::Unknown, stats);
         }
         if self.config.bdd_node_limit > 0 {
@@ -382,7 +346,6 @@ impl<'a> ExistsForallSolver<'a> {
 /// clause is emitted.
 struct CegarEngine<'a, 'c> {
     problem: &'a ExistsForallSolver<'c>,
-    deadline: Option<Instant>,
     verifier: Solver,
     verify_encoding: AigEncoding,
     out_lit: Lit,
@@ -395,18 +358,16 @@ struct CegarEngine<'a, 'c> {
 
 impl<'a, 'c> CegarEngine<'a, 'c> {
     fn new(problem: &'a ExistsForallSolver<'c>) -> Self {
-        let deadline = problem.config.effective_deadline();
-
         // Verification solver: one AIG image of the circuit; a candidate key
         // and the wrong output value are checked by assuming their literals.
-        // Both solvers share the loop's absolute deadline so no single SAT
-        // call can overshoot the attack's wall-clock budget.
-        let mut verifier = Solver::with_config(kratt_sat::SolverConfig {
+        // Both solvers share the loop's deadline so no single SAT call can
+        // overshoot the attack's wall-clock budget.
+        let solver_config = kratt_sat::SolverConfig {
             conflict_limit: problem.config.sat_conflict_limit,
-            deadline,
-            cancel: problem.config.cancel.clone(),
+            deadline: problem.config.deadline.clone(),
             ..Default::default()
-        });
+        };
+        let mut verifier = Solver::with_config(solver_config.clone());
         let verify_aig = unit_aig(problem.circuit, problem.output, &HashMap::new());
         let verify_encoding = encode_aig(&mut verifier, &verify_aig, &HashMap::new());
         let out_lit = verify_encoding.outputs()[0];
@@ -414,12 +375,7 @@ impl<'a, 'c> CegarEngine<'a, 'c> {
         // Synthesis solver: one shared set of existential variables; each
         // counterexample adds a fresh copy of the circuit with the universal
         // inputs substituted by the counterexample constants.
-        let mut synthesizer = Solver::with_config(kratt_sat::SolverConfig {
-            conflict_limit: problem.config.sat_conflict_limit,
-            deadline,
-            cancel: problem.config.cancel.clone(),
-            ..Default::default()
-        });
+        let mut synthesizer = Solver::with_config(solver_config);
         let exist_vars: HashMap<String, Var> = problem
             .existential
             .iter()
@@ -433,7 +389,6 @@ impl<'a, 'c> CegarEngine<'a, 'c> {
 
         CegarEngine {
             problem,
-            deadline,
             verifier,
             verify_encoding,
             out_lit,
@@ -461,12 +416,7 @@ impl<'a, 'c> CegarEngine<'a, 'c> {
 
         for _ in 0..problem.config.max_iterations {
             stats.iterations += 1;
-            if let Some(deadline) = self.deadline {
-                if Instant::now() >= deadline {
-                    return QbfResult::Unknown;
-                }
-            }
-            if cancel_requested(&problem.config.cancel) {
+            if problem.config.deadline.expired() {
                 return QbfResult::Unknown;
             }
 
@@ -715,6 +665,29 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(solver.solve(), QbfResult::Unknown);
+    }
+
+    #[test]
+    fn cancelled_deadline_stops_the_cegar_loop() {
+        let c = sarlock_unit(4, 0b1011);
+        let keys = c.key_inputs();
+        let xs = c.data_inputs();
+        let out = c.outputs()[0];
+        let deadline = Deadline::unlimited();
+        deadline.cancel();
+        let solver = ExistsForallSolver::new(&c, &keys, &xs, out, false).with_config(QbfConfig {
+            bdd_node_limit: 0,
+            deadline,
+            ..Default::default()
+        });
+        assert_eq!(
+            solver.solve_with_stats(),
+            (QbfResult::Unknown, QbfStats::default())
+        );
+        assert_eq!(
+            solver.solve_targets_with_stats(&[false, true]),
+            (MultiTargetResult::Unknown, QbfStats::default())
+        );
     }
 
     /// Brute-force reference: enumerate all existential assignments and check

@@ -8,8 +8,14 @@
 //! * [`Solver`] — a conflict-driven clause-learning solver with two-watched
 //!   literals, 1-UIP learning, VSIDS + phase saving, Luby restarts and
 //!   LBD-based learnt-clause reduction. It supports incremental solving under
-//!   assumptions and configurable conflict/time budgets (so the oracle-guided
-//!   baseline attacks can "time out" exactly as in the paper's Table III).
+//!   assumptions, a per-call conflict budget and a wall-clock [`Deadline`]
+//!   (so the oracle-guided baseline attacks can "time out" exactly as in
+//!   the paper's Table III).
+//! * [`Deadline`] — the one stop condition of the whole suite: an absolute
+//!   wall-clock limit plus a shared [`CancelFlag`]. An attack starts one
+//!   per request, and the SAT solver, the QBF CEGAR loop of `kratt-qbf`,
+//!   the FRAIG of `kratt-synth` and KRATT's structural analysis all stop
+//!   on a clone of it.
 //! * [`encode_aig`] — the one circuit-to-CNF translation: a
 //!   [`kratt_netlist::Circuit`] is lowered into an [`kratt_netlist::Aig`]
 //!   and its compact Tseitin image emitted into a solver, with input
@@ -38,14 +44,14 @@
 //! ```
 
 pub mod cnf;
+pub mod deadline;
 pub mod encode;
 mod heap;
 pub mod lit;
 pub mod solver;
 
 pub use cnf::{ClauseSink, Cnf, ParseDimacsError};
+pub use deadline::{CancelFlag, Deadline};
 pub use encode::{encode_aig, AigEncoding};
 pub use lit::{Lit, Var};
-pub use solver::{
-    cancel_requested, CancelFlag, Model, SatResult, Solver, SolverConfig, SolverStats,
-};
+pub use solver::{Model, SatResult, Solver, SolverConfig, SolverStats};

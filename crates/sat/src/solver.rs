@@ -4,31 +4,13 @@
 //! literals per clause, first-UIP conflict analysis, VSIDS variable
 //! activities with phase saving, Luby-sequence restarts and LBD-guided
 //! learnt-clause database reduction. It additionally supports incremental
-//! solving under assumptions and conflict/time budgets so that callers (the
-//! oracle-guided baseline attacks) can observe well-defined "out of time"
-//! outcomes.
+//! solving under assumptions, a conflict budget and a [`Deadline`] so that
+//! callers (the oracle-guided baseline attacks) can observe well-defined
+//! "out of time" outcomes.
 
+use crate::deadline::Deadline;
 use crate::heap::ActivityHeap;
 use crate::lit::{Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-/// A shared cooperative cancellation token.
-///
-/// Cloned into every [`SolverConfig`] (and, higher up the stack, into the
-/// QBF CEGAR and structural-analysis loops) that should stop when a sibling
-/// finishes first. Setting the flag (`store(true, Ordering::Relaxed)`) makes
-/// every in-flight `solve*` call return [`SatResult::Unknown`] at its next
-/// budget check; relaxed ordering suffices because the flag only gates
-/// wall-clock work, never data visibility.
-pub type CancelFlag = Arc<AtomicBool>;
-
-/// `true` when `flag` is present and has been raised.
-#[inline]
-pub fn cancel_requested(flag: &Option<CancelFlag>) -> bool {
-    flag.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))
-}
 
 /// Three-valued assignment of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,16 +93,13 @@ pub struct SolverConfig {
     pub max_learnts_base: usize,
     /// Abort with [`SatResult::Unknown`] after this many conflicts.
     pub conflict_limit: Option<u64>,
-    /// Abort with [`SatResult::Unknown`] at this absolute point in time.
-    /// The deadline is shared across every incremental `solve*` call, which
-    /// is how an attack's single wall-clock budget is threaded down
-    /// cooperatively.
-    pub deadline: Option<Instant>,
-    /// Abort with [`SatResult::Unknown`] as soon as this shared flag is
-    /// raised. Checked wherever the deadline is checked (call entry and
-    /// the conflict loop), so a portfolio sibling that finishes first can
-    /// stop this solver promptly without waiting for its budget.
-    pub cancel: Option<CancelFlag>,
+    /// Abort with [`SatResult::Unknown`] once this deadline expires or is
+    /// cancelled. It is shared across every incremental `solve*` call, which
+    /// is how an attack's one wall-clock budget reaches the solver. Checked
+    /// at call entry and after every conflict; its cancellation flag alone
+    /// is polled on every decision, so a portfolio sibling that finishes
+    /// first stops this solver within one propagation round.
+    pub deadline: Deadline,
 }
 
 impl Default for SolverConfig {
@@ -131,8 +110,7 @@ impl Default for SolverConfig {
             restart_base: 100,
             max_learnts_base: 8000,
             conflict_limit: None,
-            deadline: None,
-            cancel: None,
+            deadline: Deadline::unlimited(),
         }
     }
 }
@@ -246,12 +224,6 @@ impl Solver {
         self.config.conflict_limit = conflict_limit;
     }
 
-    /// Installs (or clears) the cooperative cancellation flag shared by all
-    /// subsequent `solve*` calls (see [`SolverConfig::cancel`]).
-    pub fn set_cancel(&mut self, cancel: Option<CancelFlag>) {
-        self.config.cancel = cancel;
-    }
-
     /// Work counters accumulated so far.
     pub fn stats(&self) -> SolverStats {
         self.stats
@@ -362,10 +334,7 @@ impl Solver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        let deadline = self.config.deadline;
-        if deadline.map(|d| Instant::now() >= d).unwrap_or(false)
-            || cancel_requested(&self.config.cancel)
-        {
+        if self.config.deadline.expired() {
             return SatResult::Unknown;
         }
         let conflict_budget = self
@@ -375,7 +344,7 @@ impl Solver {
         let mut restarts = 0u64;
         loop {
             let interval = luby(2.0, restarts) * self.config.restart_base as f64;
-            let outcome = self.search(interval as u64, assumptions, deadline, conflict_budget);
+            let outcome = self.search(interval as u64, assumptions, conflict_budget);
             self.cancel_until(0);
             match outcome {
                 SearchOutcome::Sat(model) => return SatResult::Sat(model),
@@ -393,7 +362,6 @@ impl Solver {
         &mut self,
         conflicts_allowed: u64,
         assumptions: &[Lit],
-        deadline: Option<Instant>,
         conflict_budget: Option<u64>,
     ) -> SearchOutcome {
         let mut local_conflicts = 0u64;
@@ -409,21 +377,20 @@ impl Solver {
                 self.cancel_until(backtrack_level);
                 self.record_learnt(learnt, lbd);
                 self.decay_activities();
+                if self.config.deadline.expired() {
+                    return SearchOutcome::Budget;
+                }
             } else {
                 if let Some(budget) = conflict_budget {
                     if self.stats.conflicts >= budget {
                         return SearchOutcome::Budget;
                     }
                 }
-                if let Some(deadline) = deadline {
-                    if self.stats.conflicts.is_multiple_of(32) && Instant::now() >= deadline {
-                        return SearchOutcome::Budget;
-                    }
-                }
-                // A relaxed atomic load is far cheaper than the clock, so
-                // the cancellation flag is polled on every decision: losers
-                // of a portfolio race stop within one propagation round.
-                if cancel_requested(&self.config.cancel) {
+                // Only the cancellation flag (one relaxed load) is polled
+                // per decision: the clock read and the expiry gate's
+                // atomic increment stay on the conflict branch, which is
+                // orders of magnitude rarer.
+                if self.config.deadline.is_cancelled() {
                     return SearchOutcome::Budget;
                 }
                 if local_conflicts >= conflicts_allowed {
@@ -848,6 +815,8 @@ fn luby(y: f64, mut x: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::CancelFlag;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     fn lit(solver_vars: &[Var], index: isize) -> Lit {
@@ -880,7 +849,15 @@ mod tests {
     }
 
     fn build(num_vars: usize, clauses: &[Vec<isize>]) -> (Solver, Vec<Var>) {
-        let mut solver = Solver::new();
+        build_with(SolverConfig::default(), num_vars, clauses)
+    }
+
+    fn build_with(
+        config: SolverConfig,
+        num_vars: usize,
+        clauses: &[Vec<isize>],
+    ) -> (Solver, Vec<Var>) {
+        let mut solver = Solver::with_config(config);
         let vars: Vec<Var> = (0..num_vars).map(|_| solver.new_var()).collect();
         for clause in clauses {
             solver.add_clause(clause.iter().map(|&l| lit(&vars, l)));
@@ -1020,20 +997,7 @@ mod tests {
     fn budget_returns_unknown() {
         // A hard pigeonhole instance with a conflict budget of 1 should run
         // out of budget (or, if solved that fast, at least not crash).
-        let mut clauses: Vec<Vec<isize>> = Vec::new();
-        let pigeons = 7isize;
-        let holes = 6isize;
-        for i in 0..pigeons {
-            clauses.push((0..holes).map(|j| i * holes + j + 1).collect());
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    clauses.push(vec![-(i1 * holes + j + 1), -(i2 * holes + j + 1)]);
-                }
-            }
-        }
-        let (mut solver, _) = build((pigeons * holes) as usize, &clauses);
+        let (mut solver, _) = pigeonhole(7, 6, SolverConfig::default());
         solver.set_conflict_limit(Some(5));
         let result = solver.solve();
         assert!(matches!(result, SatResult::Unknown | SatResult::Unsat));
@@ -1042,7 +1006,7 @@ mod tests {
         assert!(solver.solve().is_unsat());
     }
 
-    fn pigeonhole(pigeons: isize, holes: isize) -> (Solver, Vec<Var>) {
+    fn pigeonhole(pigeons: isize, holes: isize, config: SolverConfig) -> (Solver, Vec<Var>) {
         let mut clauses: Vec<Vec<isize>> = Vec::new();
         for i in 0..pigeons {
             clauses.push((0..holes).map(|j| i * holes + j + 1).collect());
@@ -1054,14 +1018,21 @@ mod tests {
                 }
             }
         }
-        build((pigeons * holes) as usize, &clauses)
+        build_with(config, (pigeons * holes) as usize, &clauses)
+    }
+
+    /// A solver config whose deadline never expires but shares `flag`.
+    fn cancellable(flag: &CancelFlag) -> SolverConfig {
+        SolverConfig {
+            deadline: Deadline::unlimited().with_cancel(flag.clone()),
+            ..Default::default()
+        }
     }
 
     #[test]
     fn pre_raised_cancel_flag_aborts_at_call_entry() {
-        let (mut solver, _) = build(3, &[vec![1, 2], vec![-1, 3]]);
-        let flag: CancelFlag = Arc::new(AtomicBool::new(true));
-        solver.set_cancel(Some(flag.clone()));
+        let flag = CancelFlag::new(AtomicBool::new(true));
+        let (mut solver, _) = build_with(cancellable(&flag), 3, &[vec![1, 2], vec![-1, 3]]);
         assert!(matches!(solver.solve(), SatResult::Unknown));
         // Lowering the flag restores the solver.
         flag.store(false, Ordering::Relaxed);
@@ -1074,9 +1045,8 @@ mod tests {
         // (pigeonhole needs exponential resolution proofs), so the only way
         // the background solve below returns promptly is the cancellation
         // flag raised mid-search.
-        let (mut solver, _) = pigeonhole(12, 11);
-        let flag: CancelFlag = Arc::new(AtomicBool::new(false));
-        solver.set_cancel(Some(flag.clone()));
+        let flag = CancelFlag::default();
+        let (mut solver, _) = pigeonhole(12, 11, cancellable(&flag));
         let worker = std::thread::spawn(move || solver.solve());
         std::thread::sleep(Duration::from_millis(30));
         flag.store(true, Ordering::Relaxed);

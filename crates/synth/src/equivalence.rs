@@ -34,7 +34,7 @@
 use crate::SynthError;
 use kratt_netlist::aig::{Aig, AigLit};
 use kratt_netlist::Circuit;
-use kratt_sat::{Lit, Model, SatResult, Solver, SolverConfig, Var};
+use kratt_sat::{Deadline, Lit, Model, SatResult, Solver, SolverConfig, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::Entry;
@@ -173,7 +173,7 @@ pub fn check_equivalence_with_stats(
     if outs_a == outs_b {
         return Ok((EquivalenceResult::Equivalent, stats));
     }
-    let deadline = time_limit.map(|limit| Instant::now() + limit);
+    let deadline = Deadline::started(time_limit);
 
     // --- Packed simulation: refute outright, or form candidate classes. ----
     let signatures = Signatures::new(&aig);
@@ -193,11 +193,11 @@ pub fn check_equivalence_with_stats(
         &aig,
         SolverConfig {
             conflict_limit: Some(merge_query_cap(conflict_limit)),
-            deadline,
+            deadline: deadline.clone(),
             ..Default::default()
         },
     );
-    let budget_hit = fraig.sweep(&aig, &cone, &representative, deadline, &mut stats);
+    let budget_hit = fraig.sweep(&aig, &cone, &representative, &deadline, &mut stats);
     stats.sweep_time = sweep_start.elapsed();
 
     // --- Outputs: equal rebuilt edges are proven; query the rest. ----------
@@ -424,7 +424,7 @@ impl Fraig {
         aig: &Aig,
         cone: &[bool],
         representative: &[Option<AigLit>],
-        deadline: Option<Instant>,
+        deadline: &Deadline,
         stats: &mut FraigStats,
     ) -> bool {
         let mut refinements = Refinements::new(aig.num_inputs());
@@ -462,7 +462,7 @@ impl Fraig {
                 SatResult::Unknown => {
                     // A conflict-capped merge query is simply not taken; a
                     // fired deadline ends the querying.
-                    querying = deadline.is_none_or(|d| Instant::now() < d);
+                    querying = !deadline.expired();
                 }
             }
         }

@@ -2,8 +2,8 @@
 //! registry is exercised through the same `Attack::execute` surface and must
 //! (a) succeed on an appropriately locked small host within budget, (b)
 //! return the out-of-budget outcome — not hang, not error — on an
-//! already-exhausted budget, and (c) accept exactly the threat models its
-//! `supports` claims.
+//! already-exhausted budget or an already-cancelled request, and (c)
+//! accept exactly the threat models its `supports` claims.
 
 use kratt_attacks::{
     score_guess, AttackError, AttackRequest, AttackRun, Budget, Oracle, ThreatModel,
@@ -12,6 +12,8 @@ use kratt_benchmarks::arith::ripple_carry_adder;
 use kratt_locking::{LockedCircuit, LockingTechnique, SarLock, SecretKey, TtLock};
 use kratt_netlist::sim::exhaustively_equivalent;
 use kratt_netlist::{Circuit, GateType};
+use kratt_sat::CancelFlag;
+use std::sync::atomic::AtomicBool;
 
 /// The planted secrets of the two conformance hosts.
 const SFLT_SECRET: u64 = 0b101;
@@ -168,6 +170,30 @@ fn a_zero_budget_returns_out_of_budget_instead_of_hanging() {
             run.outcome
         );
     }
+}
+
+#[test]
+fn a_cancelled_request_returns_out_of_budget_without_an_oracle_query() {
+    let registry = kratt::attack_registry();
+    let (original, locked) = sflt_host();
+    let oracle = Oracle::new(original).unwrap();
+    let cancel = CancelFlag::new(AtomicBool::new(true));
+    for name in registry.names() {
+        let attack = registry.build(name).unwrap();
+        let request = AttackRequest::oracle_guided(&locked.circuit, &oracle)
+            .with_budget(Budget::unlimited())
+            .with_cancel(cancel.clone());
+        let run = attack
+            .execute(&request)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            run.outcome.is_out_of_budget(),
+            "{name}: a cancelled request must report out-of-budget, got {:?}",
+            run.outcome
+        );
+        assert_eq!(run.oracle_queries, 0, "{name}: queried a cancelled oracle");
+    }
+    assert_eq!(oracle.queries(), 0);
 }
 
 #[test]
