@@ -1,27 +1,25 @@
 //! Double DIP: the SAT-attack variant that eliminates at least two wrong
 //! keys per iteration (Shen & Zhou, GLSVLSI'17).
 //!
-//! Each round finds up to two distinguishing input patterns before the
-//! iteration counter advances. In the sequential formulation both DIPs
-//! eliminate wrong keys, so on point-function locking the number of
-//! *iterations* halves while the number of oracle queries stays the same —
-//! which is exactly why it still cannot break SAT-resilient locking within
-//! the paper's time limit (Table III).
+//! This is the sequential formulation. A round is up to two of the SAT
+//! attack's steps: find a DIP, query the oracle for it, and constrain the
+//! miter with the answer. The second DIP of a round is therefore searched
+//! under the first one's IO constraint and eliminates keys the first did
+//! not. The DIP sequence is exactly the SAT attack's, grouped in twos, so
+//! the number of *iterations* halves while the number of oracle queries
+//! stays the same. That is why it still cannot break SAT-resilient locking
+//! within the paper's time limit (Table III).
 //!
-//! Batching note: this implementation finds the two DIPs of a round in one
-//! solver session (the second excluded from the first only by a blocking
-//! clause on its data pattern, not by the first DIP's IO constraint) so
-//! both can be queried against the oracle in a single packed sweep. The
-//! second DIP may therefore eliminate no key the first did not, and on
-//! point-function locking it does exactly that: on every 8-bit SARLock cell
-//! of perfbench's `sat-campaign` workload, Double DIP spends 255 rounds and
-//! 510 oracle queries where the SAT attack spends 255 queries. Its
-//! iterations do not halve there, and its queries double.
+//! Shen and Zhou's four-copy miter, which asks for a pair of DIPs that
+//! together eliminate at least two wrong keys, is not built. On SARLock each
+//! DIP eliminates exactly one wrong key, the key equal to the DIP, so no such
+//! pair exists: that miter would stop at once with a key that is wrong on
+//! one input pattern.
 
 use crate::engine::{Attack, AttackRequest, ThreatModel};
 use crate::error::AttackError;
-use crate::report::{AttackOutcome, AttackRun, StepTiming};
-use crate::sat_attack::{BatchEnd, DipEngine};
+use crate::report::{AttackRun, StepTiming};
+use crate::sat_attack::exact_dip_attack;
 
 /// The Double DIP attack. It runs under the request's
 /// [`Budget`](crate::engine::Budget); an exhausted budget reports `OoT` like
@@ -46,40 +44,11 @@ impl Attack for DoubleDipAttack {
     }
 
     fn execute(&self, request: &AttackRequest<'_>) -> Result<AttackRun, AttackError> {
-        let oracle = request.require_oracle(self.name())?;
-        let deadline = request.deadline();
-        if deadline.expired() {
-            return Ok(AttackRun::out_of_budget(
-                self.name(),
-                request.threat_model(),
-            ));
+        let mut run = exact_dip_attack(self.name(), request, 2)?;
+        // One step spans the whole run; a run that never started has none.
+        if !run.steps.is_empty() {
+            run.steps = vec![StepTiming::new("double-dip-loop", run.runtime)];
         }
-        let mut engine = DipEngine::new(request.locked, oracle, &request.budget, deadline)?;
-        let mut iterations = 0usize;
-        let outcome = loop {
-            if engine.out_of_budget(iterations) {
-                break AttackOutcome::OutOfBudget;
-            }
-            // Find up to two distinct DIPs in one solver session and query
-            // the oracle for both in a single packed sweep.
-            let batch = engine.find_dips(2);
-            if !batch.dips.is_empty() {
-                engine.constrain_batch(&batch.dips)?;
-                // Only rounds that constrained something count as iterations
-                // (the final empty exhaustion probe is bookkeeping, not
-                // progress — the same convention as the SAT attack's per-DIP
-                // count).
-                iterations += 1;
-            }
-            match batch.end {
-                Some(BatchEnd::Exhausted) => break engine.extract_key()?,
-                Some(BatchEnd::Budget) => break AttackOutcome::OutOfBudget,
-                None => {}
-            }
-        };
-        let mut run = engine.attack_run(self.name(), outcome, iterations);
-        run.steps
-            .push(StepTiming::new("double-dip-loop", run.runtime));
         Ok(run)
     }
 }
@@ -89,46 +58,18 @@ mod tests {
     use super::*;
     use crate::engine::Budget;
     use crate::oracle::Oracle;
-    use crate::sat_attack::SatAttack;
+    use crate::sat_attack::tests::{adder4, random_locked_soup, run as run_sat};
     use kratt_locking::{LockingTechnique, RandomXorLocking, SarLock, SecretKey};
-    use kratt_netlist::{Circuit, GateType, NetId};
+    use kratt_netlist::sim::exhaustively_equivalent;
+    use kratt_netlist::Circuit;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::time::Duration;
 
     /// Runs the attack through [`Attack::execute`] under `budget`.
     fn run(locked: &Circuit, oracle: &Oracle, budget: Budget) -> Result<AttackRun, AttackError> {
         DoubleDipAttack::new()
             .execute(&AttackRequest::oracle_guided(locked, oracle).with_budget(budget))
-    }
-
-    fn adder4() -> Circuit {
-        let mut c = Circuit::new("adder4");
-        let a: Vec<NetId> = (0..4)
-            .map(|i| c.add_input(format!("a{i}")).unwrap())
-            .collect();
-        let b: Vec<NetId> = (0..4)
-            .map(|i| c.add_input(format!("b{i}")).unwrap())
-            .collect();
-        let mut carry = c.add_input("cin").unwrap();
-        for i in 0..4 {
-            let s1 = c
-                .add_gate(GateType::Xor, format!("s1_{i}"), &[a[i], b[i]])
-                .unwrap();
-            let sum = c
-                .add_gate(GateType::Xor, format!("sum{i}"), &[s1, carry])
-                .unwrap();
-            let c1 = c
-                .add_gate(GateType::And, format!("c1_{i}"), &[a[i], b[i]])
-                .unwrap();
-            let c2 = c
-                .add_gate(GateType::And, format!("c2_{i}"), &[s1, carry])
-                .unwrap();
-            carry = c
-                .add_gate(GateType::Or, format!("cout{i}"), &[c1, c2])
-                .unwrap();
-            c.mark_output(sum);
-        }
-        c.mark_output(carry);
-        c
     }
 
     #[test]
@@ -142,28 +83,54 @@ mod tests {
         let run = run(&locked.circuit, &oracle, Budget::default()).unwrap();
         let key = run.outcome.exact_key().expect("RLL must be broken").clone();
         let unlocked = locked.apply_key(&key).unwrap();
-        assert!(kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap());
+        assert!(exhaustively_equivalent(&original, &unlocked).unwrap());
     }
 
+    /// Each round takes two of the SAT attack's DIPs: half its iterations,
+    /// rounded up, at exactly its oracle queries, one counted query per DIP.
     #[test]
     fn double_dip_uses_no_more_iterations_than_the_sat_attack_on_sarlock() {
         let original = adder4();
         let secret = SecretKey::from_u64(0b1010, 4);
         let locked = SarLock::new(4).lock(&original, &secret).unwrap();
-        let oracle_a = Oracle::new(original.clone()).unwrap();
-        let oracle_b = Oracle::new(original.clone()).unwrap();
-        let sat = SatAttack::new()
-            .execute(&AttackRequest::oracle_guided(&locked.circuit, &oracle_a))
-            .unwrap();
-        let ddip = run(&locked.circuit, &oracle_b, Budget::default()).unwrap();
-        assert!(sat.outcome.exact_key().is_some());
-        assert!(ddip.outcome.exact_key().is_some());
-        assert!(
-            ddip.iterations <= sat.iterations,
-            "DDIP ({}) should not need more iterations than SAT ({})",
-            ddip.iterations,
+        let oracle = Oracle::new(original.clone()).unwrap();
+        let sat = run_sat(&locked.circuit, &oracle, Budget::default()).unwrap();
+        let ddip = run(&locked.circuit, &oracle, Budget::default()).unwrap();
+        assert_eq!(sat.oracle_queries, sat.iterations as u64);
+        assert_eq!(
+            (ddip.iterations, ddip.oracle_queries),
+            (sat.iterations.div_ceil(2), sat.oracle_queries),
+            "(rounds, queries) of Double DIP against the SAT attack's {} DIPs",
             sat.iterations
         );
+        let key = ddip.exact_key().expect("4-bit SARLock must be broken");
+        assert!(exhaustively_equivalent(&original, &locked.apply_key(key).unwrap()).unwrap());
+    }
+
+    /// The budget is checked before each DIP search, not once per round, so
+    /// an oracle-query cap stops Double DIP where it stops the SAT attack.
+    #[test]
+    fn double_dip_spends_the_sat_attacks_queries_under_a_query_cap() {
+        let original = adder4();
+        let locked = SarLock::new(4)
+            .lock(&original, &SecretKey::from_u64(0b1010, 4))
+            .unwrap();
+        let oracle = Oracle::new(original).unwrap();
+        for cap in 1..=7u64 {
+            let budget = Budget {
+                max_oracle_queries: Some(cap),
+                ..Budget::default()
+            };
+            let sat = run_sat(&locked.circuit, &oracle, budget.clone()).unwrap();
+            let ddip = run(&locked.circuit, &oracle, budget).unwrap();
+            assert!(ddip.outcome.is_out_of_budget(), "cap {cap}");
+            assert!(
+                ddip.oracle_queries <= cap,
+                "cap {cap}: {} queries",
+                ddip.oracle_queries
+            );
+            assert_eq!(ddip.oracle_queries, sat.oracle_queries, "cap {cap}");
+        }
     }
 
     #[test]
@@ -179,5 +146,25 @@ mod tests {
         };
         let run = run(&locked.circuit, &oracle, budget).unwrap();
         assert!(run.outcome.is_out_of_budget());
+    }
+
+    proptest::proptest! {
+        /// On random RLL, SARLock and Anti-SAT locks, Double DIP returns the
+        /// SAT attack's key with its oracle queries, one per DIP, in half
+        /// its iterations rounded up, and that key unlocks the host.
+        #[test]
+        fn prop_double_dip_takes_the_sat_attacks_dips_in_twos(seed in 0u64..1024) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let (host, locked, oracle) = random_locked_soup(seed, &mut rng);
+            let sat = run_sat(&locked.circuit, &oracle, Budget::default()).unwrap();
+            let ddip = run(&locked.circuit, &oracle, Budget::default()).unwrap();
+            let key = sat.exact_key().expect("a lock of at most 5 key bits falls");
+            proptest::prop_assert_eq!(ddip.exact_key(), Some(key));
+            proptest::prop_assert_eq!(sat.oracle_queries, sat.iterations as u64);
+            proptest::prop_assert_eq!(ddip.oracle_queries, sat.oracle_queries);
+            proptest::prop_assert_eq!(ddip.iterations, sat.iterations.div_ceil(2));
+            let unlocked = locked.apply_key(key).unwrap();
+            proptest::prop_assert!(exhaustively_equivalent(&host, &unlocked).unwrap());
+        }
     }
 }

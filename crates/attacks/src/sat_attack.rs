@@ -45,26 +45,6 @@ pub(crate) enum DipSearch {
     Budget,
 }
 
-/// Why a multi-DIP batch stopped before reaching its size cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BatchEnd {
-    /// No DIP exists at all any more (only meaningful when the batch is
-    /// empty: a non-empty batch stops on "no further *distinct* DIP", which
-    /// says nothing about exhaustion once the batch is constrained).
-    Exhausted,
-    /// The SAT budget ran out mid-batch.
-    Budget,
-}
-
-/// Up to `max` distinct DIPs found in one solver session, plus the reason
-/// the batch ended early (if it did).
-pub(crate) struct DipBatch {
-    /// `(data pattern, candidate key)` pairs, in discovery order.
-    pub dips: Vec<(Vec<bool>, Vec<bool>)>,
-    /// Why the batch stopped short of its cap, when it did.
-    pub end: Option<BatchEnd>,
-}
-
 /// The incremental two-copy miter the whole SAT-attack family is built on.
 ///
 /// One CDCL solver lives for the whole CEGAR loop: the miter clause is gated
@@ -226,80 +206,29 @@ impl<'a> DipEngine<'a> {
         self.encode_footprint
     }
 
-    /// Whether the loop must stop before its next iteration: the deadline
-    /// passed, `iterations` reached the iteration cap, or the oracle-query
-    /// cap is spent.
+    /// Whether the loop must stop before its next DIP search: the deadline
+    /// passed, the `iterations` completed so far reached the iteration cap,
+    /// or the oracle-query cap is spent.
     pub(crate) fn out_of_budget(&self, iterations: usize) -> bool {
         self.deadline.expired()
             || iterations >= self.budget.max_iterations
             || self.budget.oracle_queries_exhausted(self.oracle_queries())
     }
 
-    /// Searches for the next distinguishing input pattern.
+    /// Searches for the next distinguishing input pattern: one solve of
+    /// the miter with its gate open.
     pub(crate) fn find_dip(&mut self) -> DipSearch {
-        let mut batch = self.find_dips(1);
-        match batch.dips.pop() {
-            Some((dip, candidate_key)) => DipSearch::Found { dip, candidate_key },
-            None => match batch.end {
-                Some(BatchEnd::Exhausted) => DipSearch::Exhausted,
-                _ => DipSearch::Budget,
+        match self
+            .solver
+            .solve_with_assumptions(&[Lit::positive(self.miter_act)])
+        {
+            SatResult::Sat(model) => DipSearch::Found {
+                dip: self.data_vars.iter().map(|&v| model.value(v)).collect(),
+                candidate_key: self.key_a.iter().map(|&v| model.value(v)).collect(),
             },
+            SatResult::Unsat => DipSearch::Exhausted,
+            SatResult::Unknown => DipSearch::Budget,
         }
-    }
-
-    /// Searches for up to `max` *distinct* DIPs in one solver session, so
-    /// the oracle can be queried for all of them in a single bit-parallel
-    /// sweep ([`DipEngine::constrain_batch`]). Already-found patterns are
-    /// excluded via blocking clauses gated behind per-batch activation
-    /// literals, which become inert once the batch ends — no constraint
-    /// about the key space is implied by them.
-    pub(crate) fn find_dips(&mut self, max: usize) -> DipBatch {
-        let mut dips: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
-        let mut assumptions: Vec<Lit> = vec![Lit::positive(self.miter_act)];
-        let mut end = None;
-        while dips.len() < max {
-            debug_assert_eq!(assumptions.len(), dips.len() + 1);
-            match self.solver.solve_with_assumptions(&assumptions) {
-                SatResult::Sat(model) => {
-                    let dip: Vec<bool> = self.data_vars.iter().map(|&v| model.value(v)).collect();
-                    let candidate: Vec<bool> = self.key_a.iter().map(|&v| model.value(v)).collect();
-                    if dips.len() + 1 < max {
-                        // Block this data pattern for the rest of the batch.
-                        let blocker = self.solver.new_var();
-                        let mut clause: Vec<Lit> = Vec::with_capacity(dip.len() + 1);
-                        clause.push(Lit::negative(blocker));
-                        clause.extend(
-                            self.data_vars
-                                .iter()
-                                .zip(&dip)
-                                .map(|(&var, &value)| Lit::with_polarity(var, !value)),
-                        );
-                        self.solver.add_clause(clause);
-                        assumptions.push(Lit::positive(blocker));
-                    }
-                    dips.push((dip, candidate));
-                }
-                SatResult::Unsat => {
-                    if dips.is_empty() {
-                        end = Some(BatchEnd::Exhausted);
-                    }
-                    // A non-empty batch merely ran out of distinct patterns.
-                    break;
-                }
-                SatResult::Unknown => {
-                    end = Some(BatchEnd::Budget);
-                    break;
-                }
-            }
-        }
-        // Retire the batch's blocking clauses: asserting ¬blocker at level 0
-        // satisfies them permanently, so they stop costing propagation and
-        // branching effort over the thousands of rounds a resilient lock
-        // can run.
-        for &blocker in assumptions.iter().skip(1) {
-            self.solver.add_clause([!blocker]);
-        }
-        DipBatch { dips, end }
     }
 
     /// The oracle's input pattern for a data-input pattern; oracle inputs
@@ -325,20 +254,6 @@ impl<'a> DipEngine<'a> {
     ) -> Result<Vec<Vec<bool>>, AttackError> {
         let patterns: Vec<Vec<bool>> = dips.iter().map(|dip| self.oracle_pattern(dip)).collect();
         Ok(self.oracle.query_batch(&patterns)?)
-    }
-
-    /// Queries the oracle for a batch of DIPs in one sweep and adds the IO
-    /// constraints for every `(dip, outputs)` pair.
-    pub(crate) fn constrain_batch(
-        &mut self,
-        dips: &[(Vec<bool>, Vec<bool>)],
-    ) -> Result<(), AttackError> {
-        let patterns: Vec<Vec<bool>> = dips.iter().map(|(dip, _)| dip.clone()).collect();
-        let outputs = self.query_oracle_batch(&patterns)?;
-        for (dip, out) in patterns.iter().zip(&outputs) {
-            self.constrain(dip, out);
-        }
-        Ok(())
     }
 
     /// Adds the IO constraint "both key copies must reproduce `outputs` on
@@ -517,61 +432,84 @@ impl Attack for SatAttack {
     }
 
     fn execute(&self, request: &AttackRequest<'_>) -> Result<AttackRun, AttackError> {
-        let oracle = request.require_oracle(self.name())?;
-        let deadline = request.deadline();
-        if deadline.expired() {
-            return Ok(AttackRun::out_of_budget(
-                self.name(),
-                request.threat_model(),
-            ));
-        }
-        let mut engine = DipEngine::new(request.locked, oracle, &request.budget, deadline.clone())?;
-        let encode_time = deadline.elapsed();
-        let mut iterations = 0usize;
-        let mut extraction_start = None;
-        let outcome = loop {
-            if engine.out_of_budget(iterations) {
-                break AttackOutcome::OutOfBudget;
-            }
-            match engine.find_dip() {
-                DipSearch::Found { dip, .. } => {
-                    let outputs = engine.query_oracle(&dip)?;
-                    engine.constrain(&dip, &outputs);
-                    iterations += 1;
-                }
-                DipSearch::Budget => break AttackOutcome::OutOfBudget,
-                DipSearch::Exhausted => {
-                    extraction_start = Some(deadline.elapsed());
-                    break engine.extract_key()?;
-                }
-            }
-        };
-        let mut run = engine.attack_run(self.name(), outcome, iterations);
-        // Only a recovered key closes with a key-extraction step; a run out
-        // of budget counts everything after encoding as its DIP loop.
-        let extraction_start = extraction_start.filter(|_| run.exact_key().is_some());
-        let loop_end = extraction_start.unwrap_or(run.runtime);
-        run.steps = vec![
-            StepTiming::new("encode", encode_time),
-            StepTiming::new("dip-loop", loop_end.saturating_sub(encode_time)),
-        ];
-        if let Some(start) = extraction_start {
-            run.steps
-                .push(StepTiming::new("key-extraction", run.runtime - start));
-        }
-        Ok(run)
+        exact_dip_attack(self.name(), request, 1)
     }
 }
 
+/// The exact DIP loop of the SAT attack and of Double DIP, run as
+/// `attack` on `request`.
+///
+/// Each step finds a DIP, queries the oracle for it and constrains the
+/// miter with the answer, so every DIP is searched under all earlier IO
+/// constraints. An iteration groups up to `dips_per_iteration` steps. The
+/// budget is checked before every search against the iterations completed
+/// so far, and an iteration cut short after its first DIP still counts.
+/// Once no DIP is left, the key is extracted. The steps are `encode`,
+/// `dip-loop` and, with a recovered key, `key-extraction`.
+pub(crate) fn exact_dip_attack(
+    attack: &str,
+    request: &AttackRequest<'_>,
+    dips_per_iteration: usize,
+) -> Result<AttackRun, AttackError> {
+    let oracle = request.require_oracle(attack)?;
+    let deadline = request.deadline();
+    if deadline.expired() {
+        return Ok(AttackRun::out_of_budget(attack, request.threat_model()));
+    }
+    let mut engine = DipEngine::new(request.locked, oracle, &request.budget, deadline.clone())?;
+    let encode_time = deadline.elapsed();
+    let mut dips = 0usize;
+    let mut extraction_start = None;
+    let outcome = loop {
+        if engine.out_of_budget(dips / dips_per_iteration) {
+            break AttackOutcome::OutOfBudget;
+        }
+        match engine.find_dip() {
+            DipSearch::Found { dip, .. } => {
+                let outputs = engine.query_oracle(&dip)?;
+                engine.constrain(&dip, &outputs);
+                dips += 1;
+            }
+            DipSearch::Budget => break AttackOutcome::OutOfBudget,
+            DipSearch::Exhausted => {
+                extraction_start = Some(deadline.elapsed());
+                break engine.extract_key()?;
+            }
+        }
+    };
+    let mut run = engine.attack_run(attack, outcome, dips.div_ceil(dips_per_iteration));
+    // Only a recovered key closes with a key-extraction step; a run out
+    // of budget counts everything after encoding as its DIP loop.
+    let extraction_start = extraction_start.filter(|_| run.exact_key().is_some());
+    let loop_end = extraction_start.unwrap_or(run.runtime);
+    run.steps = vec![
+        StepTiming::new("encode", encode_time),
+        StepTiming::new("dip-loop", loop_end.saturating_sub(encode_time)),
+    ];
+    if let Some(start) = extraction_start {
+        run.steps
+            .push(StepTiming::new("key-extraction", run.runtime - start));
+    }
+    Ok(run)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use kratt_locking::{LockingTechnique, RandomXorLocking, SarLock, SecretKey};
+    use kratt_locking::{
+        AntiSat, LockedCircuit, LockingTechnique, RandomXorLocking, SarLock, SecretKey,
+    };
     use kratt_netlist::{GateType, NetId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::time::Duration;
 
     /// Runs the attack through [`Attack::execute`] under `budget`.
-    fn run(locked: &Circuit, oracle: &Oracle, budget: Budget) -> Result<AttackRun, AttackError> {
+    pub(crate) fn run(
+        locked: &Circuit,
+        oracle: &Oracle,
+        budget: Budget,
+    ) -> Result<AttackRun, AttackError> {
         SatAttack::new().execute(&AttackRequest::oracle_guided(locked, oracle).with_budget(budget))
     }
 
@@ -659,86 +597,10 @@ mod tests {
         assert!(run.iterations <= 5);
     }
 
-    #[test]
-    fn batched_dip_sweeps_recover_a_key_and_count_queries_per_dip() {
-        let original = adder4();
-        let secret = SecretKey::from_u64(0b101101, 6);
-        let locked = RandomXorLocking::new(6, 11)
-            .lock(&original, &secret)
-            .unwrap();
-        let budget = Budget::default();
-        for batch in [1usize, 4, 16] {
-            let oracle = Oracle::new(original.clone()).unwrap();
-            let mut engine =
-                DipEngine::new(&locked.circuit, &oracle, &budget, budget.start()).unwrap();
-            let mut dips = 0u64;
-            loop {
-                let found = engine.find_dips(batch);
-                if !found.dips.is_empty() {
-                    engine.constrain_batch(&found.dips).unwrap();
-                    dips += found.dips.len() as u64;
-                }
-                match found.end {
-                    None => {}
-                    Some(BatchEnd::Exhausted) => break,
-                    Some(BatchEnd::Budget) => panic!("batch {batch}: generous budget exhausted"),
-                }
-            }
-            let Ok(AttackOutcome::ExactKey(key)) = engine.extract_key() else {
-                panic!("batch {batch}: no key after exhaustion");
-            };
-            let unlocked = locked.apply_key(&key).unwrap();
-            assert!(
-                kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap(),
-                "batch {batch}: recovered key does not unlock"
-            );
-            // Batched sweeps are a transport optimisation: every DIP still
-            // costs exactly one counted oracle query.
-            assert_eq!(
-                engine.oracle_queries(),
-                dips,
-                "batch {batch}: queries and DIPs must stay 1:1"
-            );
-        }
-    }
-
-    /// Double DIP is the batching user of the engine: each round collects
-    /// up to two DIPs and queries them in one packed sweep.
-    #[test]
-    fn batched_sweeps_work_on_the_aig_engine() {
-        let original = adder4();
-        let fixtures = [
-            RandomXorLocking::new(6, 11)
-                .lock(&original, &SecretKey::from_u64(0b101101, 6))
-                .unwrap(),
-            SarLock::new(4)
-                .lock(&original, &SecretKey::from_u64(0b1010, 4))
-                .unwrap(),
-        ];
-        for locked in &fixtures {
-            let oracle = Oracle::new(original.clone()).unwrap();
-            let run = crate::ddip::DoubleDipAttack::new()
-                .execute(&AttackRequest::oracle_guided(&locked.circuit, &oracle))
-                .unwrap();
-            let key = run.outcome.exact_key().expect("small instances must fall");
-            let unlocked = locked.apply_key(key).unwrap();
-            assert!(kratt_netlist::sim::exhaustively_equivalent(&original, &unlocked).unwrap());
-            // Every DIP of a round costs exactly one counted query.
-            let rounds = run.iterations as u64;
-            assert!(
-                rounds <= run.oracle_queries && run.oracle_queries <= 2 * rounds,
-                "{} queries over {rounds} rounds",
-                run.oracle_queries
-            );
-        }
-    }
-
     /// A random host over `i0..i{n}`: a seeded gate recipe, built with its
     /// inputs declared in order or in reverse, so two builds compute the
     /// same function over differently ordered interfaces.
     fn random_host(seed: u64, reversed: bool) -> Circuit {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let n_inputs = rng.gen_range(4..7usize);
         let mut c = Circuit::new(format!("host{seed}"));
@@ -771,6 +633,33 @@ mod tests {
         c
     }
 
+    /// A random locked soup: `random_host(seed)` locked with RLL, SARLock
+    /// or Anti-SAT (by `seed % 3`) under a key of 3 to 5 bits drawn from
+    /// `rng`. Returns the host, the locked circuit and an oracle over the
+    /// host built with its inputs declared in reverse, so a query pattern
+    /// must go through positions, not through the locked order.
+    pub(crate) fn random_locked_soup(
+        seed: u64,
+        rng: &mut StdRng,
+    ) -> (Circuit, LockedCircuit, Oracle) {
+        let host = random_host(seed, false);
+        let n_data = host.num_inputs();
+        let key_bits = match seed % 3 {
+            0 => rng.gen_range(3..6usize),
+            1 => rng.gen_range(3..6usize).min(n_data),
+            _ => 4,
+        };
+        let secret = SecretKey::random(rng, key_bits);
+        let locked = match seed % 3 {
+            0 => RandomXorLocking::new(key_bits, seed).lock(&host, &secret),
+            1 => SarLock::new(key_bits).lock(&host, &secret),
+            _ => AntiSat::new(key_bits).lock(&host, &secret),
+        }
+        .unwrap();
+        let oracle = Oracle::new(random_host(seed, true)).unwrap();
+        (host, locked, oracle)
+    }
+
     /// The locked circuit's outputs at data pattern `dip` under key `key`.
     fn locked_outputs(locked: &Circuit, dip: &[bool], key: &[bool]) -> Vec<bool> {
         let data = locked.data_inputs().into_iter().zip(dip.iter().copied());
@@ -785,31 +674,14 @@ mod tests {
     proptest::proptest! {
         /// One IO constraint admits exactly the keys under which the locked
         /// circuit reproduces the oracle's response at the DIP, in each key
-        /// copy. The oracle declares its inputs in reverse, so its query
-        /// pattern goes through positions, not through the locked order.
+        /// copy.
         #[test]
         fn prop_one_io_constraint_admits_exactly_the_consistent_keys(seed in 0u64..1024) {
-            use kratt_locking::AntiSat;
-            use rand::rngs::StdRng;
-            use rand::{Rng, SeedableRng};
-            let host = random_host(seed, false);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-            let n_data = host.num_inputs();
-            let key_bits = match seed % 3 {
-                0 => rng.gen_range(3..6usize),
-                1 => rng.gen_range(3..6usize).min(n_data),
-                _ => 4,
-            };
-            let secret = SecretKey::random(&mut rng, key_bits);
-            let locked = match seed % 3 {
-                0 => RandomXorLocking::new(key_bits, seed).lock(&host, &secret),
-                1 => SarLock::new(key_bits).lock(&host, &secret),
-                _ => AntiSat::new(key_bits).lock(&host, &secret),
-            }
-            .unwrap()
-            .circuit;
-            let oracle = Oracle::new(random_host(seed, true)).unwrap();
-            let dip: Vec<bool> = (0..n_data).map(|_| rng.gen_bool(0.5)).collect();
+            let (host, locked, oracle) = random_locked_soup(seed, &mut rng);
+            let (secret, locked) = (locked.secret, locked.circuit);
+            let key_bits = secret.bits().len();
+            let dip: Vec<bool> = (0..host.num_inputs()).map(|_| rng.gen_bool(0.5)).collect();
 
             let budget = Budget::default();
             let mut engine = DipEngine::new(&locked, &oracle, &budget, budget.start()).unwrap();

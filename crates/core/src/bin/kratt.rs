@@ -116,7 +116,9 @@ OPTIONS:
     --qdimacs <PATH>       write the extracted locking unit's \u{2203}K \u{2200}PPI instance in QDIMACS
     --reconstruct <PATH>   recover the protected patterns with the oracle and write the
                            reconstructed original circuit as .bench (requires --oracle;
-                           the recovery runs on a --time-limit clock of its own)
+                           the recovery runs on a --time-limit clock of its own, and
+                           when it recovers no pattern nothing is written and the exit
+                           code is 1)
     --lint                 run the kratt-lint static rule catalogue on the netlist instead
                            of an attack and exit nonzero on error-level findings; with
                            --oracle, also check interface drift against that original
@@ -769,6 +771,11 @@ fn run(options: &CliOptions, attack: &dyn Attack) -> Result<(), String> {
         if !quiet {
             println!("protected pats : {} recovered", patterns.len());
         }
+        // Without a pattern the rebuild is the functionality-stripped
+        // circuit, which is not the original.
+        if patterns.is_empty() {
+            return Err("no protected pattern recovered; nothing written".to_string());
+        }
         let rebuilt =
             reconstruct_original_from_patterns(&artifacts, &patterns).map_err(|e| e.to_string())?;
         let text = bench::write(&rebuilt).map_err(|e| e.to_string())?;
@@ -883,6 +890,44 @@ mod tests {
     fn reconstruct_requires_an_oracle() {
         let result = parse_args(["--locked", "l.bench", "--reconstruct", "out.bench"]);
         assert!(result.unwrap_err().contains("--oracle"));
+    }
+
+    #[test]
+    fn reconstruct_without_a_recovered_pattern_fails_and_writes_nothing() {
+        // A zero time limit leaves pattern recovery no time to find one.
+        let dir = std::env::temp_dir().join("kratt_cli_reconstruct_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let original_path = dir.join("original.bench");
+        let original = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
+                        ab = AND(a, b)\ncd = OR(c, d)\ny = XOR(ab, cd)\nz = NAND(a, d)\n";
+        std::fs::write(&original_path, original).unwrap();
+        let spec: SchemeSpec = "ttlock:k=4,seed=3".parse().unwrap();
+        let locked = scheme_registry()
+            .lock(&spec, &bench::parse("original", original).unwrap())
+            .unwrap();
+        let locked_path = dir.join("locked.bench");
+        std::fs::write(&locked_path, bench::write(&locked.circuit).unwrap()).unwrap();
+        let out = dir.join("rebuilt.bench");
+        let _ = std::fs::remove_file(&out);
+        let options = parse_args([
+            "--locked",
+            locked_path.to_str().unwrap(),
+            "--oracle",
+            original_path.to_str().unwrap(),
+            "--reconstruct",
+            out.to_str().unwrap(),
+            "--time-limit",
+            "0",
+            "--json",
+        ])
+        .unwrap();
+        let attack = build_attack(&options).unwrap();
+        let message = run(&options, attack.as_ref()).unwrap_err();
+        assert!(
+            message.contains("no protected pattern recovered"),
+            "{message}"
+        );
+        assert!(!out.exists(), "nothing may be written");
     }
 
     #[test]
