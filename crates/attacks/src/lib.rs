@@ -81,6 +81,13 @@ pub mod scope;
 pub mod scope_replay;
 pub mod structure;
 
+// The logic-removal references of kratt-netlist's tests, one copy for
+// every crate that checks against them.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../netlist/src/reference.rs"]
+mod reference;
+
 pub use appsat::AppSatAttack;
 pub use campaign::{
     Campaign, CampaignBuilder, CampaignCell, CampaignError, CampaignHost, CampaignReport,

@@ -78,8 +78,8 @@ impl ScopeAttack {
         if key_inputs.is_empty() {
             return Err(AttackError::NoKeyInputs);
         }
-        // One plan (one topological sort) serves every cofactor run of the
-        // key sweep.
+        // One plan, over the circuit's cached topological order, serves
+        // every cofactor run of the key sweep.
         let mut plan = ScopePlan::new(locked)?;
         let mut guess = KeyGuess::new();
         let mut analysed = 0usize;

@@ -3,20 +3,21 @@
 //! building a single circuit.
 //!
 //! SCOPE's features are defined by a rebuild: [`set_inputs_constant`] once
-//! per key-bit cofactor — topological sort, constant-folded rebuild into a
-//! fresh [`Circuit`] (string-keyed net table included), a dangling-logic
-//! prune (a second rebuild) — followed by a stats pass. This module
-//! reproduces the *feature vector* of that pipeline exactly, by
-//! construction, without building anything:
+//! per key-bit cofactor — a constant-folded rebuild into a fresh
+//! [`Circuit`] (string-keyed net table included), a dangling-logic prune (a
+//! second rebuild, which sorts the fresh circuit) — followed by a stats
+//! pass. This module reproduces the *feature vector* of that pipeline
+//! exactly, by construction, without building anything:
 //!
 //! 1. One ternary forward run over the shared [`CircuitAnalysis`] plan
-//!    (the topological order is computed once per circuit, not once per
-//!    cofactor) pins the key bit and classifies every net as constant or
-//!    live. A net folds to a constant in `rebuild_simplified` **iff** its
-//!    gate-level ternary value is not `X` — each simplification rule
-//!    (`AND` with a false constant input, `OR` with a true one, fully
-//!    constant gates, XOR parity) is precisely the ternary transfer of the
-//!    gate, so the two classifications coincide inductively.
+//!    (the circuit's cached topological order, sorted once per circuit,
+//!    not once per cofactor) pins the key bit and classifies every net as
+//!    constant or live. A net folds to a constant in `rebuild_simplified`
+//!    **iff** its gate-level ternary value is not `X` — each
+//!    simplification rule (`AND` with a false constant input, `OR` with a
+//!    true one, fully constant gates, XOR parity) is precisely the ternary
+//!    transfer of the gate, so the two classifications coincide
+//!    inductively.
 //! 2. A *virtual replay* then walks the gates in the same order
 //!    `rebuild_simplified` does and mirrors every decision that affects
 //!    the gate count, literal count or logic depth — which gates are
@@ -28,11 +29,11 @@
 //!
 //! The replay runs `2 × key_bits` times per SCOPE sweep, 256 times on a
 //! 128-bit key, so it allocates nothing per gate and nothing per call
-//! after the first: the [`ScopePlan`] owns the node records and the
-//! per-net buffers, and each call clears them. Fanins are stored flat —
-//! one `Vec<u32>` plus a start offset per node — and a gate's live fanins
-//! are pushed while its level is computed; a gate that collapses to an
-//! alias pops them again. Only the ternary run returns a fresh vector.
+//! after the first: the [`ScopePlan`] owns the ternary values, the node
+//! records and the per-net buffers, and each call clears them. Fanins are
+//! stored flat — one `Vec<u32>` plus a start offset per node — and a
+//! gate's live fanins are pushed while its level is computed; a gate that
+//! collapses to an alias pops them again.
 //!
 //! Name bookkeeping is replayed per *original net* rather than per string:
 //! inside the gate loop a simplified gate always receives its original
@@ -118,6 +119,10 @@ impl Virtual {
 /// them, so the cofactor runs after the first allocate nothing.
 #[derive(Default)]
 struct Scratch {
+    /// The ternary value of every original net, and the ternary run's
+    /// per-gate fanin values.
+    ternary: Vec<Ternary>,
+    fanins: Vec<Ternary>,
     nodes: Virtual,
     /// Whether each original net is pinned to a constant.
     pinned: Vec<bool>,
@@ -166,16 +171,23 @@ impl<'c> ScopePlan<'c> {
     /// to constants — equal, field for field, to
     /// `stats(&set_inputs_constant(circuit, pins)?)`.
     pub fn features(&mut self, pins: &[(NetId, bool)]) -> ScopeFeatures {
-        let ternary = self.analysis.ternary(self.circuit, pins);
-        self.replay(&ternary, pins)
+        let Scratch {
+            ternary, fanins, ..
+        } = &mut self.scratch;
+        self.analysis
+            .ternary_into(self.circuit, pins, ternary, fanins);
+        self.replay(pins)
     }
 
-    /// Replays `rebuild_simplified` + `prune_dangling` + `stats` virtually.
-    fn replay(&mut self, ternary: &[Ternary], pins: &[(NetId, bool)]) -> ScopeFeatures {
+    /// Replays `rebuild_simplified` + `prune_dangling` + `stats` virtually
+    /// over the ternary values of the scratch buffers.
+    fn replay(&mut self, pins: &[(NetId, bool)]) -> ScopeFeatures {
         let circuit = self.circuit;
         let scratch = &mut self.scratch;
         scratch.clear(circuit.num_nets());
         let Scratch {
+            ternary,
+            fanins: _,
             nodes: vn,
             pinned,
             repr,

@@ -167,10 +167,9 @@ mod tests {
     #[test]
     fn every_input_is_in_the_support_of_the_logic() {
         let c = RandomLogicSpec::new("cover", 30, 8, 200, 3).generate();
-        let fanout = analysis::fanout_map(&c);
         for &pi in c.inputs() {
             assert!(
-                fanout.get(&pi).map(|v| !v.is_empty()).unwrap_or(false),
+                c.gates().any(|(_, gate)| gate.inputs.contains(&pi)),
                 "input {} is unused",
                 c.net_name(pi)
             );

@@ -25,7 +25,7 @@ pub fn extract_locked_subcircuit(artifacts: &RemovalArtifacts) -> Result<Circuit
             artifacts.critical_signal.clone(),
         ))
     })?;
-    let locked_outputs = outputs_reached_from(usc, cs1);
+    let locked_outputs = outputs_reached_from(usc, cs1)?;
     let mut subcircuit = extract_cone(usc, &locked_outputs, &[])?;
     subcircuit.set_name(format!("{}_locked_sub", usc.name()));
     Ok(subcircuit)

@@ -71,6 +71,13 @@ pub mod qbf_attack;
 pub mod reconstruct;
 pub mod removal;
 
+// The logic-removal references of kratt-netlist's tests, one copy for
+// every crate that checks against them.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../netlist/src/reference.rs"]
+mod reference;
+
 pub use attack::{attack_registry, KrattAttack, KrattConfig, KrattPath, KrattReport};
 pub use classify::UnitClass;
 pub use error::KrattError;

@@ -680,7 +680,8 @@ mod tests {
         ppi_positions: &[usize],
         max_cones: usize,
     ) -> Vec<(NetId, Vec<NetId>)> {
-        use kratt_netlist::analysis::{fanin_cone_gates, fanout_map, support};
+        use crate::reference::fanout_map;
+        use kratt_netlist::analysis::{fanin_cone_gates, support};
         let is_ppi: HashSet<NetId> = ppi_positions
             .iter()
             .map(|&position| subcircuit.inputs()[position])

@@ -95,7 +95,7 @@ pub fn reconstruct_original_from_patterns(
     map.insert(cs1, restored_cs1);
 
     // Copy the USC logic on top.
-    for gid in topological_order(usc)? {
+    for &gid in topological_order(usc)?.iter() {
         let gate = usc.gate(gid);
         let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
         let out = if rebuilt.find_net(usc.net_name(gate.output)).is_none() {

@@ -147,7 +147,7 @@ mod tests {
             alias.insert(pi, pi);
         }
         if let Ok(order) = topological_order(unit) {
-            for gid in order {
+            for &gid in order.iter() {
                 let gate = unit.gate(gid);
                 if gate.inputs.len() == 1 {
                     if let Some(&root) = alias.get(&gate.inputs[0]) {
@@ -208,6 +208,49 @@ mod tests {
                     "{}/{spec}",
                     row.name
                 );
+            }
+        }
+        assert!(units > 0);
+    }
+
+    #[test]
+    fn removal_matches_the_references_on_every_scheme_and_host() {
+        // Every registry scheme on every Table-I host at scale 0.05: the
+        // first dominator is the cone-intersection scan's critical signal,
+        // and the `Vec`-indexed rebuilds give the hash-map references' unit,
+        // unit-stripped circuit and locked subcircuit, name for name.
+        use crate::extraction::extract_locked_subcircuit;
+        use crate::reference::{self, structure};
+        let registry = kratt_locking::scheme_registry();
+        let mut units = 0;
+        for row in kratt_benchmarks::table1_circuits(0.05) {
+            for name in registry.names() {
+                let spec = kratt_locking::SchemeSpec::new(name)
+                    .unwrap()
+                    .with_param("k", row.key_bits as u64)
+                    .with_param("seed", 0xa55c);
+                let locked = registry.lock(&spec, &row.circuit).unwrap().circuit;
+                let what = format!("{}/{spec}", row.name);
+                let Some(cs1) = reference::find_critical_signal(&locked) else {
+                    assert!(remove_locking_unit(&locked).is_err(), "{what}");
+                    continue;
+                };
+                units += 1;
+                let artifacts = remove_locking_unit(&locked).unwrap();
+                assert_eq!(artifacts.critical_signal, locked.net_name(cs1), "{what}");
+                let unit = reference::extract_cone(&locked, &[cs1], &[]).unwrap();
+                assert_eq!(structure(&artifacts.unit), structure(&unit), "{what}");
+                let usc = reference::remove_cone(&locked, cs1).unwrap();
+                assert_eq!(
+                    structure(&artifacts.unit_stripped),
+                    structure(&usc),
+                    "{what}"
+                );
+                let cut = usc.find_net(&artifacts.critical_signal).unwrap();
+                let outputs = reference::outputs_reached_from(&usc, cut);
+                let subcircuit = reference::extract_cone(&usc, &outputs, &[]).unwrap();
+                let extracted = extract_locked_subcircuit(&artifacts).unwrap();
+                assert_eq!(structure(&extracted), structure(&subcircuit), "{what}");
             }
         }
         assert!(units > 0);

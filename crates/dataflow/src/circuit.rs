@@ -8,18 +8,21 @@
 //! values.
 
 use crate::domain::ForwardDomain;
+use crate::ternary::{Ternary, TernaryDomain};
 use kratt_netlist::analysis::topological_order;
 use kratt_netlist::{Circuit, GateId, GateType, NetId, NetlistError};
+use std::borrow::Borrow;
+use std::sync::Arc;
 
-/// A reusable forward-analysis plan over one circuit: the topological
-/// order is computed once and shared across runs (a cofactor sweep over
-/// `k` key bits runs `2k` analyses over the same order).
+/// A reusable forward-analysis plan over one circuit: the circuit's cached
+/// topological order, shared across runs (a cofactor sweep over `k` key
+/// bits runs `2k` analyses over the same order).
 pub struct CircuitAnalysis {
-    order: Vec<GateId>,
+    order: Arc<[GateId]>,
 }
 
 impl CircuitAnalysis {
-    /// Prepares the analysis plan (one topological sort).
+    /// Prepares the analysis plan over the circuit's topological order.
     ///
     /// # Errors
     ///
@@ -44,35 +47,55 @@ impl CircuitAnalysis {
         domain: &D,
         pins: &[(NetId, D::Value)],
     ) -> Vec<D::Value> {
-        let mut values = vec![domain.top(); circuit.num_nets()];
+        let mut values = Vec::new();
+        let pins = pins.iter().cloned();
+        self.run_into(circuit, domain, pins, &mut values, &mut Vec::new());
+        values
+    }
+
+    /// [`run`](Self::run) into caller-owned buffers: `values` receives one
+    /// value per net and `fanins` holds each gate's input values in turn, so
+    /// a caller running many analyses allocates nothing after the first.
+    fn run_into<D: ForwardDomain>(
+        &self,
+        circuit: &Circuit,
+        domain: &D,
+        pins: impl IntoIterator<Item = (NetId, D::Value)>,
+        values: &mut Vec<D::Value>,
+        fanins: &mut Vec<D::Value>,
+    ) {
+        values.clear();
+        values.resize(circuit.num_nets(), domain.top());
         for (index, &pi) in circuit.inputs().iter().enumerate() {
             values[pi.index()] = domain.input(pi.index() as u32, index);
         }
         for (net, value) in pins {
-            values[net.index()] = value.clone();
+            values[net.index()] = value;
         }
-        let mut scratch: Vec<D::Value> = Vec::new();
-        for &gid in &self.order {
+        for &gid in self.order.iter() {
             let gate = circuit.gate(gid);
-            scratch.clear();
-            scratch.extend(gate.inputs.iter().map(|n| values[n.index()].clone()));
-            values[gate.output.index()] = gate_transfer(domain, gate.ty, &scratch);
+            fanins.clear();
+            fanins.extend(gate.inputs.iter().map(|n| values[n.index()].clone()));
+            values[gate.output.index()] = gate_transfer(domain, gate.ty, fanins);
         }
-        values
     }
 
-    /// Convenience: a ternary run with boolean pins.
-    pub fn ternary(
+    /// A ternary run with boolean pins. `values` receives one value per net
+    /// and `fanins` holds each gate's input values in turn: a caller that
+    /// keeps both across runs, as SCOPE's cofactor sweep does, allocates
+    /// nothing after the first run.
+    pub fn ternary_into(
         &self,
         circuit: &Circuit,
         pins: &[(NetId, bool)],
-    ) -> Vec<crate::ternary::Ternary> {
-        let domain = crate::ternary::TernaryDomain;
-        let pins: Vec<(NetId, crate::ternary::Ternary)> = pins
+        values: &mut Vec<Ternary>,
+        fanins: &mut Vec<Ternary>,
+    ) {
+        let domain = TernaryDomain;
+        let pins = pins
             .iter()
-            .map(|&(net, value)| (net, domain.constant(value)))
-            .collect();
-        self.run(circuit, &domain, &pins)
+            .map(|&(net, value)| (net, domain.constant(value)));
+        self.run_into(circuit, &domain, pins, values, fanins);
     }
 }
 
@@ -93,13 +116,10 @@ pub fn gate_transfer<D: ForwardDomain>(domain: &D, ty: GateType, inputs: &[D::Va
         GateType::And => fold_and(domain, inputs.iter()),
         GateType::Nand => domain.complement(&fold_and(domain, inputs.iter())),
         GateType::Or => {
-            let complements: Vec<D::Value> = inputs.iter().map(|v| domain.complement(v)).collect();
-            domain.complement(&fold_and(domain, complements.iter()))
+            let complements = inputs.iter().map(|v| domain.complement(v));
+            domain.complement(&fold_and(domain, complements))
         }
-        GateType::Nor => {
-            let complements: Vec<D::Value> = inputs.iter().map(|v| domain.complement(v)).collect();
-            fold_and(domain, complements.iter())
-        }
+        GateType::Nor => fold_and(domain, inputs.iter().map(|v| domain.complement(v))),
         GateType::Xor | GateType::Xnor => {
             let mut acc = inputs[0].clone();
             for value in &inputs[1..] {
@@ -113,18 +133,15 @@ pub fn gate_transfer<D: ForwardDomain>(domain: &D, ty: GateType, inputs: &[D::Va
     }
 }
 
-fn fold_and<'a, D: ForwardDomain>(
+fn fold_and<D: ForwardDomain, V: Borrow<D::Value>>(
     domain: &D,
-    mut inputs: impl Iterator<Item = &'a D::Value>,
-) -> D::Value
-where
-    D::Value: 'a,
-{
-    let first = inputs
-        .next()
-        .cloned()
-        .unwrap_or_else(|| domain.constant(true));
-    inputs.fold(first, |acc, v| domain.and(&acc, v))
+    mut inputs: impl Iterator<Item = V>,
+) -> D::Value {
+    let first = match inputs.next() {
+        Some(value) => value.borrow().clone(),
+        None => domain.constant(true),
+    };
+    inputs.fold(first, |acc, v| domain.and(&acc, v.borrow()))
 }
 
 fn xor2<D: ForwardDomain>(domain: &D, a: &D::Value, b: &D::Value) -> D::Value {
@@ -139,7 +156,6 @@ fn xor2<D: ForwardDomain>(domain: &D, a: &D::Value, b: &D::Value) -> D::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ternary::Ternary;
 
     fn toy() -> Circuit {
         let mut c = Circuit::new("toy");
@@ -159,11 +175,13 @@ mod tests {
         let plan = CircuitAnalysis::new(&c).unwrap();
         let k = c.find_net("keyinput0").unwrap();
         let a = c.find_net("a").unwrap();
+        let (mut values, mut fanins) = (Vec::new(), Vec::new());
         // Nothing pinned: all X past the inputs.
-        let values = plan.ternary(&c, &[]);
+        plan.ternary_into(&c, &[], &mut values, &mut fanins);
         assert_eq!(values[c.find_net("o").unwrap().index()], Ternary::X);
-        // NAND with a constant-zero input is constant one, OR saturates.
-        let values = plan.ternary(&c, &[(k, false), (a, false)]);
+        // NAND with a constant-zero input is constant one, OR saturates; the
+        // buffers are reused.
+        plan.ternary_into(&c, &[(k, false), (a, false)], &mut values, &mut fanins);
         assert_eq!(values[c.find_net("x").unwrap().index()], Ternary::Zero);
         assert_eq!(values[c.find_net("n").unwrap().index()], Ternary::One);
         assert_eq!(values[c.find_net("o").unwrap().index()], Ternary::One);

@@ -3,7 +3,7 @@
 
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rule::{LintContext, Rule};
-use kratt_netlist::analysis::{fanin_cone_gates, fanout_map, topological_order};
+use kratt_netlist::analysis::{fanin_cone_gates, topological_order};
 use kratt_netlist::{Circuit, NetlistError};
 use std::collections::HashMap;
 
@@ -180,11 +180,16 @@ impl Rule for UnusedKeyInput {
         let Some(circuit) = ctx.circuit() else {
             return Vec::new();
         };
-        let fanout = fanout_map(circuit);
+        let mut consumed = vec![false; circuit.num_nets()];
+        for (_, gate) in circuit.gates() {
+            for &input in &gate.inputs {
+                consumed[input.index()] = true;
+            }
+        }
         circuit
             .key_inputs()
             .into_iter()
-            .filter(|k| !fanout.contains_key(k) && !circuit.is_output(*k))
+            .filter(|k| !consumed[k.index()] && !circuit.is_output(*k))
             .map(|k| {
                 Diagnostic::at(
                     self.id(),

@@ -75,7 +75,7 @@ impl LockingTechnique for RandomXorLocking {
             .map(|i| locked.add_input(format!("{KEY_INPUT_PREFIX}{i}")))
             .collect::<Result<_, _>>()?;
 
-        for gid in kratt_netlist::analysis::topological_order(original)? {
+        for &gid in kratt_netlist::analysis::topological_order(original)?.iter() {
             let gate = original.gate(gid);
             let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
             let out_name = original.net_name(gate.output).to_string();

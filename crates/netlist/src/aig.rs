@@ -395,7 +395,7 @@ impl Aig {
                 None => self.add_input(name),
             };
         }
-        for gid in crate::analysis::topological_order(circuit)? {
+        for &gid in crate::analysis::topological_order(circuit)?.iter() {
             let gate = circuit.gate(gid);
             let ins: Vec<AigLit> = gate.inputs.iter().map(|n| lits[n.index()]).collect();
             let value = match gate.ty {

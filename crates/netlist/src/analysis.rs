@@ -1,18 +1,36 @@
 //! Structural analysis of circuits: topological ordering, cones, levels and
 //! summary statistics.
+//!
+//! [`topological_order`] serves Kahn's order of the gates, sorted once per
+//! circuit and cached on the [`Circuit`] until a structural mutation drops
+//! it. Questions over the whole circuit are passes over that order with
+//! `Vec` marks indexed by [`NetId`]: [`fanout_marks`] (what a net reaches)
+//! is one forward pass, and [`fanin_marks`] (the cones the rebuilds of
+//! [`transform`](crate::transform) keep) one pass over its reverse.
+//! [`fanin_cone_gates`] and [`support`] walk back from their roots instead,
+//! touching only the cone.
 
 use crate::circuit::{Circuit, GateId, NetId};
 use crate::NetlistError;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
-/// Computes a topological order of the gates (inputs of a gate are driven
-/// either by primary inputs or by earlier gates in the order).
+/// The gates in topological order (inputs of a gate are driven either by
+/// primary inputs or by earlier gates in the order): Kahn's algorithm with a
+/// FIFO queue seeded in gate order. The order is computed on the first call
+/// and cached on the circuit, so later calls share it until the circuit's
+/// gates change.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] if the circuit contains a
 /// cycle; the error carries the full cycle path in signal-flow order.
-pub fn topological_order(circuit: &Circuit) -> Result<Vec<GateId>, NetlistError> {
+pub fn topological_order(circuit: &Circuit) -> Result<Arc<[GateId]>, NetlistError> {
+    circuit.order()
+}
+
+/// Kahn's algorithm behind [`topological_order`]'s cache.
+pub(crate) fn kahn_order(circuit: &Circuit) -> Result<Vec<GateId>, NetlistError> {
     let n = circuit.num_gates();
     // Number of gate-driven inputs each gate is still waiting for.
     let mut pending = vec![0usize; n];
@@ -101,7 +119,7 @@ fn extract_cycle(circuit: &Circuit, pending: &[usize]) -> Vec<String> {
 pub fn logic_levels(circuit: &Circuit) -> Result<Vec<usize>, NetlistError> {
     let order = topological_order(circuit)?;
     let mut level = vec![0usize; circuit.num_nets()];
-    for gid in order {
+    for &gid in order.iter() {
         let gate = circuit.gate(gid);
         let max_in = gate
             .inputs
@@ -168,66 +186,77 @@ pub fn support(circuit: &Circuit, roots: &[NetId]) -> Vec<NetId> {
         .collect()
 }
 
-/// A map from every net to the gates that consume it.
-pub fn fanout_map(circuit: &Circuit) -> HashMap<NetId, Vec<GateId>> {
-    let mut map: HashMap<NetId, Vec<GateId>> = HashMap::new();
-    for (gid, gate) in circuit.gates() {
-        for &input in &gate.inputs {
-            map.entry(input).or_default().push(gid);
-        }
-    }
-    map
-}
-
-/// The gates reachable going *forwards* from `start` (the transitive fan-out
-/// cone of a net).
-pub fn fanout_cone_gates(circuit: &Circuit, start: NetId) -> HashSet<GateId> {
-    fanout_cone_gates_in(circuit, &fanout_map(circuit), start)
-}
-
-/// [`fanout_cone_gates`] over an already computed [`fanout_map`], so callers
-/// traversing from many start nets (e.g. once per key input) build the map
-/// once instead of once per traversal.
-pub fn fanout_cone_gates_in(
+/// Marks, in one pass over the reverse of the topological order, the nets
+/// the fan-in cones of `roots` read (the roots included) and the gates they
+/// hold, indexed by [`NetId::index`] and [`GateId::index`]. The walk does not
+/// enter the driver of a net `stop` holds for.
+///
+/// # Errors
+///
+/// Returns an error if the circuit is cyclic.
+pub fn fanin_marks(
     circuit: &Circuit,
-    fanout: &HashMap<NetId, Vec<GateId>>,
-    start: NetId,
-) -> HashSet<GateId> {
-    let mut cone = HashSet::new();
-    let mut stack = vec![start];
-    let mut seen_nets: HashSet<NetId> = HashSet::new();
-    seen_nets.insert(start);
-    while let Some(net) = stack.pop() {
-        if let Some(consumers) = fanout.get(&net) {
-            for &gid in consumers {
-                if cone.insert(gid) {
-                    let out = circuit.gate(gid).output;
-                    if seen_nets.insert(out) {
-                        stack.push(out);
-                    }
-                }
+    roots: &[NetId],
+    stop: impl Fn(NetId) -> bool,
+) -> Result<(Vec<bool>, Vec<bool>), NetlistError> {
+    let mut read = vec![false; circuit.num_nets()];
+    for &root in roots {
+        read[root.index()] = true;
+    }
+    let mut cone = vec![false; circuit.num_gates()];
+    for &gid in topological_order(circuit)?.iter().rev() {
+        let gate = circuit.gate(gid);
+        // Every consumer of `gate.output` comes later in the order, so its
+        // mark is final here.
+        if read[gate.output.index()]
+            && !stop(gate.output)
+            && circuit.driver(gate.output) == Some(gid)
+        {
+            cone[gid.index()] = true;
+            for &input in &gate.inputs {
+                read[input.index()] = true;
             }
         }
     }
-    cone
+    Ok((read, cone))
+}
+
+/// Marks the nets reachable from `starts` going forwards (the starts
+/// included), indexed by [`NetId::index`]: one pass over the topological
+/// order.
+///
+/// # Errors
+///
+/// Returns an error if the circuit is cyclic.
+pub fn fanout_marks(circuit: &Circuit, starts: &[NetId]) -> Result<Vec<bool>, NetlistError> {
+    let mut reached = vec![false; circuit.num_nets()];
+    for &start in starts {
+        reached[start.index()] = true;
+    }
+    for &gid in topological_order(circuit)?.iter() {
+        let gate = circuit.gate(gid);
+        if gate.inputs.iter().any(|n| reached[n.index()]) {
+            reached[gate.output.index()] = true;
+        }
+    }
+    Ok(reached)
 }
 
 /// The primary outputs reachable from `start` going forwards, in output
-/// order. `start` itself counts if it is listed as an output.
-pub fn outputs_reached_from(circuit: &Circuit, start: NetId) -> Vec<NetId> {
-    let cone = fanout_cone_gates(circuit, start);
-    let reached: HashSet<NetId> = cone
+/// order, each once. `start` itself counts if it is listed as an output.
+///
+/// # Errors
+///
+/// Returns an error if the circuit is cyclic.
+pub fn outputs_reached_from(circuit: &Circuit, start: NetId) -> Result<Vec<NetId>, NetlistError> {
+    let mut reached = fanout_marks(circuit, &[start])?;
+    // Taking each mark as it is read keeps repeated outputs out.
+    Ok(circuit
+        .outputs()
         .iter()
-        .map(|&g| circuit.gate(g).output)
-        .chain(std::iter::once(start))
-        .collect();
-    let mut result = Vec::new();
-    for &o in circuit.outputs() {
-        if reached.contains(&o) && !result.contains(&o) {
-            result.push(o);
-        }
-    }
-    result
+        .copied()
+        .filter(|o| std::mem::take(&mut reached[o.index()]))
+        .collect())
 }
 
 /// Summary statistics of a circuit, used both for reporting (Table I) and as
@@ -322,17 +351,19 @@ mod tests {
 
     #[test]
     fn fanout_cone_and_reached_outputs() {
+        use crate::reference::{fanout_cone_gates, fanout_map};
         let c = sample();
         let a = c.find_net("a").unwrap();
         let cc = c.find_net("c").unwrap();
-        let from_a = fanout_cone_gates(&c, a);
+        let fanout = fanout_map(&c);
+        let from_a = fanout_cone_gates(&c, &fanout, a);
         assert_eq!(from_a.len(), 3); // AND, OR, NOT
-        let from_c = fanout_cone_gates(&c, cc);
+        let from_c = fanout_cone_gates(&c, &fanout, cc);
         assert_eq!(from_c.len(), 1); // OR only
-        let outs = outputs_reached_from(&c, cc);
+        let outs = outputs_reached_from(&c, cc).unwrap();
         assert_eq!(outs.len(), 1);
         assert_eq!(c.net_name(outs[0]), "o1");
-        let outs_a = outputs_reached_from(&c, a);
+        let outs_a = outputs_reached_from(&c, a).unwrap();
         assert_eq!(outs_a.len(), 2);
     }
 

@@ -196,7 +196,7 @@ pub fn write(circuit: &Circuit) -> Result<String, NetlistError> {
         let _ = writeln!(out, "OUTPUT({})", circuit.net_name(output));
     }
     let _ = writeln!(out);
-    for gid in crate::analysis::topological_order(circuit)? {
+    for &gid in crate::analysis::topological_order(circuit)?.iter() {
         let gate = circuit.gate(gid);
         let args: Vec<&str> = gate.inputs.iter().map(|&n| circuit.net_name(n)).collect();
         let _ = writeln!(

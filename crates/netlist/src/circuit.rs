@@ -76,6 +76,11 @@ pub struct Circuit {
     /// The compiled evaluation schedule, built lazily by
     /// [`Circuit::schedule`] and dropped by every structural mutation.
     schedule: OnceLock<Arc<GateSchedule>>,
+    /// The Kahn order of the gates, built lazily by
+    /// [`analysis::topological_order`](crate::analysis::topological_order)
+    /// and dropped with the schedule. It depends on the gates and their
+    /// fanins only, not on names or outputs.
+    order: OnceLock<Arc<[GateId]>>,
 }
 
 impl Circuit {
@@ -90,7 +95,26 @@ impl Circuit {
             by_name: HashMap::new(),
             fresh_counter: 0,
             schedule: OnceLock::new(),
+            order: OnceLock::new(),
         }
+    }
+
+    /// The gates' Kahn order, sorted on first use and cached; served by
+    /// [`analysis::topological_order`](crate::analysis::topological_order).
+    /// A cycle error is not cached: a cyclic circuit reports its cycle on
+    /// every call.
+    pub(crate) fn order(&self) -> Result<Arc<[GateId]>, NetlistError> {
+        if let Some(cached) = self.order.get() {
+            return Ok(Arc::clone(cached));
+        }
+        let built: Arc<[GateId]> = crate::analysis::kahn_order(self)?.into();
+        Ok(Arc::clone(self.order.get_or_init(|| built)))
+    }
+
+    /// Drops the caches that depend on the gates and their fanins.
+    fn drop_caches(&mut self) {
+        self.schedule.take();
+        self.order.take();
     }
 
     /// The circuit's compiled [`GateSchedule`]: topologically ordered,
@@ -129,7 +153,7 @@ impl Circuit {
         if self.by_name.contains_key(&name) {
             return Err(NetlistError::DuplicateNet(name));
         }
-        self.schedule.take();
+        self.drop_caches();
         let id = NetId(self.nets.len() as u32);
         self.by_name.insert(name.clone(), id);
         self.nets.push(Net {
@@ -415,7 +439,7 @@ impl Circuit {
     /// already driven. Fixture hook; see the module note above.
     #[doc(hidden)]
     pub fn raw_push_gate(&mut self, ty: GateType, inputs: &[NetId], output: NetId) {
-        self.schedule.take();
+        self.drop_caches();
         let gid = GateId(self.gates.len() as u32);
         self.gates.push(Gate {
             ty,
@@ -435,7 +459,7 @@ impl Circuit {
     /// Panics if `gate` or `position` is out of bounds.
     #[doc(hidden)]
     pub fn raw_set_gate_input(&mut self, gate: GateId, position: usize, net: NetId) {
-        self.schedule.take();
+        self.drop_caches();
         self.gates[gate.index()].inputs[position] = net;
     }
 }
@@ -571,6 +595,58 @@ mod tests {
         c.replace_output_at(0, o2);
         assert_eq!(c.outputs(), &[o2]);
         assert!(c.rename_net(a, "o").is_err());
+    }
+
+    #[test]
+    fn cached_order_follows_every_mutation() {
+        use crate::analysis::{kahn_order, topological_order};
+        // `served` is the cached order: equal to a fresh Kahn sort and, once
+        // served, shared by the next call.
+        let served = |c: &Circuit| {
+            let order = topological_order(c).unwrap();
+            assert_eq!(&order[..], &kahn_order(c).unwrap()[..]);
+            assert!(Arc::ptr_eq(&order, &topological_order(c).unwrap()));
+            order
+        };
+        let mut c = Circuit::new("mutated");
+        let a = c.add_input("a").unwrap();
+        let x = c.add_gate(GateType::Buf, "x", &[a]).unwrap();
+        let y = c.add_gate(GateType::Not, "y", &[a]).unwrap();
+        c.mark_output(x);
+        let before = served(&c);
+        let x_gate = c.driver(x).unwrap();
+        let y_gate = c.driver(y).unwrap();
+        assert_eq!(&before[..], &[x_gate, y_gate]);
+
+        // A clone shares its original's order; outputs and names are not
+        // part of it.
+        assert!(Arc::ptr_eq(&before, &served(&c.clone())));
+        c.mark_output(y);
+        c.rename_net(y, "y2").unwrap();
+        assert!(Arc::ptr_eq(&before, &served(&c)));
+
+        // Each structural mutation drops the order and shows in the next.
+        let b = c.add_input("b").unwrap();
+        let after_input = served(&c);
+        assert!(!Arc::ptr_eq(&before, &after_input));
+        let z = c.add_gate(GateType::And, "z", &[x, b]).unwrap();
+        let z_gate = c.driver(z).unwrap();
+        assert_eq!(&served(&c)[..], &[x_gate, y_gate, z_gate]);
+        let w = c.raw_add_undriven_net("w").unwrap();
+        c.raw_push_gate(GateType::Buf, &[y], w);
+        let w_gate = c.driver(w).unwrap();
+        assert_eq!(&served(&c)[..], &[x_gate, y_gate, z_gate, w_gate]);
+        c.raw_set_gate_input(x_gate, 0, y);
+        assert_eq!(&served(&c)[..], &[y_gate, x_gate, w_gate, z_gate]);
+
+        // A cycle is reported on every call, never cached.
+        c.raw_set_gate_input(y_gate, 0, x);
+        for _ in 0..2 {
+            assert!(matches!(
+                topological_order(&c),
+                Err(NetlistError::CombinationalCycle(_))
+            ));
+        }
     }
 
     #[test]

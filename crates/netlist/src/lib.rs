@@ -55,6 +55,14 @@ pub mod sim;
 pub mod transform;
 pub mod verilog;
 
+// The test references name this crate `kratt_netlist`, as the other crates
+// that include them do.
+#[cfg(test)]
+extern crate self as kratt_netlist;
+#[cfg(test)]
+#[allow(dead_code)] // The critical-signal reference is for the attack crates.
+mod reference;
+
 pub use aig::{Aig, AigLit, AigStats, AigViolation};
 pub use circuit::{Circuit, GateId, NetId};
 pub use error::NetlistError;

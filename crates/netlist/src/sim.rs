@@ -97,7 +97,7 @@ impl GateSchedule {
         let order = crate::analysis::topological_order(circuit)?;
         let mut ops = Vec::with_capacity(order.len());
         let mut operands = Vec::with_capacity(circuit.num_literals());
-        for gid in order {
+        for &gid in order.iter() {
             let gate = circuit.gate(gid);
             let first = operands.len() as u32;
             operands.extend(gate.inputs.iter().map(|n| n.index() as u32));

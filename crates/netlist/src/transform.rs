@@ -7,15 +7,48 @@
 //! names wherever possible so that nets (in particular protected primary
 //! inputs and key inputs) can be correlated across the transformed circuits.
 //!
-//! The circuit modification, [`substitute_inputs`], substitutes every
-//! protected input in one rebuild — one topological sort, one pass over the
-//! gates, the net map a `Vec` indexed by [`NetId`] — so its cost does not
-//! grow with the number of substituted inputs.
+//! Every rebuild walks the circuit's cached
+//! [`topological_order`](analysis::topological_order): a cone is marked by
+//! [`analysis::fanin_marks`] in one pass over its reverse, and the kept
+//! gates are copied in one pass over the order through a `Vec` net map
+//! indexed by [`NetId`]. So the circuit modification, [`substitute_inputs`],
+//! substitutes every protected input in one rebuild, and a rebuild's cost
+//! does not grow with the number of roots, cut points or pinned inputs.
 
-use crate::analysis::{self, fanin_cone_gates};
+use crate::analysis;
 use crate::circuit::{Circuit, GateId, NetId};
 use crate::{GateType, NetlistError};
-use std::collections::{HashMap, HashSet};
+
+/// Copies the gates `keep` holds for into `result`, in topological order
+/// and under their own names, mapping fanins through `map` and recording
+/// each copy there. A fanin `map` has no net for is undriven: no kept gate
+/// drives it and the caller did not declare it an input.
+fn copy_gates(
+    circuit: &Circuit,
+    keep: impl Fn(GateId) -> bool,
+    map: &mut [Option<NetId>],
+    result: &mut Circuit,
+) -> Result<(), NetlistError> {
+    let mut inputs: Vec<NetId> = Vec::new();
+    for &gid in analysis::topological_order(circuit)?.iter() {
+        if !keep(gid) {
+            continue;
+        }
+        let gate = circuit.gate(gid);
+        inputs.clear();
+        for &net in &gate.inputs {
+            inputs.push(map[net.index()].ok_or_else(|| undriven(circuit, net))?);
+        }
+        let out = result.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
+        map[gate.output.index()] = Some(out);
+    }
+    Ok(())
+}
+
+/// The error for a net that no gate drives and that is no primary input.
+fn undriven(circuit: &Circuit, net: NetId) -> NetlistError {
+    NetlistError::Transform(format!("net `{}` is undriven", circuit.net_name(net)))
+}
 
 /// Extracts the fan-in cones of `roots` into a standalone circuit.
 ///
@@ -34,74 +67,25 @@ pub fn extract_cone(
     roots: &[NetId],
     cut_points: &[NetId],
 ) -> Result<Circuit, NetlistError> {
-    let cuts: HashSet<NetId> = cut_points.iter().copied().collect();
+    let mut cut = vec![false; circuit.num_nets()];
+    for &net in cut_points {
+        cut[net.index()] = true;
+    }
+    let (read, cone) = analysis::fanin_marks(circuit, roots, |net| cut[net.index()])?;
+
+    // Inputs of the extracted circuit: the primary inputs the cones read, in
+    // the original order, then the cut points they read, in their given
+    // order. This keeps PPIs in a stable, reproducible order.
     let mut extracted = Circuit::new(format!("{}_cone", circuit.name()));
-
-    // Collect the gates in the cone, stopping at cuts and primary inputs.
-    let mut cone_gates: HashSet<GateId> = HashSet::new();
-    let mut boundary: Vec<NetId> = Vec::new();
-    let mut seen: HashSet<NetId> = HashSet::new();
-    let mut stack: Vec<NetId> = roots.to_vec();
-    for &r in roots {
-        seen.insert(r);
-    }
-    while let Some(net) = stack.pop() {
-        if cuts.contains(&net) || circuit.driver(net).is_none() {
-            boundary.push(net);
-            continue;
-        }
-        let gid = circuit.driver(net).expect("checked above");
-        if cone_gates.insert(gid) {
-            for &input in &circuit.gate(gid).inputs {
-                if seen.insert(input) {
-                    stack.push(input);
-                }
-            }
+    let mut map: Vec<Option<NetId>> = vec![None; circuit.num_nets()];
+    for &net in circuit.inputs().iter().chain(cut_points) {
+        if read[net.index()] && map[net.index()].is_none() {
+            map[net.index()] = Some(extracted.add_input(circuit.net_name(net))?);
         }
     }
-
-    // Inputs of the extracted circuit: original primary-input order first,
-    // then cut points in their given order. This keeps PPIs in a stable,
-    // reproducible order.
-    let boundary_set: HashSet<NetId> = boundary.iter().copied().collect();
-    let mut map: HashMap<NetId, NetId> = HashMap::new();
-    for &pi in circuit.inputs() {
-        if boundary_set.contains(&pi) {
-            let new = extracted.add_input(circuit.net_name(pi))?;
-            map.insert(pi, new);
-        }
-    }
-    for &cut in cut_points {
-        if boundary_set.contains(&cut) && !map.contains_key(&cut) {
-            let new = extracted.add_input(circuit.net_name(cut))?;
-            map.insert(cut, new);
-        }
-    }
-
-    // Copy gates in topological order restricted to the cone.
-    for gid in analysis::topological_order(circuit)? {
-        if !cone_gates.contains(&gid) {
-            continue;
-        }
-        let gate = circuit.gate(gid);
-        let inputs: Vec<NetId> = gate
-            .inputs
-            .iter()
-            .map(|n| {
-                map.get(n).copied().ok_or_else(|| {
-                    NetlistError::Transform(format!(
-                        "net `{}` escapes the extracted cone",
-                        circuit.net_name(*n)
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let out = extracted.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
-        map.insert(gate.output, out);
-    }
-
+    copy_gates(circuit, |gid| cone[gid.index()], &mut map, &mut extracted)?;
     for &root in roots {
-        let mapped = map.get(&root).copied().ok_or_else(|| {
+        let mapped = map[root.index()].ok_or_else(|| {
             NetlistError::Transform(format!("root `{}` not found", circuit.net_name(root)))
         })?;
         extracted.mark_output(mapped);
@@ -121,52 +105,20 @@ pub fn extract_cone(
 /// Returns an error if the circuit is cyclic.
 pub fn remove_cone(circuit: &Circuit, cut: NetId) -> Result<Circuit, NetlistError> {
     let mut usc = Circuit::new(format!("{}_usc", circuit.name()));
-    let mut map: HashMap<NetId, NetId> = HashMap::new();
+    let mut map: Vec<Option<NetId>> = vec![None; circuit.num_nets()];
     for &pi in circuit.inputs() {
-        let new = usc.add_input(circuit.net_name(pi))?;
-        map.insert(pi, new);
+        map[pi.index()] = Some(usc.add_input(circuit.net_name(pi))?);
     }
     // The cut net becomes a fresh primary input carrying its original name
     // (unless it already is a primary input, in which case nothing changes).
     if circuit.driver(cut).is_some() {
-        let new = usc.add_input(circuit.net_name(cut))?;
-        map.insert(cut, new);
+        map[cut.index()] = Some(usc.add_input(circuit.net_name(cut))?);
     }
-
     // Gates needed by the outputs, with traversal stopping at `cut`.
-    let mut needed: HashSet<GateId> = HashSet::new();
-    let mut seen: HashSet<NetId> = HashSet::new();
-    let mut stack: Vec<NetId> = circuit.outputs().to_vec();
+    let (_, needed) = analysis::fanin_marks(circuit, circuit.outputs(), |net| net == cut)?;
+    copy_gates(circuit, |gid| needed[gid.index()], &mut map, &mut usc)?;
     for &o in circuit.outputs() {
-        seen.insert(o);
-    }
-    while let Some(net) = stack.pop() {
-        if net == cut {
-            continue;
-        }
-        if let Some(gid) = circuit.driver(net) {
-            if needed.insert(gid) {
-                for &input in &circuit.gate(gid).inputs {
-                    if seen.insert(input) {
-                        stack.push(input);
-                    }
-                }
-            }
-        }
-    }
-
-    for gid in analysis::topological_order(circuit)? {
-        if !needed.contains(&gid) {
-            continue;
-        }
-        let gate = circuit.gate(gid);
-        let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
-        let out = usc.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
-        map.insert(gate.output, out);
-    }
-
-    for &o in circuit.outputs() {
-        usc.mark_output(map[&o]);
+        usc.mark_output(map[o.index()].ok_or_else(|| undriven(circuit, o))?);
     }
     Ok(usc)
 }
@@ -177,12 +129,12 @@ pub fn remove_cone(circuit: &Circuit, cut: NetId) -> Result<Circuit, NetlistErro
 /// each protected primary input is replaced by its associated key input
 /// inside the locked subcircuit.
 ///
-/// The result is built in one rebuild: one topological sort and one pass
-/// over the gates, with the net map a `Vec` indexed by [`NetId`]. Its
-/// inputs are the kept inputs in their order, followed by each `to` that is
-/// not an input yet, in pair order (a `to` named by several pairs is
-/// created once) — the circuit that substituting the pairs one at a time,
-/// in order, would build.
+/// The result is built in one rebuild: one pass over the topological order,
+/// with the net map a `Vec` indexed by [`NetId`]. Its inputs are the kept
+/// inputs in their order, followed by each `to` that is not an input yet,
+/// in pair order (a `to` named by several pairs is created once) — the
+/// circuit that substituting the pairs one at a time, in order, would
+/// build.
 ///
 /// # Errors
 ///
@@ -234,21 +186,9 @@ pub fn substitute_inputs(
         map[from_id.index()] = Some(to_id);
     }
 
-    let undriven = |net: NetId| {
-        NetlistError::Transform(format!("net `{}` is undriven", circuit.net_name(net)))
-    };
-    let mut inputs: Vec<NetId> = Vec::new();
-    for gid in analysis::topological_order(circuit)? {
-        let gate = circuit.gate(gid);
-        inputs.clear();
-        for &net in &gate.inputs {
-            inputs.push(map[net.index()].ok_or_else(|| undriven(net))?);
-        }
-        let out = result.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
-        map[gate.output.index()] = Some(out);
-    }
+    copy_gates(circuit, |_| true, &mut map, &mut result)?;
     for &o in circuit.outputs() {
-        result.mark_output(map[o.index()].ok_or_else(|| undriven(o))?);
+        result.mark_output(map[o.index()].ok_or_else(|| undriven(circuit, o))?);
     }
     Ok(result)
 }
@@ -273,8 +213,7 @@ pub fn set_inputs_constant(
             )));
         }
     }
-    let pinned: HashMap<NetId, bool> = assignments.iter().copied().collect();
-    rebuild_simplified(circuit, &pinned)
+    rebuild_simplified(circuit, assignments)
 }
 
 /// Folds constant gates, simplifies gates with constant inputs, collapses
@@ -286,7 +225,7 @@ pub fn set_inputs_constant(
 ///
 /// Returns an error if the circuit is cyclic.
 pub fn propagate_constants(circuit: &Circuit) -> Result<Circuit, NetlistError> {
-    rebuild_simplified(circuit, &HashMap::new())
+    rebuild_simplified(circuit, &[])
 }
 
 /// Removes gates that do not feed any primary output (dangling logic) while
@@ -296,35 +235,15 @@ pub fn propagate_constants(circuit: &Circuit) -> Result<Circuit, NetlistError> {
 ///
 /// Returns an error if the circuit is cyclic.
 pub fn prune_dangling(circuit: &Circuit) -> Result<Circuit, NetlistError> {
-    let needed = fanin_cone_gates(circuit, circuit.outputs());
+    let (_, needed) = analysis::fanin_marks(circuit, circuit.outputs(), |_| false)?;
     let mut result = Circuit::new(circuit.name().to_string());
-    let mut map: HashMap<NetId, NetId> = HashMap::new();
+    let mut map: Vec<Option<NetId>> = vec![None; circuit.num_nets()];
     for &pi in circuit.inputs() {
-        let new = result.add_input(circuit.net_name(pi))?;
-        map.insert(pi, new);
+        map[pi.index()] = Some(result.add_input(circuit.net_name(pi))?);
     }
-    for gid in analysis::topological_order(circuit)? {
-        if !needed.contains(&gid) {
-            continue;
-        }
-        let gate = circuit.gate(gid);
-        let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
-        let out = result.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
-        map.insert(gate.output, out);
-    }
+    copy_gates(circuit, |gid| needed[gid.index()], &mut map, &mut result)?;
     for &o in circuit.outputs() {
-        match map.get(&o) {
-            Some(&mapped) => result.mark_output(mapped),
-            None => {
-                // An output can only be missing if it is a primary input that
-                // was already mapped, so this is unreachable; keep a defensive
-                // error for malformed circuits.
-                return Err(NetlistError::Transform(format!(
-                    "output `{}` has no driver and is not an input",
-                    circuit.net_name(o)
-                )));
-            }
-        }
+        result.mark_output(map[o.index()].ok_or_else(|| undriven(circuit, o))?);
     }
     Ok(result)
 }
@@ -338,36 +257,35 @@ enum Simplified {
 
 /// Core constant-propagation rebuild shared by [`propagate_constants`] and
 /// [`set_inputs_constant`]. Pinned primary inputs are dropped from the
-/// interface and treated as constants.
+/// interface and treated as constants; the last value given for an input
+/// holds.
 fn rebuild_simplified(
     circuit: &Circuit,
-    pinned: &HashMap<NetId, bool>,
+    pinned: &[(NetId, bool)],
 ) -> Result<Circuit, NetlistError> {
+    let order = analysis::topological_order(circuit)?;
     let mut result = Circuit::new(circuit.name().to_string());
-    let mut repr: HashMap<NetId, Simplified> = HashMap::new();
-
+    let mut repr: Vec<Option<Simplified>> = vec![None; circuit.num_nets()];
+    for &(net, value) in pinned {
+        repr[net.index()] = Some(Simplified::Constant(value));
+    }
     for &pi in circuit.inputs() {
-        match pinned.get(&pi) {
-            Some(&value) => {
-                repr.insert(pi, Simplified::Constant(value));
-            }
-            None => {
-                let new = result.add_input(circuit.net_name(pi))?;
-                repr.insert(pi, Simplified::Net(new));
-            }
+        if repr[pi.index()].is_none() {
+            let new = result.add_input(circuit.net_name(pi))?;
+            repr[pi.index()] = Some(Simplified::Net(new));
         }
     }
 
-    for gid in analysis::topological_order(circuit)? {
+    let mut scratch = (Vec::new(), Vec::new());
+    for &gid in order.iter() {
         let gate = circuit.gate(gid);
-        let name = circuit.net_name(gate.output);
-        let simplified = simplify_gate(&mut result, gate.ty, &gate.inputs, &repr, name)?;
-        repr.insert(gate.output, simplified);
+        let simplified = simplify_gate(circuit, &mut result, gid, &repr, &mut scratch)?;
+        repr[gate.output.index()] = Some(simplified);
     }
 
     for &o in circuit.outputs() {
         let want = circuit.net_name(o);
-        let mapped = match repr[&o] {
+        let mapped = match repr[o.index()].ok_or_else(|| undriven(circuit, o))? {
             Simplified::Net(n) => n,
             Simplified::Constant(value) => {
                 // Materialise the constant so the output keeps its width. Use
@@ -406,17 +324,20 @@ fn rebuild_simplified(
     prune_dangling(&result)
 }
 
-/// Simplifies one gate given the representations of its inputs, adding at
-/// most one gate to `result`.
+/// Simplifies gate `gid` of `circuit` given the representations of its
+/// inputs, adding at most one gate to `result`. `scratch` holds the constant
+/// and the live inputs; it is reused from gate to gate.
 fn simplify_gate(
+    circuit: &Circuit,
     result: &mut Circuit,
-    ty: GateType,
-    inputs: &[NetId],
-    repr: &HashMap<NetId, Simplified>,
-    name: &str,
+    gid: GateId,
+    repr: &[Option<Simplified>],
+    scratch: &mut (Vec<bool>, Vec<NetId>),
 ) -> Result<Simplified, NetlistError> {
     use GateType::*;
 
+    let gate = circuit.gate(gid);
+    let (ty, name) = (gate.ty, circuit.net_name(gate.output));
     if matches!(ty, Const0) {
         return Ok(Simplified::Constant(false));
     }
@@ -424,10 +345,11 @@ fn simplify_gate(
         return Ok(Simplified::Constant(true));
     }
 
-    let mut const_inputs: Vec<bool> = Vec::new();
-    let mut live_inputs: Vec<NetId> = Vec::new();
-    for net in inputs {
-        match repr[net] {
+    let (const_inputs, live_inputs) = scratch;
+    const_inputs.clear();
+    live_inputs.clear();
+    for &net in &gate.inputs {
+        match repr[net.index()].ok_or_else(|| undriven(circuit, net))? {
             Simplified::Constant(value) => const_inputs.push(value),
             Simplified::Net(n) => live_inputs.push(n),
         }
@@ -436,7 +358,7 @@ fn simplify_gate(
     // Fully constant gate folds away.
     if live_inputs.is_empty() {
         // Re-evaluate the original gate semantics on the constant inputs.
-        return Ok(Simplified::Constant(ty.eval(&const_inputs)));
+        return Ok(Simplified::Constant(ty.eval(const_inputs)));
     }
 
     match ty {
@@ -444,18 +366,18 @@ fn simplify_gate(
             if const_inputs.iter().any(|&v| !v) {
                 return Ok(Simplified::Constant(ty == Nand));
             }
-            emit_reduced(result, ty, &live_inputs, name, false)
+            emit_reduced(result, ty, live_inputs, name, false)
         }
         Or | Nor => {
             if const_inputs.iter().any(|&v| v) {
                 return Ok(Simplified::Constant(ty == Or));
             }
-            emit_reduced(result, ty, &live_inputs, name, false)
+            emit_reduced(result, ty, live_inputs, name, false)
         }
         Xor | Xnor => {
             let ones = const_inputs.iter().filter(|&&v| v).count();
             let flip = ones % 2 == 1;
-            emit_reduced(result, ty, &live_inputs, name, flip)
+            emit_reduced(result, ty, live_inputs, name, flip)
         }
         Not | Buf => {
             // Single live input, no constants possible here (handled above).
@@ -513,7 +435,9 @@ fn add_named(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, structure};
     use crate::sim::{exhaustively_equivalent, Simulator};
+    use std::collections::HashMap;
 
     /// y1 = (a XOR k0) AND b; y2 = NOT(a XOR k0).
     fn locked_toy() -> Circuit {
@@ -731,6 +655,55 @@ mod tests {
             let once = substitute_inputs(&c, &pairs).unwrap();
             proptest::prop_assert_eq!(structure(&once), structure(&folded));
         }
+
+        /// Every `Vec`-indexed rebuild builds the circuit its hash-map
+        /// reference builds, gate for gate and name for name: cones with
+        /// and without cut points, the unit-stripped circuit, pinned and
+        /// unpinned constant propagation and the dangling prune; and the
+        /// forward pass reaches the outputs the fan-out walk reaches.
+        #[test]
+        fn prop_rebuilds_match_the_references(seed in 0u64..1000) {
+            use proptest::prop_assert_eq;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let c = random_soup(&mut rng);
+            let nets: Vec<NetId> = c.nets().collect();
+            let (root_count, cut_count) = (rng.gen_range(1..4), rng.gen_range(0..4));
+            let mut pick = |count: usize| -> Vec<NetId> {
+                (0..count).map(|_| nets[rng.gen_range(0..nets.len())]).collect()
+            };
+            let roots = pick(root_count);
+            let cuts = pick(cut_count);
+            let cut = pick(1)[0];
+            for cut_points in [&[][..], &cuts[..]] {
+                let cone = extract_cone(&c, &roots, cut_points).unwrap();
+                let expected = reference::extract_cone(&c, &roots, cut_points).unwrap();
+                prop_assert_eq!(structure(&cone), structure(&expected));
+            }
+            let usc = remove_cone(&c, cut).unwrap();
+            let expected = reference::remove_cone(&c, cut).unwrap();
+            prop_assert_eq!(structure(&usc), structure(&expected));
+
+            let pins: Vec<(NetId, bool)> = (0..rng.gen_range(0..4))
+                .map(|_| (c.inputs()[rng.gen_range(0..c.num_inputs())], rng.gen_bool(0.5)))
+                .collect();
+            let pinned = set_inputs_constant(&c, &pins).unwrap();
+            let expected = set_inputs_constant_reference(&c, &pins).unwrap();
+            prop_assert_eq!(structure(&pinned), structure(&expected));
+            let folded = propagate_constants(&c).unwrap();
+            let expected = set_inputs_constant_reference(&c, &[]).unwrap();
+            prop_assert_eq!(structure(&folded), structure(&expected));
+            let pruned = prune_dangling(&c).unwrap();
+            let expected = prune_dangling_reference(&c).unwrap();
+            prop_assert_eq!(structure(&pruned), structure(&expected));
+
+            for &net in &nets {
+                prop_assert_eq!(
+                    analysis::outputs_reached_from(&c, net).unwrap(),
+                    reference::outputs_reached_from(&c, net)
+                );
+            }
+        }
     }
 
     /// The single-pair rebuild that [`substitute_inputs`] replaces: one
@@ -759,7 +732,7 @@ mod tests {
             None => result.add_input(to)?,
         };
         map.insert(from_id, to_id);
-        for gid in analysis::topological_order(circuit)? {
+        for &gid in analysis::topological_order(circuit)?.iter() {
             let gate = circuit.gate(gid);
             let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
             let out = result.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
@@ -771,16 +744,194 @@ mod tests {
         Ok(result)
     }
 
-    /// Input names in order, each gate's type, output name and fanin names
-    /// in gate order, and the output names in order.
-    #[allow(clippy::type_complexity)]
-    fn structure(c: &Circuit) -> (Vec<&str>, Vec<(GateType, &str, Vec<&str>)>, Vec<&str>) {
-        let names = |nets: &[NetId]| nets.iter().map(|&n| c.net_name(n)).collect::<Vec<_>>();
-        let gates = c
-            .gates()
-            .map(|(_, gate)| (gate.ty, c.net_name(gate.output), names(&gate.inputs)))
+    /// [`set_inputs_constant`] as it was before the `Vec` net maps:
+    /// hash-map pins and representations, two fresh `Vec`s per gate and a
+    /// hash-set dangling prune. With no pins it is [`propagate_constants`].
+    fn set_inputs_constant_reference(
+        circuit: &Circuit,
+        assignments: &[(NetId, bool)],
+    ) -> Result<Circuit, NetlistError> {
+        for &(net, _) in assignments {
+            if !circuit.is_input(net) {
+                return Err(NetlistError::Transform(format!(
+                    "`{}` is not a primary input",
+                    circuit.net_name(net)
+                )));
+            }
+        }
+        let pinned: HashMap<NetId, bool> = assignments.iter().copied().collect();
+        let mut result = Circuit::new(circuit.name().to_string());
+        let mut repr: HashMap<NetId, Simplified> = HashMap::new();
+        for &pi in circuit.inputs() {
+            match pinned.get(&pi) {
+                Some(&value) => {
+                    repr.insert(pi, Simplified::Constant(value));
+                }
+                None => {
+                    let new = result.add_input(circuit.net_name(pi))?;
+                    repr.insert(pi, Simplified::Net(new));
+                }
+            }
+        }
+        for &gid in analysis::topological_order(circuit)?.iter() {
+            let gate = circuit.gate(gid);
+            let name = circuit.net_name(gate.output);
+            let simplified =
+                simplify_gate_reference(&mut result, gate.ty, &gate.inputs, &repr, name)?;
+            repr.insert(gate.output, simplified);
+        }
+        for &o in circuit.outputs() {
+            let want = circuit.net_name(o);
+            let mapped = match repr[&o] {
+                Simplified::Net(n) => n,
+                Simplified::Constant(value) => {
+                    let ty = if value {
+                        GateType::Const1
+                    } else {
+                        GateType::Const0
+                    };
+                    if result.find_net(want).is_none() {
+                        result.add_gate(ty, want, &[])?
+                    } else {
+                        result.add_gate_auto(ty, want, &[])?
+                    }
+                }
+            };
+            let finalised = if result.net_name(mapped) == want {
+                mapped
+            } else if !result.is_input(mapped)
+                && !result.is_output(mapped)
+                && result.find_net(want).is_none()
+            {
+                result.rename_net(mapped, want)?;
+                mapped
+            } else {
+                add_named(&mut result, GateType::Buf, want, &[mapped])?
+            };
+            result.mark_output(finalised);
+        }
+        prune_dangling_reference(&result)
+    }
+
+    /// The per-gate simplification of [`set_inputs_constant_reference`].
+    fn simplify_gate_reference(
+        result: &mut Circuit,
+        ty: GateType,
+        inputs: &[NetId],
+        repr: &HashMap<NetId, Simplified>,
+        name: &str,
+    ) -> Result<Simplified, NetlistError> {
+        use GateType::*;
+        if matches!(ty, Const0) {
+            return Ok(Simplified::Constant(false));
+        }
+        if matches!(ty, Const1) {
+            return Ok(Simplified::Constant(true));
+        }
+        let mut const_inputs: Vec<bool> = Vec::new();
+        let mut live_inputs: Vec<NetId> = Vec::new();
+        for net in inputs {
+            match repr[net] {
+                Simplified::Constant(value) => const_inputs.push(value),
+                Simplified::Net(n) => live_inputs.push(n),
+            }
+        }
+        if live_inputs.is_empty() {
+            return Ok(Simplified::Constant(ty.eval(&const_inputs)));
+        }
+        match ty {
+            And | Nand => {
+                if const_inputs.iter().any(|&v| !v) {
+                    return Ok(Simplified::Constant(ty == Nand));
+                }
+                emit_reduced(result, ty, &live_inputs, name, false)
+            }
+            Or | Nor => {
+                if const_inputs.iter().any(|&v| v) {
+                    return Ok(Simplified::Constant(ty == Or));
+                }
+                emit_reduced(result, ty, &live_inputs, name, false)
+            }
+            Xor | Xnor => {
+                let ones = const_inputs.iter().filter(|&&v| v).count();
+                emit_reduced(result, ty, &live_inputs, name, ones % 2 == 1)
+            }
+            Not | Buf => {
+                let source = live_inputs[0];
+                if ty == Buf {
+                    Ok(Simplified::Net(source))
+                } else {
+                    let out = add_named(result, Not, name, &[source])?;
+                    Ok(Simplified::Net(out))
+                }
+            }
+            Const0 | Const1 => unreachable!("handled above"),
+        }
+    }
+
+    /// [`prune_dangling`] over a hash-set fan-in cone and a hash-map net map.
+    fn prune_dangling_reference(circuit: &Circuit) -> Result<Circuit, NetlistError> {
+        let needed = analysis::fanin_cone_gates(circuit, circuit.outputs());
+        let mut result = Circuit::new(circuit.name().to_string());
+        let mut map: HashMap<NetId, NetId> = HashMap::new();
+        for &pi in circuit.inputs() {
+            let new = result.add_input(circuit.net_name(pi))?;
+            map.insert(pi, new);
+        }
+        for &gid in analysis::topological_order(circuit)?.iter() {
+            if !needed.contains(&gid) {
+                continue;
+            }
+            let gate = circuit.gate(gid);
+            let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
+            let out = result.add_gate(gate.ty, circuit.net_name(gate.output), &inputs)?;
+            map.insert(gate.output, out);
+        }
+        for &o in circuit.outputs() {
+            result.mark_output(map[&o]);
+        }
+        Ok(result)
+    }
+
+    /// A random gate soup for the rebuild references: two to seven inputs,
+    /// up to twenty gates of every type (constants and repeated fanins
+    /// included) over earlier nets, so some logic dangles, and one to four
+    /// outputs that may repeat or be inputs, so the output-name restoration
+    /// renames, buffers and materialises.
+    fn random_soup(rng: &mut rand::rngs::StdRng) -> Circuit {
+        use rand::Rng;
+        let types = [
+            GateType::And,
+            GateType::Nand,
+            GateType::Or,
+            GateType::Nor,
+            GateType::Xor,
+            GateType::Xnor,
+            GateType::Not,
+            GateType::Buf,
+            GateType::Const0,
+            GateType::Const1,
+        ];
+        let mut c = Circuit::new("soup");
+        let mut nets: Vec<NetId> = (0..rng.gen_range(2..8))
+            .map(|i| c.add_input(format!("i{i}")).unwrap())
             .collect();
-        (names(c.inputs()), gates, names(c.outputs()))
+        for g in 0..rng.gen_range(0..21) {
+            let ty = types[rng.gen_range(0..types.len())];
+            let arity = match ty {
+                GateType::Const0 | GateType::Const1 => 0,
+                GateType::Not | GateType::Buf => 1,
+                _ => rng.gen_range(1..4),
+            };
+            let fanin: Vec<NetId> = (0..arity)
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            nets.push(c.add_gate(ty, format!("g{g}"), &fanin).unwrap());
+        }
+        for _ in 0..rng.gen_range(1..5) {
+            c.mark_output(nets[rng.gen_range(0..nets.len())]);
+        }
+        c
     }
 
     /// A random gate soup over six inputs (one of them also an output) and

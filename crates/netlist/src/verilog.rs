@@ -206,7 +206,7 @@ pub fn write(circuit: &Circuit) -> Result<String, NetlistError> {
     let _ = writeln!(out);
 
     let mut instance = 0usize;
-    for gid in order {
+    for &gid in order.iter() {
         let gate = circuit.gate(gid);
         let output_name = circuit.net_name(gate.output);
         match gate.ty {

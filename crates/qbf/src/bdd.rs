@@ -327,7 +327,7 @@ impl BddManager {
         for (&net, &var) in var_of_input {
             value[net.index()] = self.variable(var)?;
         }
-        for gid in order {
+        for &gid in order.iter() {
             let gate = circuit.gate(gid);
             let fanin = gate.inputs.iter().map(|n| value[n.index()]);
             let result = match gate.ty {

@@ -131,7 +131,7 @@ pub fn sat_sweep_with_stats(
     // every call.
     let mut class_index: HashMap<&[u64], usize> = HashMap::new();
     let mut classes: Vec<Vec<NetId>> = Vec::new();
-    for &gid in &order {
+    for &gid in order.iter() {
         let out = circuit.gate(gid).output;
         let class = *class_index
             .entry(&signatures[out.index()])
@@ -185,7 +185,7 @@ pub fn sat_sweep_with_stats(
         let new = result.add_input(circuit.net_name(pi))?;
         map.insert(pi, new);
     }
-    for &gid in &order {
+    for &gid in order.iter() {
         let gate = circuit.gate(gid);
         if let Some(&representative) = replace.get(&gate.output) {
             // Forward to the representative (already materialised, since it

@@ -161,7 +161,7 @@ where
         let new = result.add_input(circuit.net_name(pi))?;
         map.insert(pi, new);
     }
-    for gid in topological_order(circuit)? {
+    for &gid in topological_order(circuit)?.iter() {
         let gate = circuit.gate(gid);
         let inputs: Vec<NetId> = gate.inputs.iter().map(|n| map[n]).collect();
         let out = rewrite(&mut result, gate.ty, &inputs, circuit.net_name(gate.output))?;
