@@ -110,6 +110,23 @@ impl fmt::Display for AttackError {
     }
 }
 
+/// Runs `run` behind a panic firewall: a panic comes back as
+/// [`AttackError::Panicked`] carrying the panic message, so one misbehaving
+/// attack can abort neither the matrix row nor the portfolio race that runs
+/// it.
+pub(crate) fn catch_panic<T>(
+    run: impl FnOnce() -> Result<T, AttackError>,
+) -> Result<T, AttackError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic payload of unknown type".to_string());
+        Err(AttackError::Panicked(message))
+    })
+}
+
 impl std::error::Error for AttackError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -291,7 +291,6 @@ impl FallAttack {
         let mut solver = Solver::with_config(SolverConfig {
             conflict_limit: self.config.sat_conflict_limit,
             deadline: deadline.clone(),
-            ..Default::default()
         });
         let encoding = encode_aig(&mut solver, &aig, &HashMap::new());
         let (out_a, out_b) = (encoding.outputs()[0], encoding.outputs()[1]);

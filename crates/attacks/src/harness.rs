@@ -29,7 +29,7 @@
 //! journal uses to know which cells still need attacking.
 
 use crate::engine::{Attack, AttackRequest, Budget, CostClass};
-use crate::error::AttackError;
+use crate::error::{catch_panic, AttackError};
 use crate::oracle::Oracle;
 use crate::report::AttackRun;
 use kratt_netlist::Circuit;
@@ -253,7 +253,9 @@ impl Harness {
                         cases[case_index]
                             .get_or_init(|| build_case(case_index))
                             .clone()
-                            .and_then(|case| run_one_caught(attack.as_ref(), &case, budget))
+                            .and_then(|case| {
+                                catch_panic(|| run_one(attack.as_ref(), &case, budget))
+                            })
                     };
                     let row = MatrixRow {
                         attack: attack.name().to_string(),
@@ -353,28 +355,6 @@ impl Drop for QuietPanicGuard {
             std::panic::set_hook(previous);
         }
     }
-}
-
-/// Runs one attack on one case with a panic firewall: a panicking attack
-/// implementation poisons neither its worker thread nor the rest of the
-/// matrix — the panic message comes back as [`AttackError::Panicked`] in
-/// that row, labelled with the attack and case like every other row.
-fn run_one_caught(
-    attack: &dyn Attack,
-    case: &MatrixCase,
-    budget: &Budget,
-) -> Result<AttackRun, AttackError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_one(attack, case, budget)
-    }))
-    .unwrap_or_else(|payload| {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panic payload of unknown type".to_string());
-        Err(AttackError::Panicked(message))
-    })
 }
 
 /// Runs one attack on one case: builds the case's private oracle and

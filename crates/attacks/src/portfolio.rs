@@ -20,7 +20,7 @@
 //! wall time, whether its claim verified, and whether it won the race.
 
 use crate::engine::{Attack, AttackRequest, Budget, ThreatModel};
-use crate::error::AttackError;
+use crate::error::{catch_panic, AttackError};
 use crate::oracle::Oracle;
 use crate::registry::AttackRegistry;
 use crate::report::{AttackOutcome, AttackRun, MemberRun, StepTiming};
@@ -156,17 +156,7 @@ fn run_member(
         budget,
         cancel: Some(race),
     };
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        attack.execute(&member_request)
-    }))
-    .unwrap_or_else(|payload| {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panic payload of unknown type".to_string());
-        Err(AttackError::Panicked(message))
-    });
+    let run = catch_panic(|| attack.execute(&member_request));
     match run {
         Ok(run) => match &run.outcome {
             AttackOutcome::ExactKey(key) => {
@@ -455,6 +445,46 @@ mod tests {
         let json = run.to_json();
         assert!(json.contains("\"members\":["));
         assert!(json.contains("\"winner\":true"));
+    }
+
+    /// A member that always panics, standing in for an implementation bug.
+    struct PanickingAttack;
+
+    impl Attack for PanickingAttack {
+        fn name(&self) -> &'static str {
+            "panicker"
+        }
+        fn supports(&self, _model: ThreatModel) -> bool {
+            true
+        }
+        fn execute(&self, _request: &AttackRequest<'_>) -> Result<AttackRun, AttackError> {
+            panic!("deliberate member panic");
+        }
+    }
+
+    #[test]
+    fn a_panicking_member_becomes_an_error_row_not_an_abort() {
+        let host = adder(3, "add3");
+        let secret = SecretKey::from_u64(0b011, 3);
+        let locked = SarLock::new(3).lock(&host, &secret).unwrap();
+        let oracle = Oracle::new(host).unwrap();
+        let registry = AttackRegistry::with_baselines();
+        let portfolio = PortfolioAttack::new(vec![
+            ("panicker".to_string(), Box::new(PanickingAttack)),
+            ("sat".to_string(), registry.build("sat").unwrap()),
+        ])
+        .unwrap();
+        let request = AttackRequest::oracle_guided(&locked.circuit, &oracle);
+        let run = portfolio.execute(&request).unwrap();
+        // The healthy member still wins the race with a verified key.
+        assert_eq!(run.outcome.exact_key().unwrap().to_u64(), secret.to_u64());
+        assert_eq!(run.winning_member().unwrap().name, "sat");
+        let panicker = run.members.iter().find(|m| m.name == "panicker").unwrap();
+        assert_eq!(
+            panicker.outcome,
+            "error: attack panicked: deliberate member panic"
+        );
+        assert!(!panicker.winner && !panicker.verified);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub(crate) struct DipEngine<'a> {
     /// `shared_inputs` each constraint copy is encoded over.
     key_copies: [HashMap<String, Var>; 2],
     /// `(vars, clauses)` of the initial miter encoding, captured before any
-    /// IO-constraint copy is added — the per-iteration baseline the bench
-    /// `dip_aig` kernel tracks.
+    /// IO-constraint copy is added — the per-iteration baseline the
+    /// `dip_aig` golden table of `tests/exact_counters.rs` pins.
     encode_footprint: (usize, usize),
     /// The oracle's lifetime query count when this engine was created, so
     /// budget accounting and telemetry report this run's queries only even
@@ -119,7 +119,6 @@ impl<'a> DipEngine<'a> {
         let mut solver = Solver::with_config(SolverConfig {
             conflict_limit: budget.sat_conflict_limit,
             deadline: deadline.clone(),
-            ..Default::default()
         });
         // Both key copies live in one structurally hashed AIG: copy A keeps
         // the real input names, copy B binds every key input to a renamed
@@ -381,8 +380,9 @@ fn folded(fold: &[AigLit], lit: AigLit) -> AigLit {
     fold[lit.node() as usize].when(!lit.is_complemented())
 }
 
-/// CNF footprint of the initial DIP miter, as measured by the bench
-/// `dip_aig` kernel and perfbench's traced `sat` cells.
+/// CNF footprint of the initial DIP miter, as pinned by the `dip_aig`
+/// golden table of `tests/exact_counters.rs` and reported by perfbench's
+/// traced `sat` cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DipEncodeStats {
     /// Solver variables after the miter encode (before any constraints).

@@ -30,15 +30,17 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
-/// Budget and heuristics of the structural-analysis search.
+/// Cap on the number of candidate logic cones analysed.
+const MAX_CONES: usize = 1024;
+
+/// Patterns with more unspecified bits than this are not expanded
+/// exhaustively (their completions are skipped); keeps the search bounded
+/// on wide keys.
+const MAX_EXPANSION_BITS: usize = 16;
+
+/// Budgets of the structural-analysis search.
 #[derive(Debug, Clone)]
 pub struct StructuralAnalysisConfig {
-    /// Cap on the number of candidate logic cones analysed.
-    pub max_cones: usize,
-    /// Patterns with more unspecified bits than this are not expanded
-    /// exhaustively (their single completions are skipped); keeps the search
-    /// bounded on wide keys.
-    pub max_expansion_bits: u32,
     /// Overall cap on oracle queries.
     pub max_oracle_queries: u64,
     /// The deadline of the attack that runs the search (unlimited by
@@ -50,8 +52,6 @@ pub struct StructuralAnalysisConfig {
 impl Default for StructuralAnalysisConfig {
     fn default() -> Self {
         StructuralAnalysisConfig {
-            max_cones: 1024,
-            max_expansion_bits: 16,
             max_oracle_queries: 2_000_000,
             deadline: Deadline::unlimited(),
         }
@@ -224,7 +224,7 @@ fn expand_candidates<T>(
         let unspecified: Vec<usize> = (0..pattern.len())
             .filter(|&i| pattern[i].is_none())
             .collect();
-        if unspecified.len() as u32 > config.max_expansion_bits {
+        if unspecified.len() > MAX_EXPANSION_BITS {
             continue;
         }
         for completion in 0u64..(1u64 << unspecified.len()) {
@@ -265,7 +265,7 @@ fn promising_patterns(
         .collect();
 
     // --- Step 1: candidate logic cones with PPI-only support. -------------
-    let cones = ppi_only_cones(subcircuit, &ppi_positions, config.max_cones)?;
+    let cones = ppi_only_cones(subcircuit, &ppi_positions, MAX_CONES)?;
 
     // --- Step 2: two promising patterns per cone (output = 0 and 1). ------
     let mut patterns: Vec<PartialPattern> =
@@ -814,7 +814,6 @@ mod tests {
 
     #[test]
     fn cone_scan_matches_the_per_gate_reference_on_locked_table1_hosts() {
-        let config = StructuralAnalysisConfig::default();
         let mut rng = StdRng::seed_from_u64(0x7ab1);
         for row in kratt_benchmarks::table1_circuits(0.02) {
             let secret = SecretKey::random(&mut rng, row.key_bits);
@@ -836,7 +835,7 @@ mod tests {
                 assert_scan_parity(
                     &subcircuit,
                     &ppi_positions,
-                    config.max_cones,
+                    MAX_CONES,
                     &format!("{}/{}", row.name, locked.technique),
                 );
             }

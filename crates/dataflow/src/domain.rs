@@ -3,8 +3,7 @@
 use kratt_netlist::{Aig, AigLit};
 
 /// The lattice core of an abstract domain: an ordered value space with a
-/// least element, a greatest element, a least upper bound and a widening
-/// hook.
+/// least element, a greatest element and a least upper bound.
 ///
 /// `bottom` must be the identity of `join` (the engines use it to seed
 /// accumulation); `top` is the "no information" element unpinned inputs
@@ -23,14 +22,6 @@ pub trait Domain {
 
     /// Least upper bound of two values.
     fn join(&self, a: &Self::Value, b: &Self::Value) -> Self::Value;
-
-    /// Widening: an upper bound of `old` and `new` that guarantees
-    /// termination of ascending chains. Combinational AIGs are DAGs and
-    /// converge in one pass, so the default simply joins; iterative
-    /// analyses over unrolled or sequential structures override this.
-    fn widen(&self, old: &Self::Value, new: &Self::Value) -> Self::Value {
-        self.join(old, new)
-    }
 }
 
 /// The transfer functions of a forward analysis. The AIG has exactly two
@@ -167,13 +158,6 @@ mod tests {
         assert_eq!(values[ab.node() as usize], Ternary::Zero);
         // o = and(ab, !a) with a = 0: !a = 1, ab = 0, so o = 0.
         assert_eq!(values[o.node() as usize], Ternary::Zero);
-    }
-
-    #[test]
-    fn widen_defaults_to_join() {
-        let d = TernaryDomain;
-        assert_eq!(d.widen(&Ternary::Zero, &Ternary::Zero), Ternary::Zero);
-        assert_eq!(d.widen(&Ternary::Zero, &Ternary::One), Ternary::X);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! The crate is organised around the [`Domain`] trait family:
 //!
-//! * [`Domain`] — the lattice core: a value type with `bottom`/`top`,
-//!   `join` and a widening hook.
+//! * [`Domain`] — the lattice core: a value type with `bottom`/`top` and
+//!   `join`.
 //! * [`ForwardDomain`] — the transfer functions of a forward analysis over
 //!   the AIG's two primitives: AND nodes and complemented edges.
 //! * [`BackwardDomain`] — the transfer function of a backward analysis,
@@ -14,8 +14,7 @@
 //!
 //! The engines are one-pass: AIG nodes are topologically ordered by
 //! construction, so [`forward`] (and [`backward`] in reverse) reach the
-//! fixed point of a combinational netlist in a single sweep. The `widen`
-//! hook exists for future sequential/unrolled analyses.
+//! fixed point of a combinational netlist in a single sweep.
 //!
 //! Five domains ship with the crate:
 //!

@@ -292,31 +292,21 @@ pub trait LockingTechnique {
 }
 
 /// Chooses the primary output to corrupt: the one with the largest fan-in
-/// cone (a proxy for "the most functionally significant output"), unless the
-/// technique was configured with an explicit index.
-pub(crate) fn choose_target_output(
-    circuit: &Circuit,
-    requested: Option<usize>,
-) -> Result<usize, LockError> {
+/// cone (a proxy for "the most functionally significant output").
+pub(crate) fn choose_target_output(circuit: &Circuit) -> Result<usize, LockError> {
     if circuit.num_outputs() == 0 {
         return Err(LockError::NoOutputs);
     }
-    match requested {
-        Some(index) if index < circuit.num_outputs() => Ok(index),
-        Some(index) => Err(LockError::BadTargetOutput(index)),
-        None => {
-            let mut best = 0;
-            let mut best_size = 0;
-            for (i, &o) in circuit.outputs().iter().enumerate() {
-                let size = fanin_cone_gates(circuit, &[o]).len();
-                if size > best_size {
-                    best_size = size;
-                    best = i;
-                }
-            }
-            Ok(best)
+    let mut best = 0;
+    let mut best_size = 0;
+    for (i, &o) in circuit.outputs().iter().enumerate() {
+        let size = fanin_cone_gates(circuit, &[o]).len();
+        if size > best_size {
+            best_size = size;
+            best = i;
         }
     }
+    Ok(best)
 }
 
 /// Chooses the protected primary inputs: the first `n` data (non-key) inputs.
@@ -670,11 +660,6 @@ mod tests {
         let t2 = c.add_gate(GateType::Or, "t2", &[t1, a]).unwrap();
         c.mark_output(small);
         c.mark_output(t2);
-        assert_eq!(choose_target_output(&c, None).unwrap(), 1);
-        assert_eq!(choose_target_output(&c, Some(0)).unwrap(), 0);
-        assert!(matches!(
-            choose_target_output(&c, Some(5)),
-            Err(LockError::BadTargetOutput(5))
-        ));
+        assert_eq!(choose_target_output(&c).unwrap(), 1);
     }
 }

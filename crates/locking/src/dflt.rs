@@ -25,22 +25,12 @@ use kratt_netlist::{Circuit, GateType, NetId};
 #[derive(Debug, Clone)]
 pub struct TtLock {
     key_bits: usize,
-    target_output: Option<usize>,
 }
 
 impl TtLock {
     /// TTLock protecting `key_bits` inputs with `key_bits` key bits.
     pub fn new(key_bits: usize) -> Self {
-        TtLock {
-            key_bits,
-            target_output: None,
-        }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
+        TtLock { key_bits }
     }
 }
 
@@ -60,7 +50,7 @@ impl LockingTechnique for TtLock {
                 got: secret.len(),
             });
         }
-        let target_output = choose_target_output(original, self.target_output)?;
+        let target_output = choose_target_output(original)?;
         let ppis = choose_protected_inputs(original, self.key_bits)?;
         let ppi_names = original.net_names(&ppis);
         let (mut locked, keys) = clone_with_key_inputs(original, self.key_bits, "ttlock")?;
@@ -92,22 +82,12 @@ impl LockingTechnique for TtLock {
 #[derive(Debug, Clone)]
 pub struct Cac {
     key_bits: usize,
-    target_output: Option<usize>,
 }
 
 impl Cac {
     /// CAC protecting `key_bits` inputs with `key_bits` key bits.
     pub fn new(key_bits: usize) -> Self {
-        Cac {
-            key_bits,
-            target_output: None,
-        }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
+        Cac { key_bits }
     }
 }
 
@@ -127,7 +107,7 @@ impl LockingTechnique for Cac {
                 got: secret.len(),
             });
         }
-        let target_output = choose_target_output(original, self.target_output)?;
+        let target_output = choose_target_output(original)?;
         let ppis = choose_protected_inputs(original, self.key_bits)?;
         let ppi_names = original.net_names(&ppis);
         let (mut locked, keys) = clone_with_key_inputs(original, self.key_bits, "cac")?;
@@ -173,24 +153,13 @@ impl LockingTechnique for Cac {
 pub struct SfllHd {
     key_bits: usize,
     distance: u32,
-    target_output: Option<usize>,
 }
 
 impl SfllHd {
     /// SFLL-HD with `key_bits` protected inputs/key bits and Hamming
     /// distance `distance`.
     pub fn new(key_bits: usize, distance: u32) -> Self {
-        SfllHd {
-            key_bits,
-            distance,
-            target_output: None,
-        }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
+        SfllHd { key_bits, distance }
     }
 
     /// The configured Hamming distance.
@@ -302,7 +271,7 @@ impl LockingTechnique for SfllHd {
                 got: secret.len(),
             });
         }
-        let target_output = choose_target_output(original, self.target_output)?;
+        let target_output = choose_target_output(original)?;
         let ppis = choose_protected_inputs(original, self.key_bits)?;
         let ppi_names = original.net_names(&ppis);
         let (mut locked, keys) = clone_with_key_inputs(original, self.key_bits, "sfll_hd")?;

@@ -23,8 +23,6 @@ pub enum LockError {
     },
     /// The circuit has no primary outputs to corrupt.
     NoOutputs,
-    /// The requested target output index is out of range.
-    BadTargetOutput(usize),
     /// A scheme spec string (or the parameters it carries) is malformed for
     /// the technique it names.
     BadSpec(String),
@@ -47,9 +45,6 @@ impl fmt::Display for LockError {
                 write!(f, "technique expects a {expected}-bit key, got {got} bits")
             }
             LockError::NoOutputs => write!(f, "circuit has no primary outputs to corrupt"),
-            LockError::BadTargetOutput(index) => {
-                write!(f, "target output index {index} is out of range")
-            }
             LockError::BadSpec(message) => write!(f, "bad scheme spec: {message}"),
             LockError::LintRejected(findings) => {
                 write!(f, "lint rejected the locked circuit: {findings}")

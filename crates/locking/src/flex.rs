@@ -36,7 +36,6 @@ use kratt_netlist::{Circuit, GateType, NetId};
 pub struct SfllFlex {
     pattern_bits: usize,
     num_patterns: usize,
-    target_output: Option<usize>,
 }
 
 impl SfllFlex {
@@ -45,14 +44,7 @@ impl SfllFlex {
         SfllFlex {
             pattern_bits,
             num_patterns,
-            target_output: None,
         }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
     }
 
     /// Number of protected bits per pattern.
@@ -93,7 +85,7 @@ impl LockingTechnique for SfllFlex {
                 got: secret.len(),
             });
         }
-        let target_output = choose_target_output(original, self.target_output)?;
+        let target_output = choose_target_output(original)?;
         let ppis = choose_protected_inputs(original, self.pattern_bits)?;
         let ppi_names = original.net_names(&ppis);
         let (mut locked, keys) = clone_with_key_inputs(original, self.key_bits(), "sfll_flex")?;
@@ -141,7 +133,6 @@ impl LockingTechnique for SfllFlex {
 #[derive(Debug, Clone)]
 pub struct LutLock {
     address_bits: usize,
-    target_output: Option<usize>,
 }
 
 impl LutLock {
@@ -158,16 +149,7 @@ impl LutLock {
             address_bits <= 16,
             "LUT locking with more than 16 address bits is not supported"
         );
-        LutLock {
-            address_bits,
-            target_output: None,
-        }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
+        LutLock { address_bits }
     }
 
     /// Number of LUT address bits (protected inputs).
@@ -204,7 +186,7 @@ impl LockingTechnique for LutLock {
                 got: secret.len(),
             });
         }
-        let target_output = choose_target_output(original, self.target_output)?;
+        let target_output = choose_target_output(original)?;
         let ppis = choose_protected_inputs(original, self.address_bits)?;
         let ppi_names = original.net_names(&ppis);
         let (mut locked, keys) = clone_with_key_inputs(original, self.key_bits(), "lut_lock")?;

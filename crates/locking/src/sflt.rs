@@ -26,22 +26,12 @@ use kratt_netlist::{Circuit, GateType, NetId};
 #[derive(Debug, Clone)]
 pub struct SarLock {
     key_bits: usize,
-    target_output: Option<usize>,
 }
 
 impl SarLock {
     /// SARLock with `key_bits` key inputs (and as many protected inputs).
     pub fn new(key_bits: usize) -> Self {
-        SarLock {
-            key_bits,
-            target_output: None,
-        }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
+        SarLock { key_bits }
     }
 }
 
@@ -61,7 +51,7 @@ impl LockingTechnique for SarLock {
                 got: secret.len(),
             });
         }
-        let target_output = choose_target_output(original, self.target_output)?;
+        let target_output = choose_target_output(original)?;
         let ppis = choose_protected_inputs(original, self.key_bits)?;
         let ppi_names = original.net_names(&ppis);
         let (mut locked, keys) = clone_with_key_inputs(original, self.key_bits, "sarlock")?;
@@ -95,7 +85,6 @@ impl LockingTechnique for SarLock {
 #[derive(Debug, Clone)]
 pub struct AntiSat {
     key_bits: usize,
-    target_output: Option<usize>,
 }
 
 impl AntiSat {
@@ -109,16 +98,7 @@ impl AntiSat {
             key_bits.is_multiple_of(2),
             "Anti-SAT requires an even number of key bits"
         );
-        AntiSat {
-            key_bits,
-            target_output: None,
-        }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
+        AntiSat { key_bits }
     }
 
     fn build_blocks(
@@ -204,12 +184,6 @@ impl CasLock {
             inner: AntiSat::new(key_bits),
         }
     }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.inner = self.inner.with_target_output(index);
-        self
-    }
 }
 
 impl LockingTechnique for CasLock {
@@ -240,7 +214,7 @@ fn lock_anti_sat_family(
         });
     }
     let n = technique.key_bits / 2;
-    let target_output = choose_target_output(original, technique.target_output)?;
+    let target_output = choose_target_output(original)?;
     let ppis = choose_protected_inputs(original, n)?;
     let ppi_names = original.net_names(&ppis);
     let (mut locked, keys) = clone_with_key_inputs(
@@ -270,7 +244,6 @@ fn lock_anti_sat_family(
 #[derive(Debug, Clone)]
 pub struct GenAntiSat {
     key_bits: usize,
-    target_output: Option<usize>,
 }
 
 impl GenAntiSat {
@@ -285,16 +258,7 @@ impl GenAntiSat {
             key_bits.is_multiple_of(2),
             "Gen-Anti-SAT requires an even number of key bits"
         );
-        GenAntiSat {
-            key_bits,
-            target_output: None,
-        }
-    }
-
-    /// Corrupt the given output index instead of the largest-cone output.
-    pub fn with_target_output(mut self, index: usize) -> Self {
-        self.target_output = Some(index);
-        self
+        GenAntiSat { key_bits }
     }
 }
 
@@ -315,7 +279,7 @@ impl LockingTechnique for GenAntiSat {
             });
         }
         let n = self.key_bits / 2;
-        let target_output = choose_target_output(original, self.target_output)?;
+        let target_output = choose_target_output(original)?;
         let ppis = choose_protected_inputs(original, n)?;
         let ppi_names = original.net_names(&ppis);
         let (mut locked, keys) = clone_with_key_inputs(original, self.key_bits, "genantisat")?;

@@ -365,7 +365,6 @@ impl<'a, 'c> CegarEngine<'a, 'c> {
         let solver_config = kratt_sat::SolverConfig {
             conflict_limit: problem.config.sat_conflict_limit,
             deadline: problem.config.deadline.clone(),
-            ..Default::default()
         };
         let mut verifier = Solver::with_config(solver_config.clone());
         let verify_aig = unit_aig(problem.circuit, problem.output, &HashMap::new());
@@ -754,7 +753,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random small units: CEGAR agrees with brute force about
+        /// Random small units: the BDD fast path and the CEGAR loop alone
+        /// (a zero BDD budget) each agree with brute force about
         /// satisfiability, and returned witnesses actually work.
         #[test]
         fn prop_matches_brute_force(seed in 0u64..60) {
@@ -783,34 +783,43 @@ mod tests {
 
             let reference = brute_force_exists_forall(&c, &ks, &xs, target);
             let solver = ExistsForallSolver::new(&c, &ks, &xs, out, target);
-            // The exported instance is the one CEGAR decides.
+            // The exported instance is the one both engines decide.
             proptest::prop_assert_eq!(
                 brute_force_qdimacs(&solver.to_qdimacs()),
                 reference.is_some()
             );
-            match (reference, solver.solve()) {
-                (Some(_), QbfResult::Sat(witness)) => {
-                    // Check the witness against every universal assignment.
-                    let sim = kratt_netlist::sim::Simulator::new(&c).unwrap();
-                    for u_val in 0u64..8 {
-                        let mut assignment: Vec<(NetId, bool)> = Vec::new();
-                        for (i, &net) in xs.iter().enumerate() {
-                            assignment.push((net, u_val >> i & 1 != 0));
+            let cegar = ExistsForallSolver::new(&c, &ks, &xs, out, target).with_config(QbfConfig {
+                bdd_node_limit: 0,
+                ..Default::default()
+            });
+            for (engine, solver) in [("bdd", solver), ("cegar", cegar)] {
+                match (reference, solver.solve()) {
+                    (Some(_), QbfResult::Sat(witness)) => {
+                        // Check the witness against every universal assignment.
+                        let sim = kratt_netlist::sim::Simulator::new(&c).unwrap();
+                        for u_val in 0u64..8 {
+                            let mut assignment: Vec<(NetId, bool)> = Vec::new();
+                            for (i, &net) in xs.iter().enumerate() {
+                                assignment.push((net, u_val >> i & 1 != 0));
+                            }
+                            for &net in &ks {
+                                assignment.push((net, witness[c.net_name(net)]));
+                            }
+                            let outputs = sim.run_assignment(&assignment).unwrap();
+                            proptest::prop_assert!(
+                                outputs[0] == target,
+                                "{engine} witness misses universal assignment {u_val}"
+                            );
                         }
-                        for &net in &ks {
-                            assignment.push((net, witness[c.net_name(net)]));
-                        }
-                        let outputs = sim.run_assignment(&assignment).unwrap();
-                        proptest::prop_assert_eq!(outputs[0], target);
                     }
-                }
-                (None, QbfResult::Unsat) => {}
-                (reference, result) => {
-                    return Err(proptest::test_runner::TestCaseError::fail(format!(
-                        "disagreement: brute force {:?}, cegar {:?}",
-                        reference.is_some(),
-                        result.is_sat()
-                    )));
+                    (None, QbfResult::Unsat) => {}
+                    (reference, result) => {
+                        return Err(proptest::test_runner::TestCaseError::fail(format!(
+                            "disagreement: brute force {:?}, {engine} {:?}",
+                            reference.is_some(),
+                            result.is_sat()
+                        )));
+                    }
                 }
             }
         }

@@ -80,17 +80,18 @@ impl SatResult {
     }
 }
 
-/// Tunable solver parameters and resource budgets.
+/// Multiplicative decay applied to variable activities per conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to clause activities per conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Conflicts allowed in the first restart interval (scaled by Luby).
+const RESTART_BASE: f64 = 100.0;
+/// Baseline number of learnt clauses kept before database reduction.
+const MAX_LEARNTS_BASE: usize = 8000;
+
+/// The resource budgets of a solver.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities per conflict.
-    pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities per conflict.
-    pub clause_decay: f64,
-    /// Conflicts allowed in the first restart interval (scaled by Luby).
-    pub restart_base: u64,
-    /// Baseline number of learnt clauses kept before database reduction.
-    pub max_learnts_base: usize,
     /// Abort with [`SatResult::Unknown`] after this many conflicts.
     pub conflict_limit: Option<u64>,
     /// Abort with [`SatResult::Unknown`] once this deadline expires or is
@@ -105,10 +106,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart_base: 100,
-            max_learnts_base: 8000,
             conflict_limit: None,
             deadline: Deadline::unlimited(),
         }
@@ -343,7 +340,7 @@ impl Solver {
             .map(|limit| self.stats.conflicts + limit);
         let mut restarts = 0u64;
         loop {
-            let interval = luby(2.0, restarts) * self.config.restart_base as f64;
+            let interval = luby(2.0, restarts) * RESTART_BASE;
             let outcome = self.search(interval as u64, assumptions, conflict_budget);
             self.cancel_until(0);
             match outcome {
@@ -443,7 +440,7 @@ impl Solver {
     }
 
     fn max_learnts(&self) -> usize {
-        self.config.max_learnts_base + (self.stats.conflicts / 3) as usize
+        MAX_LEARNTS_BASE + (self.stats.conflicts / 3) as usize
     }
 
     fn decision_level(&self) -> usize {
@@ -753,8 +750,8 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.var_inc /= VAR_DECAY;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     /// Discards roughly half of the learnt clauses, preferring to keep

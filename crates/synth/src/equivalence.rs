@@ -194,7 +194,6 @@ pub fn check_equivalence_with_stats(
         SolverConfig {
             conflict_limit: Some(merge_query_cap(conflict_limit)),
             deadline: deadline.clone(),
-            ..Default::default()
         },
     );
     let budget_hit = fraig.sweep(&aig, &cone, &representative, &deadline, &mut stats);

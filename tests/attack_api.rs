@@ -48,7 +48,7 @@ fn host_for(attack: &str) -> (Circuit, LockedCircuit) {
     }
 }
 
-/// Success criterion (a), per attack semantics: exact attacks must produce a
+/// Success condition (a), per attack semantics: exact attacks must produce a
 /// functionally correct key, SCOPE must fully decipher the SARLock key from
 /// the mask asymmetry, the removal attack must recover the original circuit,
 /// and AppSAT must at least settle on a key.

@@ -11,7 +11,7 @@ use kratt::reconstruct::reconstruct_original_from_patterns;
 use kratt::removal::remove_locking_unit;
 use kratt::KrattAttack;
 use kratt_attacks::{score_guess, Attack, AttackOutcome, AttackRequest, FallAttack, Oracle};
-use kratt_benchmarks::arith::ripple_carry_adder;
+use kratt_benchmarks::arith::{array_multiplier, ripple_carry_adder};
 use kratt_benchmarks::small::majority;
 use kratt_locking::metrics::{corruption_profile, exact_corrupted_patterns};
 use kratt_locking::{LockingTechnique, LutLock, SarLock, SecretKey, SfllFlex, SfllHd, TtLock};
@@ -141,6 +141,27 @@ fn kratt_breaks_sarlock_after_the_full_synthesis_stack() {
     assert!(check_equivalence(&original, &unlocked)
         .unwrap()
         .is_equivalent());
+}
+
+/// KRATT's QBF path on a resynthesised 16-bit SARLock mapped onto a
+/// NAND2+INV cell library, where no gate of the locking unit keeps its
+/// textbook type: the recovered key is still the planted secret.
+#[test]
+fn kratt_breaks_a_nand2_mapped_resynthesised_sarlock() {
+    let original = array_multiplier(8).unwrap();
+    let secret = SecretKey::from_u64(0xBEEF, 16);
+    let locked = SarLock::new(16).lock(&original, &secret).unwrap();
+    let resynthesised = resynthesize(
+        &locked.circuit,
+        &ResynthesisOptions::with_seed(5).effort(Effort::High),
+    )
+    .unwrap();
+    let mapped = map_to_cell_library(&resynthesised, CellLibrary::Nand2Inv).unwrap();
+    let report = KrattAttack::new().attack_oracle_less(&mapped).unwrap();
+    assert_eq!(
+        report.outcome.exact_key().map(|k| k.to_u64()),
+        Some(secret.to_u64())
+    );
 }
 
 /// A locked circuit survives the .bench → Verilog → .bench round trip and the
