@@ -4,9 +4,9 @@
 //!
 //! SCOPE's features are defined by a rebuild: [`set_inputs_constant`] once
 //! per key-bit cofactor — a constant-folded rebuild into a fresh
-//! [`Circuit`] (string-keyed net table included), a dangling-logic prune (a
-//! second rebuild, which sorts the fresh circuit) — followed by a stats
-//! pass. This module reproduces the *feature vector* of that pipeline
+//! [`Circuit`] (string-keyed net table included) of the gates the outputs
+//! still reach, in the order a dangling-logic prune gives them — followed
+//! by a stats pass. This module reproduces the *feature vector* of that pipeline
 //! exactly, by construction, without building anything:
 //!
 //! 1. One ternary forward run over the shared [`CircuitAnalysis`] plan
@@ -179,7 +179,7 @@ impl<'c> ScopePlan<'c> {
         self.replay(pins)
     }
 
-    /// Replays `rebuild_simplified` + `prune_dangling` + `stats` virtually
+    /// Replays `rebuild_simplified` (its dangling prune included) + `stats` virtually
     /// over the ternary values of the scratch buffers.
     fn replay(&mut self, pins: &[(NetId, bool)]) -> ScopeFeatures {
         let circuit = self.circuit;

@@ -257,6 +257,45 @@ mod tests {
     }
 
     #[test]
+    fn apply_key_matches_the_reference_on_every_scheme_and_host() {
+        // Every registry scheme on every Table-I host at scale 0.05: the one
+        // constant-propagation rebuild gives the two-pass reference's
+        // unlocked circuit under the planted key and under a wrong one
+        // (every bit flipped), and its constant-folded locked netlist, name
+        // for name.
+        use crate::reference::{self, structure};
+        let registry = kratt_locking::scheme_registry();
+        for row in kratt_benchmarks::table1_circuits(0.05) {
+            for name in registry.names() {
+                let spec = kratt_locking::SchemeSpec::new(name)
+                    .unwrap()
+                    .with_param("k", row.key_bits as u64)
+                    .with_param("seed", 0xa55c);
+                let locked = registry.lock(&spec, &row.circuit).unwrap();
+                let what = format!("{}/{spec}", row.name);
+                let wrong = kratt_locking::SecretKey::from_bits(
+                    locked.secret.bits().iter().map(|&bit| !bit).collect(),
+                );
+                for key in [&locked.secret, &wrong] {
+                    let pins: Vec<_> = locked
+                        .circuit
+                        .key_inputs()
+                        .into_iter()
+                        .zip(key.bits().iter().copied())
+                        .collect();
+                    let expected = reference::set_inputs_constant(&locked.circuit, &pins).unwrap();
+                    let unlocked = locked.apply_key(key).unwrap();
+                    assert_eq!(structure(&unlocked), structure(&expected), "{what}");
+                }
+                let folded =
+                    kratt_netlist::transform::propagate_constants(&locked.circuit).unwrap();
+                let expected = reference::set_inputs_constant(&locked.circuit, &[]).unwrap();
+                assert_eq!(structure(&folded), structure(&expected), "{what}");
+            }
+        }
+    }
+
+    #[test]
     fn unlocked_circuit_is_rejected() {
         assert!(matches!(
             remove_locking_unit(&majority()),

@@ -1,12 +1,15 @@
 //! Logic removal's structural passes as they were before the cached
 //! topological order: one hash-set fan-out cone per key input for the
 //! critical signal, hash-set cones and hash-map net tables for the
-//! rebuilds. They are the references the one-pass versions are tested
-//! against, and are compiled into test builds only: kratt-netlist declares
-//! this module under `cfg(test)`, and the kratt-attacks and kratt-core tests
-//! include this same file by path, so every crate checks against one copy.
+//! rebuilds; and constant propagation as it was before it became one
+//! rebuild: a simplified full circuit, then [`prune_dangling`] on it. They
+//! are the references the one-pass versions are tested against, and are
+//! compiled into test builds only: kratt-netlist declares this module under
+//! `cfg(test)`, and the kratt-attacks and kratt-core tests include this same
+//! file by path, so every crate checks against one copy.
 
 use kratt_netlist::analysis::topological_order;
+use kratt_netlist::transform::prune_dangling;
 use kratt_netlist::{Circuit, GateId, GateType, NetId, NetlistError};
 use std::collections::{HashMap, HashSet};
 
@@ -256,6 +259,174 @@ pub fn remove_cone(circuit: &Circuit, cut: NetId) -> Result<Circuit, NetlistErro
         usc.mark_output(map[&o]);
     }
     Ok(usc)
+}
+
+/// `set_inputs_constant` in two passes: every gate simplified into a full
+/// circuit under its own name (dead logic included), the outputs
+/// finalized there, then a second rebuild by [`prune_dangling`], which
+/// sorts that circuit and copies its live gates name by name. With no pins
+/// it is `propagate_constants`.
+pub fn set_inputs_constant(
+    circuit: &Circuit,
+    assignments: &[(NetId, bool)],
+) -> Result<Circuit, NetlistError> {
+    for &(net, _) in assignments {
+        if !circuit.is_input(net) {
+            return Err(NetlistError::Transform(format!(
+                "`{}` is not a primary input",
+                circuit.net_name(net)
+            )));
+        }
+    }
+    let order = topological_order(circuit)?;
+    let mut result = Circuit::new(circuit.name().to_string());
+    let mut repr: Vec<Option<Simplified>> = vec![None; circuit.num_nets()];
+    for &(net, value) in assignments {
+        repr[net.index()] = Some(Simplified::Constant(value));
+    }
+    for &pi in circuit.inputs() {
+        if repr[pi.index()].is_none() {
+            let new = result.add_input(circuit.net_name(pi))?;
+            repr[pi.index()] = Some(Simplified::Net(new));
+        }
+    }
+    for &gid in order.iter() {
+        let gate = circuit.gate(gid);
+        let simplified = simplify_gate(circuit, &mut result, gid, &repr)?;
+        repr[gate.output.index()] = Some(simplified);
+    }
+    for &o in circuit.outputs() {
+        let want = circuit.net_name(o);
+        let mapped = match repr[o.index()].ok_or_else(|| undriven(circuit, o))? {
+            Simplified::Net(n) => n,
+            Simplified::Constant(value) => {
+                let ty = if value {
+                    GateType::Const1
+                } else {
+                    GateType::Const0
+                };
+                add_named(&mut result, ty, want, &[])?
+            }
+        };
+        let finalised = if result.net_name(mapped) == want {
+            mapped
+        } else if !result.is_input(mapped)
+            && !result.is_output(mapped)
+            && result.find_net(want).is_none()
+        {
+            result.rename_net(mapped, want)?;
+            mapped
+        } else {
+            add_named(&mut result, GateType::Buf, want, &[mapped])?
+        };
+        result.mark_output(finalised);
+    }
+    prune_dangling(&result)
+}
+
+/// How a source net is represented in the simplified full circuit.
+#[derive(Debug, Clone, Copy)]
+enum Simplified {
+    Constant(bool),
+    Net(NetId),
+}
+
+fn undriven(circuit: &Circuit, net: NetId) -> NetlistError {
+    NetlistError::Transform(format!("net `{}` is undriven", circuit.net_name(net)))
+}
+
+/// Simplifies one gate into `result`, adding at most one gate.
+fn simplify_gate(
+    circuit: &Circuit,
+    result: &mut Circuit,
+    gid: GateId,
+    repr: &[Option<Simplified>],
+) -> Result<Simplified, NetlistError> {
+    use GateType::*;
+    let gate = circuit.gate(gid);
+    let (ty, name) = (gate.ty, circuit.net_name(gate.output));
+    if matches!(ty, Const0) {
+        return Ok(Simplified::Constant(false));
+    }
+    if matches!(ty, Const1) {
+        return Ok(Simplified::Constant(true));
+    }
+    let mut const_inputs: Vec<bool> = Vec::new();
+    let mut live_inputs: Vec<NetId> = Vec::new();
+    for &net in &gate.inputs {
+        match repr[net.index()].ok_or_else(|| undriven(circuit, net))? {
+            Simplified::Constant(value) => const_inputs.push(value),
+            Simplified::Net(n) => live_inputs.push(n),
+        }
+    }
+    if live_inputs.is_empty() {
+        return Ok(Simplified::Constant(ty.eval(&const_inputs)));
+    }
+    match ty {
+        And | Nand => {
+            if const_inputs.iter().any(|&v| !v) {
+                return Ok(Simplified::Constant(ty == Nand));
+            }
+            emit_reduced(result, ty, &live_inputs, name, false)
+        }
+        Or | Nor => {
+            if const_inputs.iter().any(|&v| v) {
+                return Ok(Simplified::Constant(ty == Or));
+            }
+            emit_reduced(result, ty, &live_inputs, name, false)
+        }
+        Xor | Xnor => {
+            let ones = const_inputs.iter().filter(|&&v| v).count();
+            emit_reduced(result, ty, &live_inputs, name, ones % 2 == 1)
+        }
+        Not | Buf => {
+            let source = live_inputs[0];
+            if ty == Buf {
+                Ok(Simplified::Net(source))
+            } else {
+                let out = add_named(result, Not, name, &[source])?;
+                Ok(Simplified::Net(out))
+            }
+        }
+        Const0 | Const1 => unreachable!("handled above"),
+    }
+}
+
+/// A gate over the live inputs, with the XOR/XNOR parity flip, or a
+/// BUF/NOT collapse when one input remains.
+fn emit_reduced(
+    result: &mut Circuit,
+    ty: GateType,
+    live: &[NetId],
+    name: &str,
+    flip: bool,
+) -> Result<Simplified, NetlistError> {
+    let effective = if flip { ty.complement() } else { ty };
+    if live.len() == 1 {
+        if effective.is_inverting() {
+            let out = add_named(result, GateType::Not, name, &[live[0]])?;
+            Ok(Simplified::Net(out))
+        } else {
+            Ok(Simplified::Net(live[0]))
+        }
+    } else {
+        let out = add_named(result, effective, name, live)?;
+        Ok(Simplified::Net(out))
+    }
+}
+
+/// Adds a gate using `name` when free, otherwise a fresh name derived from it.
+fn add_named(
+    result: &mut Circuit,
+    ty: GateType,
+    name: &str,
+    inputs: &[NetId],
+) -> Result<NetId, NetlistError> {
+    if result.find_net(name).is_none() {
+        result.add_gate(ty, name, inputs)
+    } else {
+        result.add_gate_auto(ty, name, inputs)
+    }
 }
 
 /// Input names in order, each gate's type, output name and fanin names in

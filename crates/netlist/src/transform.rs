@@ -14,10 +14,19 @@
 //! indexed by [`NetId`]. So the circuit modification, [`substitute_inputs`],
 //! substitutes every protected input in one rebuild, and a rebuild's cost
 //! does not grow with the number of roots, cut points or pinned inputs.
+//!
+//! Constant propagation ([`set_inputs_constant`], and so `apply_key`, and
+//! [`propagate_constants`]) is one rebuild too: each gate's fate is decided
+//! into name-free arrays, the outputs keep their names there, and only the
+//! gates the outputs reach are emitted, in the order [`prune_dangling`]
+//! would give them. It builds, gate for gate and name for name, what
+//! simplifying into a full circuit and pruning that circuit builds, without
+//! naming, hashing or sorting the dead logic.
 
 use crate::analysis;
 use crate::circuit::{Circuit, GateId, NetId};
 use crate::{GateType, NetlistError};
+use std::collections::{HashSet, VecDeque};
 
 /// Copies the gates `keep` holds for into `result`, in topological order
 /// and under their own names, mapping fanins through `map` and recording
@@ -248,96 +257,298 @@ pub fn prune_dangling(circuit: &Circuit) -> Result<Circuit, NetlistError> {
     Ok(result)
 }
 
-/// How a source net is represented in the simplified circuit.
+/// How a source net is represented in the simplified circuit: a constant,
+/// or a node of the [`Draft`].
 #[derive(Debug, Clone, Copy)]
 enum Simplified {
     Constant(bool),
-    Net(NetId),
+    Node(u32),
+}
+
+/// The name a [`Draft`] node carries: its source net's, or one output
+/// finalization chose.
+#[derive(Debug, Clone)]
+enum Name {
+    Source(NetId),
+    Chosen(String),
+}
+
+/// The simplified circuit before it is pruned and named: the kept inputs
+/// (nodes `0..inputs.len()`), then the gates in emission order (node
+/// `inputs.len() + g`), so every fanin precedes its gate. A gate records
+/// its type and its fanin nodes; a name is a [`Name`], so the gate loop
+/// allocates no string, and only output finalization chooses names.
+struct Draft<'c> {
+    circuit: &'c Circuit,
+    /// Each source net's representation, once decided.
+    repr: Vec<Option<Simplified>>,
+    /// The source net of each kept input.
+    inputs: Vec<NetId>,
+    /// Each gate's type and the range of its fanins in `fanins`.
+    gates: Vec<(GateType, std::ops::Range<usize>)>,
+    fanins: Vec<u32>,
+    /// Each node's name.
+    names: Vec<Name>,
+    /// The output list, and whether each node is on it.
+    outputs: Vec<u32>,
+    is_output: Vec<bool>,
+    /// The names finalization gave: chosen names are never taken back.
+    chosen: HashSet<String>,
+    /// The `$N` counter of [`Circuit::fresh_net_name`].
+    fresh: u64,
+}
+
+impl<'c> Draft<'c> {
+    fn new(circuit: &'c Circuit) -> Self {
+        Draft {
+            circuit,
+            repr: vec![None; circuit.num_nets()],
+            inputs: Vec::new(),
+            gates: Vec::new(),
+            fanins: Vec::new(),
+            names: Vec::new(),
+            outputs: Vec::new(),
+            is_output: Vec::new(),
+            chosen: HashSet::new(),
+            fresh: 0,
+        }
+    }
+
+    fn add_input(&mut self, net: NetId) -> u32 {
+        self.inputs.push(net);
+        self.push_node(Name::Source(net))
+    }
+
+    fn add_gate(&mut self, ty: GateType, fanins: &[u32], name: Name) -> u32 {
+        let start = self.fanins.len();
+        self.fanins.extend_from_slice(fanins);
+        self.gates.push((ty, start..self.fanins.len()));
+        self.push_node(name)
+    }
+
+    fn push_node(&mut self, name: Name) -> u32 {
+        self.names.push(name);
+        self.is_output.push(false);
+        self.names.len() as u32 - 1
+    }
+
+    /// Whether some node is named `name`: a name finalization chose, or a
+    /// source net's name that the net's node still carries (dead nodes
+    /// included, as they are nets of the unpruned circuit).
+    fn taken(&self, name: &str) -> bool {
+        self.chosen.contains(name)
+            || self.circuit.find_net(name).is_some_and(|net| {
+                matches!(self.repr[net.index()], Some(Simplified::Node(node))
+                    if matches!(self.names[node as usize], Name::Source(source) if source == net))
+            })
+    }
+
+    /// `want` when no node is named so, otherwise the first free
+    /// `want$N`, as [`Circuit::add_gate_auto`] names it.
+    fn free_name(&mut self, want: &str) -> String {
+        if !self.taken(want) {
+            return want.to_string();
+        }
+        loop {
+            let candidate = format!("{want}${}", self.fresh);
+            self.fresh += 1;
+            if !self.taken(&candidate) {
+                return candidate;
+            }
+        }
+    }
+
+    /// Adds a gate under `want`, or under a fresh name derived from it.
+    fn add_named(&mut self, ty: GateType, want: &str, fanins: &[u32]) -> u32 {
+        let name = self.free_name(want);
+        self.chosen.insert(name.clone());
+        self.add_gate(ty, fanins, Name::Chosen(name))
+    }
+
+    fn is_named(&self, node: u32, want: NetId) -> bool {
+        match &self.names[node as usize] {
+            Name::Source(net) => *net == want,
+            Name::Chosen(name) => name == self.circuit.net_name(want),
+        }
+    }
+
+    fn name(&self, node: u32) -> &str {
+        match &self.names[node as usize] {
+            Name::Source(net) => self.circuit.net_name(*net),
+            Name::Chosen(name) => name,
+        }
+    }
+
+    /// The live gates in the FIFO Kahn order of the draft's gates (which
+    /// is the order the live ones take in that order over all of them):
+    /// the dangling prune's order, without building the unpruned circuit.
+    fn live_order(&self) -> Vec<usize> {
+        let base = self.inputs.len();
+        let mut live = vec![false; self.names.len()];
+        for &out in &self.outputs {
+            live[out as usize] = true;
+        }
+        for gate in (0..self.gates.len()).rev() {
+            if live[base + gate] {
+                for &fanin in &self.fanins[self.gates[gate].1.clone()] {
+                    live[fanin as usize] = true;
+                }
+            }
+        }
+        // Gate-driven fanins per live gate, and consumers per driver, laid
+        // out flat in gate order as the Kahn sort lists them.
+        let mut pending = vec![0u32; self.gates.len()];
+        let mut offsets = vec![0usize; self.gates.len() + 1];
+        let live_gates = || (0..self.gates.len()).filter(|&g| live[base + g]);
+        let drivers = |gate: usize| {
+            self.fanins[self.gates[gate].1.clone()]
+                .iter()
+                .filter_map(|&fanin| (fanin as usize).checked_sub(base))
+        };
+        for gate in live_gates() {
+            for driver in drivers(gate) {
+                pending[gate] += 1;
+                offsets[driver + 1] += 1;
+            }
+        }
+        for g in 0..self.gates.len() {
+            offsets[g + 1] += offsets[g];
+        }
+        let mut consumers = vec![0usize; offsets[self.gates.len()]];
+        let mut cursor = offsets.clone();
+        for gate in live_gates() {
+            for driver in drivers(gate) {
+                consumers[cursor[driver]] = gate;
+                cursor[driver] += 1;
+            }
+        }
+        let mut ready: VecDeque<usize> = live_gates().filter(|&g| pending[g] == 0).collect();
+        let mut order = Vec::with_capacity(ready.len());
+        while let Some(gate) = ready.pop_front() {
+            order.push(gate);
+            for &next in &consumers[offsets[gate]..offsets[gate + 1]] {
+                pending[next] -= 1;
+                if pending[next] == 0 {
+                    ready.push_back(next);
+                }
+            }
+        }
+        order
+    }
+
+    /// Builds the circuit: every kept input, the live gates in
+    /// [`live_order`](Self::live_order) under their names, the outputs.
+    fn emit(self) -> Result<Circuit, NetlistError> {
+        let mut result = Circuit::new(self.circuit.name().to_string());
+        let mut map: Vec<Option<NetId>> = vec![None; self.names.len()];
+        for (node, &pi) in self.inputs.iter().enumerate() {
+            map[node] = Some(result.add_input(self.circuit.net_name(pi))?);
+        }
+        let mut inputs: Vec<NetId> = Vec::new();
+        for gate in self.live_order() {
+            let (ty, fanins) = &self.gates[gate];
+            inputs.clear();
+            inputs.extend(
+                self.fanins[fanins.clone()]
+                    .iter()
+                    .map(|&fanin| map[fanin as usize].expect("fanins are emitted first")),
+            );
+            let node = self.inputs.len() + gate;
+            map[node] = Some(result.add_gate(*ty, self.name(node as u32), &inputs)?);
+        }
+        for &out in &self.outputs {
+            result.mark_output(map[out as usize].expect("outputs are live"));
+        }
+        Ok(result)
+    }
 }
 
 /// Core constant-propagation rebuild shared by [`propagate_constants`] and
 /// [`set_inputs_constant`]. Pinned primary inputs are dropped from the
 /// interface and treated as constants; the last value given for an input
 /// holds.
+///
+/// It is one rebuild: each gate's fate (a constant, an alias of a fanin,
+/// or a gate over its live fanins) is decided into a name-free [`Draft`],
+/// the outputs are finalized there, and only the gates the outputs reach
+/// are emitted, once. The result is the circuit that simplifying into a
+/// full circuit and then running [`prune_dangling`] on it builds, gate for
+/// gate and name for name: every name decision reads the names that full
+/// circuit would hold, its dead nets included.
 fn rebuild_simplified(
     circuit: &Circuit,
     pinned: &[(NetId, bool)],
 ) -> Result<Circuit, NetlistError> {
     let order = analysis::topological_order(circuit)?;
-    let mut result = Circuit::new(circuit.name().to_string());
-    let mut repr: Vec<Option<Simplified>> = vec![None; circuit.num_nets()];
+    let mut draft = Draft::new(circuit);
     for &(net, value) in pinned {
-        repr[net.index()] = Some(Simplified::Constant(value));
+        draft.repr[net.index()] = Some(Simplified::Constant(value));
     }
     for &pi in circuit.inputs() {
-        if repr[pi.index()].is_none() {
-            let new = result.add_input(circuit.net_name(pi))?;
-            repr[pi.index()] = Some(Simplified::Net(new));
+        if draft.repr[pi.index()].is_none() {
+            draft.repr[pi.index()] = Some(Simplified::Node(draft.add_input(pi)));
         }
     }
 
     let mut scratch = (Vec::new(), Vec::new());
     for &gid in order.iter() {
-        let gate = circuit.gate(gid);
-        let simplified = simplify_gate(circuit, &mut result, gid, &repr, &mut scratch)?;
-        repr[gate.output.index()] = Some(simplified);
+        let simplified = simplify_gate(&mut draft, gid, &mut scratch)?;
+        draft.repr[circuit.gate(gid).output.index()] = Some(simplified);
     }
 
     for &o in circuit.outputs() {
         let want = circuit.net_name(o);
-        let mapped = match repr[o.index()].ok_or_else(|| undriven(circuit, o))? {
-            Simplified::Net(n) => n,
+        let mapped = match draft.repr[o.index()].ok_or_else(|| undriven(circuit, o))? {
+            Simplified::Node(node) => node,
             Simplified::Constant(value) => {
-                // Materialise the constant so the output keeps its width. Use
-                // the original name when it is still free, otherwise a fresh
-                // one derived from it.
+                // Materialise the constant so the output keeps its width,
+                // under the original name when it is still free.
                 let ty = if value {
                     GateType::Const1
                 } else {
                     GateType::Const0
                 };
-                if result.find_net(want).is_none() {
-                    result.add_gate(ty, want, &[])?
-                } else {
-                    result.add_gate_auto(ty, want, &[])?
-                }
+                draft.add_named(ty, want, &[])
             }
         };
-        // Collapsing buffers may have left the output value on a net with an
-        // internal name; the output names are part of the preserved interface,
-        // so restore the original one — by renaming the net when that is safe,
-        // or through a keeper buffer when the net is a primary input, already
-        // carries another output's name, or the name is claimed elsewhere.
-        let finalised = if result.net_name(mapped) == want {
+        // Collapsing buffers may have left the output value on a node with
+        // an internal name; the output names are part of the preserved
+        // interface, so restore the original one — by renaming the node
+        // when that is safe, or through a keeper buffer when the node is a
+        // primary input, already carries another output's name, or the
+        // name is claimed elsewhere.
+        let finalised = if draft.is_named(mapped, o) {
             mapped
-        } else if !result.is_input(mapped)
-            && !result.is_output(mapped)
-            && result.find_net(want).is_none()
+        } else if (mapped as usize) >= draft.inputs.len()
+            && !draft.is_output[mapped as usize]
+            && !draft.taken(want)
         {
-            result.rename_net(mapped, want)?;
+            draft.chosen.insert(want.to_string());
+            draft.names[mapped as usize] = Name::Chosen(want.to_string());
             mapped
         } else {
-            add_named(&mut result, GateType::Buf, want, &[mapped])?
+            draft.add_named(GateType::Buf, want, &[mapped])
         };
-        result.mark_output(finalised);
+        draft.outputs.push(finalised);
+        draft.is_output[finalised as usize] = true;
     }
-    prune_dangling(&result)
+    draft.emit()
 }
 
-/// Simplifies gate `gid` of `circuit` given the representations of its
-/// inputs, adding at most one gate to `result`. `scratch` holds the constant
-/// and the live inputs; it is reused from gate to gate.
+/// Simplifies gate `gid` of the draft's circuit given the representations
+/// of its inputs, adding at most one gate, named after its output net, to
+/// `draft`. `scratch` holds the constant and the live inputs; it is reused
+/// from gate to gate.
 fn simplify_gate(
-    circuit: &Circuit,
-    result: &mut Circuit,
+    draft: &mut Draft,
     gid: GateId,
-    repr: &[Option<Simplified>],
-    scratch: &mut (Vec<bool>, Vec<NetId>),
+    scratch: &mut (Vec<bool>, Vec<u32>),
 ) -> Result<Simplified, NetlistError> {
     use GateType::*;
 
+    let circuit = draft.circuit;
     let gate = circuit.gate(gid);
-    let (ty, name) = (gate.ty, circuit.net_name(gate.output));
+    let ty = gate.ty;
     if matches!(ty, Const0) {
         return Ok(Simplified::Constant(false));
     }
@@ -349,9 +560,9 @@ fn simplify_gate(
     const_inputs.clear();
     live_inputs.clear();
     for &net in &gate.inputs {
-        match repr[net.index()].ok_or_else(|| undriven(circuit, net))? {
+        match draft.repr[net.index()].ok_or_else(|| undriven(circuit, net))? {
             Simplified::Constant(value) => const_inputs.push(value),
-            Simplified::Net(n) => live_inputs.push(n),
+            Simplified::Node(node) => live_inputs.push(node),
         }
     }
 
@@ -361,75 +572,27 @@ fn simplify_gate(
         return Ok(Simplified::Constant(ty.eval(const_inputs)));
     }
 
-    match ty {
-        And | Nand => {
-            if const_inputs.iter().any(|&v| !v) {
-                return Ok(Simplified::Constant(ty == Nand));
-            }
-            emit_reduced(result, ty, live_inputs, name, false)
+    // Net names are unique, so the output's own name is always free here.
+    let name = Name::Source(gate.output);
+    let effective = match ty {
+        And | Nand if const_inputs.iter().any(|&v| !v) => {
+            return Ok(Simplified::Constant(ty == Nand));
         }
-        Or | Nor => {
-            if const_inputs.iter().any(|&v| v) {
-                return Ok(Simplified::Constant(ty == Or));
-            }
-            emit_reduced(result, ty, live_inputs, name, false)
+        Or | Nor if const_inputs.iter().any(|&v| v) => {
+            return Ok(Simplified::Constant(ty == Or));
         }
-        Xor | Xnor => {
-            let ones = const_inputs.iter().filter(|&&v| v).count();
-            let flip = ones % 2 == 1;
-            emit_reduced(result, ty, live_inputs, name, flip)
-        }
-        Not | Buf => {
-            // Single live input, no constants possible here (handled above).
-            let source = live_inputs[0];
-            if ty == Buf {
-                Ok(Simplified::Net(source))
-            } else {
-                let out = add_named(result, Not, name, &[source])?;
-                Ok(Simplified::Net(out))
-            }
-        }
+        // An odd number of true constants flips the parity.
+        Xor | Xnor if const_inputs.iter().filter(|&&v| v).count() % 2 == 1 => ty.complement(),
+        Buf => return Ok(Simplified::Node(live_inputs[0])),
         Const0 | Const1 => unreachable!("handled above"),
-    }
-}
-
-/// Emits a gate over the remaining live inputs, applying the parity flip for
-/// XOR/XNOR and degenerating to BUF/NOT when a single input remains.
-fn emit_reduced(
-    result: &mut Circuit,
-    ty: GateType,
-    live: &[NetId],
-    name: &str,
-    flip: bool,
-) -> Result<Simplified, NetlistError> {
-    use GateType::*;
-    let effective = if flip { ty.complement() } else { ty };
-    if live.len() == 1 {
-        let inverting = effective.is_inverting();
-        if inverting {
-            let out = add_named(result, Not, name, &[live[0]])?;
-            Ok(Simplified::Net(out))
-        } else {
-            Ok(Simplified::Net(live[0]))
-        }
-    } else {
-        let out = add_named(result, effective, name, live)?;
-        Ok(Simplified::Net(out))
-    }
-}
-
-/// Adds a gate using `name` when free, otherwise a fresh name derived from it.
-fn add_named(
-    result: &mut Circuit,
-    ty: GateType,
-    name: &str,
-    inputs: &[NetId],
-) -> Result<NetId, NetlistError> {
-    if result.find_net(name).is_none() {
-        result.add_gate(ty, name, inputs)
-    } else {
-        result.add_gate_auto(ty, name, inputs)
-    }
+        _ => ty,
+    };
+    // A single live input degenerates to an alias or an inverter.
+    Ok(Simplified::Node(match live_inputs.len() {
+        1 if effective.is_inverting() => draft.add_gate(Not, live_inputs, name),
+        1 => live_inputs[0],
+        _ => draft.add_gate(effective, live_inputs, name),
+    }))
 }
 
 #[cfg(test)]
@@ -590,6 +753,32 @@ mod tests {
     }
 
     #[test]
+    fn fresh_output_names_skip_live_and_dead_nets() {
+        // A constant output listed twice needs `$N` names for its second
+        // copy and that copy's keeper buffer; `y$0` is taken by a live gate
+        // and `y$1` by a dead one, which the unpruned circuit still holds.
+        let mut c = Circuit::new("fresh");
+        let a = c.add_input("a").unwrap();
+        let b = c.add_input("b").unwrap();
+        let live = c.add_gate(GateType::And, "y$0", &[a, b]).unwrap();
+        c.add_gate(GateType::Or, "y$1", &[a, b]).unwrap();
+        let y = c.add_gate(GateType::Const0, "y", &[]).unwrap();
+        c.mark_output(y);
+        c.mark_output(y);
+        c.mark_output(live);
+        let folded = propagate_constants(&c).unwrap();
+        let names: Vec<&str> = folded
+            .outputs()
+            .iter()
+            .map(|&n| folded.net_name(n))
+            .collect();
+        assert_eq!(names, vec!["y", "y$3", "y$0"]);
+        assert!(folded.find_net("y$1").is_none());
+        let expected = reference::set_inputs_constant(&c, &[]).unwrap();
+        assert_eq!(structure(&folded), structure(&expected));
+    }
+
+    #[test]
     fn prune_dangling_removes_unused_logic_only() {
         let mut c = locked_toy();
         let a = c.find_net("a").unwrap();
@@ -656,11 +845,14 @@ mod tests {
             proptest::prop_assert_eq!(structure(&once), structure(&folded));
         }
 
-        /// Every `Vec`-indexed rebuild builds the circuit its hash-map
-        /// reference builds, gate for gate and name for name: cones with
-        /// and without cut points, the unit-stripped circuit, pinned and
-        /// unpinned constant propagation and the dangling prune; and the
-        /// forward pass reaches the outputs the fan-out walk reaches.
+        /// Every one-pass rebuild builds the circuit its reference builds,
+        /// gate for gate and name for name: cones with and without cut
+        /// points and the unit-stripped circuit against their hash-map
+        /// references, pinned and unpinned constant propagation (one
+        /// rebuild) against the simplified full circuit and its dangling
+        /// prune (two), and the dangling prune against its hash-set
+        /// reference; and the forward pass reaches the outputs the fan-out
+        /// walk reaches.
         #[test]
         fn prop_rebuilds_match_the_references(seed in 0u64..1000) {
             use proptest::prop_assert_eq;
@@ -688,10 +880,10 @@ mod tests {
                 .map(|_| (c.inputs()[rng.gen_range(0..c.num_inputs())], rng.gen_bool(0.5)))
                 .collect();
             let pinned = set_inputs_constant(&c, &pins).unwrap();
-            let expected = set_inputs_constant_reference(&c, &pins).unwrap();
+            let expected = reference::set_inputs_constant(&c, &pins).unwrap();
             prop_assert_eq!(structure(&pinned), structure(&expected));
             let folded = propagate_constants(&c).unwrap();
-            let expected = set_inputs_constant_reference(&c, &[]).unwrap();
+            let expected = reference::set_inputs_constant(&c, &[]).unwrap();
             prop_assert_eq!(structure(&folded), structure(&expected));
             let pruned = prune_dangling(&c).unwrap();
             let expected = prune_dangling_reference(&c).unwrap();
@@ -744,131 +936,6 @@ mod tests {
         Ok(result)
     }
 
-    /// [`set_inputs_constant`] as it was before the `Vec` net maps:
-    /// hash-map pins and representations, two fresh `Vec`s per gate and a
-    /// hash-set dangling prune. With no pins it is [`propagate_constants`].
-    fn set_inputs_constant_reference(
-        circuit: &Circuit,
-        assignments: &[(NetId, bool)],
-    ) -> Result<Circuit, NetlistError> {
-        for &(net, _) in assignments {
-            if !circuit.is_input(net) {
-                return Err(NetlistError::Transform(format!(
-                    "`{}` is not a primary input",
-                    circuit.net_name(net)
-                )));
-            }
-        }
-        let pinned: HashMap<NetId, bool> = assignments.iter().copied().collect();
-        let mut result = Circuit::new(circuit.name().to_string());
-        let mut repr: HashMap<NetId, Simplified> = HashMap::new();
-        for &pi in circuit.inputs() {
-            match pinned.get(&pi) {
-                Some(&value) => {
-                    repr.insert(pi, Simplified::Constant(value));
-                }
-                None => {
-                    let new = result.add_input(circuit.net_name(pi))?;
-                    repr.insert(pi, Simplified::Net(new));
-                }
-            }
-        }
-        for &gid in analysis::topological_order(circuit)?.iter() {
-            let gate = circuit.gate(gid);
-            let name = circuit.net_name(gate.output);
-            let simplified =
-                simplify_gate_reference(&mut result, gate.ty, &gate.inputs, &repr, name)?;
-            repr.insert(gate.output, simplified);
-        }
-        for &o in circuit.outputs() {
-            let want = circuit.net_name(o);
-            let mapped = match repr[&o] {
-                Simplified::Net(n) => n,
-                Simplified::Constant(value) => {
-                    let ty = if value {
-                        GateType::Const1
-                    } else {
-                        GateType::Const0
-                    };
-                    if result.find_net(want).is_none() {
-                        result.add_gate(ty, want, &[])?
-                    } else {
-                        result.add_gate_auto(ty, want, &[])?
-                    }
-                }
-            };
-            let finalised = if result.net_name(mapped) == want {
-                mapped
-            } else if !result.is_input(mapped)
-                && !result.is_output(mapped)
-                && result.find_net(want).is_none()
-            {
-                result.rename_net(mapped, want)?;
-                mapped
-            } else {
-                add_named(&mut result, GateType::Buf, want, &[mapped])?
-            };
-            result.mark_output(finalised);
-        }
-        prune_dangling_reference(&result)
-    }
-
-    /// The per-gate simplification of [`set_inputs_constant_reference`].
-    fn simplify_gate_reference(
-        result: &mut Circuit,
-        ty: GateType,
-        inputs: &[NetId],
-        repr: &HashMap<NetId, Simplified>,
-        name: &str,
-    ) -> Result<Simplified, NetlistError> {
-        use GateType::*;
-        if matches!(ty, Const0) {
-            return Ok(Simplified::Constant(false));
-        }
-        if matches!(ty, Const1) {
-            return Ok(Simplified::Constant(true));
-        }
-        let mut const_inputs: Vec<bool> = Vec::new();
-        let mut live_inputs: Vec<NetId> = Vec::new();
-        for net in inputs {
-            match repr[net] {
-                Simplified::Constant(value) => const_inputs.push(value),
-                Simplified::Net(n) => live_inputs.push(n),
-            }
-        }
-        if live_inputs.is_empty() {
-            return Ok(Simplified::Constant(ty.eval(&const_inputs)));
-        }
-        match ty {
-            And | Nand => {
-                if const_inputs.iter().any(|&v| !v) {
-                    return Ok(Simplified::Constant(ty == Nand));
-                }
-                emit_reduced(result, ty, &live_inputs, name, false)
-            }
-            Or | Nor => {
-                if const_inputs.iter().any(|&v| v) {
-                    return Ok(Simplified::Constant(ty == Or));
-                }
-                emit_reduced(result, ty, &live_inputs, name, false)
-            }
-            Xor | Xnor => {
-                let ones = const_inputs.iter().filter(|&&v| v).count();
-                emit_reduced(result, ty, &live_inputs, name, ones % 2 == 1)
-            }
-            Not | Buf => {
-                let source = live_inputs[0];
-                if ty == Buf {
-                    Ok(Simplified::Net(source))
-                } else {
-                    let out = add_named(result, Not, name, &[source])?;
-                    Ok(Simplified::Net(out))
-                }
-            }
-            Const0 | Const1 => unreachable!("handled above"),
-        }
-    }
-
     /// [`prune_dangling`] over a hash-set fan-in cone and a hash-map net map.
     fn prune_dangling_reference(circuit: &Circuit) -> Result<Circuit, NetlistError> {
         let needed = analysis::fanin_cone_gates(circuit, circuit.outputs());
@@ -895,9 +962,12 @@ mod tests {
 
     /// A random gate soup for the rebuild references: two to seven inputs,
     /// up to twenty gates of every type (constants and repeated fanins
-    /// included) over earlier nets, so some logic dangles, and one to four
-    /// outputs that may repeat or be inputs, so the output-name restoration
-    /// renames, buffers and materialises.
+    /// included) over earlier nets, so some logic dangles, and one to six
+    /// outputs. Nets are often named like fresh names (`g3$0`), so an
+    /// output's `$N` name can collide with a net, dead or alive; outputs
+    /// repeat, are inputs (pinned ones too), fold to constants, or are
+    /// buffers that collapse onto an input or onto another output, so the
+    /// output-name restoration renames, buffers and materialises.
     fn random_soup(rng: &mut rand::rngs::StdRng) -> Circuit {
         use rand::Rng;
         let types = [
@@ -913,9 +983,26 @@ mod tests {
             GateType::Const1,
         ];
         let mut c = Circuit::new("soup");
-        let mut nets: Vec<NetId> = (0..rng.gen_range(2..8))
-            .map(|i| c.add_input(format!("i{i}")).unwrap())
-            .collect();
+        // Half the names after the first are fresh-like names derived from
+        // an earlier net's, so they can collide with the `$N` names output
+        // finalization derives from an output's name.
+        let name = |c: &Circuit, rng: &mut rand::rngs::StdRng, plain: String| {
+            if c.num_nets() == 0 || rng.gen_bool(0.5) {
+                return plain;
+            }
+            let earlier = NetId(rng.gen_range(0..c.num_nets()) as u32);
+            let fresh_like = format!("{}${}", c.net_name(earlier), rng.gen_range(0..3));
+            if c.find_net(&fresh_like).is_none() {
+                fresh_like
+            } else {
+                plain
+            }
+        };
+        let mut nets: Vec<NetId> = Vec::new();
+        for i in 0..rng.gen_range(2..8) {
+            let input = name(&c, rng, format!("i{i}"));
+            nets.push(c.add_input(input).unwrap());
+        }
         for g in 0..rng.gen_range(0..21) {
             let ty = types[rng.gen_range(0..types.len())];
             let arity = match ty {
@@ -926,10 +1013,25 @@ mod tests {
             let fanin: Vec<NetId> = (0..arity)
                 .map(|_| nets[rng.gen_range(0..nets.len())])
                 .collect();
-            nets.push(c.add_gate(ty, format!("g{g}"), &fanin).unwrap());
+            let output = name(&c, rng, format!("g{g}"));
+            nets.push(c.add_gate(ty, output, &fanin).unwrap());
         }
-        for _ in 0..rng.gen_range(1..5) {
-            c.mark_output(nets[rng.gen_range(0..nets.len())]);
+        for o in 0..rng.gen_range(1..7usize) {
+            let net = match rng.gen_range(0..5) {
+                0 if o > 0 => c.outputs()[rng.gen_range(0..o)],
+                1 => c.inputs()[rng.gen_range(0..c.num_inputs())],
+                2 => {
+                    let source = if o > 0 && rng.gen_bool(0.5) {
+                        c.outputs()[rng.gen_range(0..o)]
+                    } else {
+                        nets[rng.gen_range(0..nets.len())]
+                    };
+                    let buffer = name(&c, rng, format!("b{o}"));
+                    c.add_gate(GateType::Buf, buffer, &[source]).unwrap()
+                }
+                _ => nets[rng.gen_range(0..nets.len())],
+            };
+            c.mark_output(net);
         }
         c
     }

@@ -44,6 +44,15 @@ impl ActivityHeap {
         self.sift_up(self.heap.len() - 1, activity);
     }
 
+    /// Removes every variable, in time linear in the heap's size (not in the
+    /// number of variables).
+    pub(crate) fn clear(&mut self) {
+        for &var in &self.heap {
+            self.position[var] = ABSENT;
+        }
+        self.heap.clear();
+    }
+
     /// Removes and returns the variable with the highest activity.
     pub(crate) fn pop_max(&mut self, activity: &[f64]) -> Option<usize> {
         if self.heap.is_empty() {
@@ -149,6 +158,19 @@ mod tests {
         activity[0] = 10.0;
         heap.decrease_key(0, &activity);
         assert_eq!(heap.pop_max(&activity), Some(0));
+    }
+
+    #[test]
+    fn clear_empties_the_heap_for_reuse() {
+        let activity = vec![1.0, 2.0, 3.0];
+        let mut heap = ActivityHeap::new();
+        heap.insert(0, &activity);
+        heap.insert(2, &activity);
+        heap.clear();
+        assert!(!heap.contains(0) && !heap.contains(2));
+        assert_eq!(heap.pop_max(&activity), None);
+        heap.insert(1, &activity);
+        assert_eq!(heap.pop_max(&activity), Some(1));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! solving under assumptions, a conflict budget and a [`Deadline`] so that
 //! callers (the oracle-guided baseline attacks) can observe well-defined
 //! "out of time" outcomes.
+//!
+//! An incremental caller whose solver accumulates many circuit cones can
+//! also solve *within a scope* ([`Solver::solve_within`]): decisions are
+//! drawn from a heap over the scope's variables alone, so VSIDS never
+//! branches on logic the query does not read. The FRAIG's sweep poses each
+//! query this way, scoped to the fan-in cones of the two edges it compares.
 
 use crate::deadline::Deadline;
 use crate::heap::ActivityHeap;
@@ -160,6 +166,7 @@ pub struct Solver {
     polarity: Vec<bool>,
     activity: Vec<f64>,
     heap: ActivityHeap,
+    scope: ScopeOrder,
     var_inc: f64,
     cla_inc: f64,
     trail: Vec<Lit>,
@@ -177,6 +184,52 @@ enum SearchOutcome {
     Unsat,
     Restart,
     Budget,
+}
+
+/// The decision order of a [`Solver::solve_within`] call: a heap over the
+/// scope's variables alone, keyed by the shared activities. The solver's
+/// own heap is never popped while a scope is active, so every variable it
+/// held stays decidable for the next unscoped solve; the buffers here
+/// persist across calls, so entering and leaving a scope costs
+/// O(|scope|), not O(variables).
+#[derive(Debug, Default)]
+struct ScopeOrder {
+    heap: ActivityHeap,
+    /// `stamp[v] == epoch` marks `v` as a member of the current scope.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Whether a scoped solve is running.
+    active: bool,
+}
+
+impl ScopeOrder {
+    /// Starts a scope: stamps its variables and heaps the unassigned ones.
+    fn enter(&mut self, scope: &[Var], assigns: &[LBool], activity: &[f64]) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        for &var in scope {
+            let index = var.index();
+            self.stamp[index] = self.epoch;
+            if assigns[index] == LBool::Undef {
+                self.heap.insert(index, activity);
+            }
+        }
+        self.active = true;
+    }
+
+    /// Ends the scope: decisions come from the solver's own heap again.
+    fn leave(&mut self) {
+        self.active = false;
+        self.heap.clear();
+    }
+
+    /// Whether `var` belongs to the running scope.
+    fn contains(&self, var: usize) -> bool {
+        self.active && self.stamp[var] == self.epoch
+    }
 }
 
 impl Default for Solver {
@@ -202,6 +255,7 @@ impl Solver {
             polarity: Vec::new(),
             activity: Vec::new(),
             heap: ActivityHeap::new(),
+            scope: ScopeOrder::default(),
             var_inc: 1.0,
             cla_inc: 1.0,
             trail: Vec::new(),
@@ -245,6 +299,7 @@ impl Solver {
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
+        self.scope.stamp.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap.grow_to(index + 1);
@@ -353,6 +408,41 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// [`solve_with_assumptions`](Self::solve_with_assumptions), deciding
+    /// only the variables in `scope`: it answers SAT as soon as every scope
+    /// variable is assigned and propagation finds no conflict. Variables
+    /// outside the scope are never decided — those propagation leaves
+    /// unassigned read `false` in the [`Model`] — and the solver's full
+    /// decision order is back in force for the next `solve*` call.
+    ///
+    /// UNSAT (and UNKNOWN) mean what they mean unscoped: UNSAT comes from
+    /// conflict analysis, which no decision order can make wrong. A SAT
+    /// model is sound on the scope and the assumptions — their values
+    /// extend to a model of every clause — when the clauses form a circuit
+    /// CNF around them:
+    ///
+    /// * `scope` is closed under fanins: every variable the definition of a
+    ///   scope variable reads is in the scope;
+    /// * each assumption's variable is in the scope or defined over it (a
+    ///   difference variable `d ↔ x ⊕ y` with `x`, `y` in the scope);
+    /// * every other clause defines a variable outside the scope (Tseitin
+    ///   clauses, other difference variables) or is implied by the clauses
+    ///   (learnt clauses, the units earlier answers leave).
+    ///
+    /// Then evaluating the definitions outside the scope, with free inputs
+    /// set to anything, completes the assignment. The values the model
+    /// gives variables outside the scope are not part of that guarantee.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scope variable was never created.
+    pub fn solve_within(&mut self, assumptions: &[Lit], scope: &[Var]) -> SatResult {
+        self.scope.enter(scope, &self.assigns, &self.activity);
+        let result = self.solve_with_assumptions(assumptions);
+        self.scope.leave();
+        result
     }
 
     fn search(
@@ -709,6 +799,9 @@ impl Solver {
             if !self.heap.contains(var) {
                 self.heap.insert(var, &self.activity);
             }
+            if self.scope.contains(var) {
+                self.scope.heap.insert(var, &self.activity);
+            }
         }
         self.trail.truncate(new_len);
         self.trail_lim.truncate(level);
@@ -716,8 +809,13 @@ impl Solver {
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
+        let heap = if self.scope.active {
+            &mut self.scope.heap
+        } else {
+            &mut self.heap
+        };
         loop {
-            let var = self.heap.pop_max(&self.activity)?;
+            let var = heap.pop_max(&self.activity)?;
             if self.assigns[var] == LBool::Undef {
                 let polarity = self.polarity[var];
                 return Some(Lit::with_polarity(Var(var as u32), polarity));
@@ -735,6 +833,7 @@ impl Solver {
             self.var_inc *= 1e-100;
         }
         self.heap.decrease_key(index, &self.activity);
+        self.scope.heap.decrease_key(index, &self.activity);
     }
 
     fn bump_clause_activity(&mut self, clause: usize) {
@@ -1108,6 +1207,91 @@ mod tests {
                         format!("disagreement: brute force {:?}, solver {:?}",
                                 reference.is_some(), result.is_sat()),
                     ));
+                }
+            }
+        }
+
+        /// Scoped solving is sound on random AIG gate soups encoded with
+        /// `encode_aig`, each with a few difference variables `d ↔ x ⊕ y`
+        /// over random edge pairs, all asked of one solver in turn: the
+        /// solve within `cone(x) ∪ cone(y)` and the unscoped solve under
+        /// `d` agree on SAT versus UNSAT, the scoped model's input values
+        /// make `x ≠ y` by simulation, and an unscoped solve right after
+        /// returns a model of every clause (the scope is left behind).
+        #[test]
+        fn prop_scoped_solves_agree_with_unscoped_ones(seed in 0u64..=u64::MAX) {
+            use crate::cnf::{ClauseSink, Cnf};
+            use crate::encode::encode_aig;
+            use kratt_netlist::{Aig, AigLit};
+            use proptest::{prop_assert, prop_assert_eq, prop_assert_ne};
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut aig = Aig::new("soup");
+            let mut edges: Vec<AigLit> =
+                (0..rng.gen_range(2..9)).map(|i| aig.add_input(format!("i{i}"))).collect();
+            let pick = |rng: &mut StdRng, edges: &[AigLit]| {
+                edges[rng.gen_range(0..edges.len())].when(rng.gen())
+            };
+            for _ in 0..rng.gen_range(1..40) {
+                let (a, b) = (pick(&mut rng, &edges), pick(&mut rng, &edges));
+                let gate = aig.and(a, b);
+                edges.push(gate);
+            }
+            let pairs: Vec<(AigLit, AigLit)> = (0..rng.gen_range(1..6))
+                .map(|_| (pick(&mut rng, &edges), pick(&mut rng, &edges)))
+                .collect();
+            for (i, &(x, y)) in pairs.iter().enumerate() {
+                aig.add_output(format!("x{i}"), x);
+                aig.add_output(format!("y{i}"), y);
+            }
+            let mut cnf = Cnf::new();
+            let encoding = encode_aig(&mut cnf, &aig, &Default::default());
+            let diffs: Vec<Lit> = encoding
+                .outputs()
+                .chunks(2)
+                .map(|pair| {
+                    let (x, y) = (pair[0], pair[1]);
+                    let d = Lit::positive(cnf.new_var());
+                    cnf.add_clause([!d, x, y]);
+                    cnf.add_clause([!d, !x, !y]);
+                    cnf.add_clause([d, !x, y]);
+                    cnf.add_clause([d, x, !y]);
+                    d
+                })
+                .collect();
+            let satisfies_every_clause = |model: &Model| {
+                cnf.clauses().iter().all(|clause| clause.iter().any(|&l| model.lit_is_true(l)))
+            };
+            let mut solver = cnf.to_solver();
+            for (&(x, y), &d) in pairs.iter().zip(&diffs) {
+                let scope: Vec<Var> = aig
+                    .cone(&[x, y])
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &marked)| marked)
+                    .filter_map(|(node, _)| encoding.lit_of(AigLit::new(node as u32, false)))
+                    .map(|lit| lit.var())
+                    .collect();
+                let scoped = solver.solve_within(&[d], &scope);
+                let unscoped = solver.solve_with_assumptions(&[d]);
+                prop_assert_eq!(scoped.is_sat(), unscoped.is_sat());
+                prop_assert!(!matches!(scoped, SatResult::Unknown));
+                if let SatResult::Sat(model) = &scoped {
+                    let words: Vec<u64> = encoding
+                        .inputs()
+                        .iter()
+                        .map(|&(_, var)| if model.value(var) { !0 } else { 0 })
+                        .collect();
+                    let values = aig.eval_words(&words);
+                    prop_assert_ne!(aig.lit_word(&values, x), aig.lit_word(&values, y));
+                }
+                if let SatResult::Sat(model) = &unscoped {
+                    prop_assert!(satisfies_every_clause(model));
+                }
+                match solver.solve() {
+                    SatResult::Sat(model) => prop_assert!(satisfies_every_clause(&model)),
+                    other => prop_assert!(false, "a circuit CNF is satisfiable: {:?}", other),
                 }
             }
         }

@@ -20,14 +20,16 @@
 //!    representative for free whenever their fanins already merged. SAT is
 //!    asked only about a candidate hashing leaves open, on a CNF loaded
 //!    lazily from the rebuilt graph (a node gets its clauses the first time
-//!    a query reaches it). A proven node is replaced by its representative,
-//!    so the logic above it hashes together too; a SAT answer is a
-//!    counterexample pattern that re-simulates and refutes later candidates
-//!    for free.
+//!    a query reaches it). The one solver holds every cone loaded so far,
+//!    so each query is scoped to the fan-in cones of its two edges
+//!    ([`Solver::solve_within`]): it decides only variables the compared
+//!    edges read. A proven node is replaced by its representative, so the
+//!    logic above it hashes together too; a SAT answer is a counterexample
+//!    pattern that re-simulates and refutes later candidates for free.
 //! 3. **Outputs** — an output pair whose rebuilt edges are equal is proven
-//!    with no query; each other pair gets its own assumption query, and
-//!    only queries the budget leaves undecided fall back to one monolithic
-//!    miter solve.
+//!    with no query; each other pair gets its own scoped assumption query,
+//!    and only queries the budget leaves undecided fall back to one
+//!    monolithic, unscoped miter solve.
 //!
 //! Every entry point runs this pipeline; there is no second checker.
 
@@ -379,6 +381,12 @@ struct Fraig {
     vars: Vec<Option<Var>>,
     /// A variable fixed true, the image of the constant node.
     truth: Var,
+    /// The solver variables of the current query's fan-in cones.
+    scope: Vec<Var>,
+    /// `stamp[node] == query` marks a `graph` node the current query's
+    /// cone walk reached; a query per node at most, so it never wraps.
+    stamp: Vec<u32>,
+    query: u32,
 }
 
 impl Fraig {
@@ -397,6 +405,9 @@ impl Fraig {
             solver,
             vars: Vec::new(),
             truth,
+            scope: Vec::new(),
+            stamp: Vec::new(),
+            query: 0,
         }
     }
 
@@ -520,16 +531,44 @@ impl Fraig {
     }
 
     /// Asks whether two rebuilt edges can differ, under the solver's
-    /// current budget.
+    /// current budget, deciding only the variables of their fan-in cones.
     fn differ(&mut self, x: AigLit, y: AigLit) -> SatResult {
         let (lit_x, lit_y) = (self.lit(x), self.lit(y));
         let diff = assume_difference(&mut self.solver, lit_x, lit_y);
-        self.solver.solve_with_assumptions(&[diff])
+        self.collect_scope(x, y);
+        self.solver.solve_within(&[diff], &self.scope)
     }
 
-    /// The input pattern of a model, one bit per input. An input no query
-    /// reached lies outside every queried cone, so any value works; it
-    /// reads `false`.
+    /// Fills `scope` with the variables of the fan-in cones of two edges
+    /// [`lit`](Self::lit) has loaded: a walk over the rebuilt graph whose
+    /// visited marks are the query's number, so no buffer is cleared
+    /// between queries. The cone is closed under fanins and every clause
+    /// outside it defines a node, a difference variable or is learnt, as
+    /// [`Solver::solve_within`] asks.
+    fn collect_scope(&mut self, x: AigLit, y: AigLit) {
+        self.query += 1;
+        self.stamp.resize(self.graph.num_nodes(), 0);
+        self.scope.clear();
+        let mut stack = vec![x.node(), y.node()];
+        while let Some(node) = stack.pop() {
+            if node == 0 || self.stamp[node as usize] == self.query {
+                continue;
+            }
+            self.stamp[node as usize] = self.query;
+            self.scope
+                .push(self.vars[node as usize].expect("the cone was encoded first"));
+            if self.graph.is_and(node) {
+                let (f0, f1) = self.graph.fanins(node);
+                stack.extend([f0.node(), f1.node()]);
+            }
+        }
+    }
+
+    /// The input pattern of a model, one bit per input. A scoped query
+    /// never decides an input outside its cone, so such an input reads
+    /// `false` unless propagation set it, and an input no query reached
+    /// reads `false`; the compared edges do not read them, so any value
+    /// works.
     fn pattern(&self, model: &Model) -> Vec<bool> {
         self.graph
             .input_nodes()
